@@ -59,7 +59,13 @@ from .field import (
     next_prime,
     solve_linear_system,
 )
-from .net import RemoteSession, SessionConfig, create_server, run_remote_session, serve
+from .net import (
+    RemoteSession,
+    SessionConfig,
+    create_server,
+    run_remote_session,
+    server_from_config,
+)
 from .protocol import (
     SESSION_PRIME,
     Client,
@@ -135,7 +141,7 @@ __all__ = [
     "round_columns",
     "run_remote_session",
     "run_session",
-    "serve",
+    "server_from_config",
     "session_cauchy",
     "solve_linear_system",
     "validate_query",

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .audit import capacity, capacity_table, expected_rank, measured_rate, posterior, rank_profile
 from .errors import OpirError
-from .net import SessionConfig, serve as net_serve, run_remote_session
+from .net import SessionConfig, run_remote_session, server_from_config
 from .protocol import Database, ProtocolParams, SideInformation, run_session
 from .wire import read_database, transcript_from_bytes, transcript_to_bytes, write_database
 
@@ -117,9 +117,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     config = SessionConfig.from_file(args.config)
-    print(f"serving on {args.listen[0]}:{args.listen[1]}")
     try:
-        net_serve(config, args.listen)
+        with server_from_config(config, args.listen) as server:
+            # Announce only once bound, with the port picked when --listen asks for 0.
+            host, port = server.server_address[:2]
+            print(f"serving on {host}:{port}", flush=True)
+            server.serve_forever()
     except KeyboardInterrupt:
         pass
     return 0

@@ -273,12 +273,19 @@ class FieldMatrix:
         return f"FieldMatrix({self.rows}x{self.cols} over F_{self.field.q})"
 
 
-def solve_linear_system(matrix: FieldMatrix, rhs: Sequence[int]) -> list[int]:
-    """Solve A·x = b exactly over the matrix's field.
+def solve_linear_system(matrix: FieldMatrix, rhs: Sequence) -> list:
+    """Solve A·X = B exactly over the matrix's field.
 
-    Gauss-Jordan elimination with first-nonzero pivoting; the elimination
-    order is fixed, so results are identical across runs and platforms.
-    Raises :class:`SingularMatrix` when A is not invertible.
+    Like numpy.linalg.solve, `rhs` is either a vector b of n residues or a
+    block B of n rows of S residues each (S right-hand sides side by side),
+    and the result has the same form.  Both go through one Gauss-Jordan
+    pass over the augmented rows [A | B] with first-nonzero pivoting; the
+    elimination order is fixed, so results are identical across runs and
+    platforms.  Raises :class:`SingularMatrix` when A is not invertible.
+
+    Only pivot rows are reduced mod q during the pass: every other row
+    update adds less than q^2 per entry, and one final reduction turns the
+    result into residues.
     """
     if matrix.rows != matrix.cols:
         raise ValueError("solve requires a square matrix")
@@ -287,19 +294,36 @@ def solve_linear_system(matrix: FieldMatrix, rhs: Sequence[int]) -> list[int]:
     field = matrix.field
     q = field.q
     n = matrix.rows
-    aug = [list(matrix.row(r)) + [rhs[r] % q] for r in range(n)]
+    vector = not rhs or isinstance(rhs[0], int)
+    block = [[v] for v in rhs] if vector else [list(row) for row in rhs]
+    if any(len(row) != len(block[0]) for row in block):
+        raise ValueError("ragged rows in right-hand side")
+    aug = [list(matrix.row(r)) + block[r] for r in range(n)]
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        pivot = next((r for r in range(col, n) if aug[r][col] % q), None)
         if pivot is None:
             raise SingularMatrix(f"matrix has rank < {n}")
         aug[col], aug[pivot] = aug[pivot], aug[col]
         inv = field.inv(aug[col][col])
         aug[col] = [v * inv % q for v in aug[col]]
         for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(vr - f * vc) % q for vr, vc in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
+            f = aug[r][col] % q
+            if r != col and f:
+                aug[r] = [vr - f * vc for vr, vc in zip(aug[r], aug[col])]
+    if vector:
+        return [row[n] % q for row in aug]
+    return [[v % q for v in row[n:]] for row in aug]
+
+
+def combine_rows(coeffs: Sequence[int], rows: Sequence[Sequence[int]], q: int) -> list[int]:
+    """The linear combination sum_j coeffs[j]·rows[j] of equal-length rows, mod q.
+
+    Products accumulate as plain integers and each symbol is reduced once.
+    """
+    acc = [coeffs[0] * v for v in rows[0]]
+    for c, row in zip(coeffs[1:], rows[1:]):
+        acc = [a + c * v for a, v in zip(acc, row)]
+    return [a % q for a in acc]
 
 
 def matrix_rank(matrix: FieldMatrix) -> int:

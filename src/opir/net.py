@@ -181,8 +181,8 @@ def create_server(
     return OpirTCPServer((host, port), database, params, cauchy)
 
 
-def serve(config: SessionConfig, listen: tuple[str, int]) -> None:
-    """Blocking entry point for the CLI: load, bind, serve until interrupted."""
+def server_from_config(config: SessionConfig, listen: tuple[str, int]) -> OpirTCPServer:
+    """Load and check the database, then bind; caller runs serve_forever."""
     from .wire import read_database
 
     if config.database_path is None:
@@ -200,9 +200,7 @@ def serve(config: SessionConfig, listen: tuple[str, int]) -> None:
         cauchy = build_cauchy(
             params.k, params.m, params.l, params.q, config.x_points, config.y_points
         )
-    server = OpirTCPServer(listen, database, params, cauchy)
-    with server:
-        server.serve_forever()
+    return create_server(database, params, cauchy, *listen)
 
 
 class RemoteSession:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 from .cauchy import (
     CauchyMatrix,
@@ -51,7 +52,14 @@ from .errors import (
     SingularMatrix,
     SingularSystem,
 )
-from .field import FieldMatrix, PrimeField, is_prime, next_prime, solve_linear_system
+from .field import (
+    FieldMatrix,
+    PrimeField,
+    combine_rows,
+    is_prime,
+    next_prime,
+    solve_linear_system,
+)
 
 Block = tuple[int, ...]
 Message = tuple[int, ...]
@@ -108,6 +116,11 @@ class ProtocolParams:
             )
         if self.symbols < 1:
             raise InvalidParams("messages need at least one symbol")
+        if self.k > 0xFFFF or self.symbols > 0xFFFF:
+            # The wire carries message indices and the symbol count in 2 bytes.
+            raise InvalidParams(
+                f"K and symbols must be at most 65535, got K={self.k}, symbols={self.symbols}"
+            )
         if not is_prime(self.q):
             raise InvalidParams(f"q={self.q} is not prime")
         if self.q < self.k + self.m * self.l + 1:
@@ -136,7 +149,7 @@ class ProtocolParams:
             q = next_prime(k + m * l + 1) if l == 1 else SESSION_PRIME
         return cls(k=k, m=m, l=l, q=q, symbols=symbols)
 
-    @property
+    @cached_property
     def field(self) -> PrimeField:
         return PrimeField(self.q)
 
@@ -517,16 +530,14 @@ class Client:
         self, query: PartitionQuery, answer: RoundAnswer, demand: int
     ) -> dict[int, Message]:
         field = self.params.field
-        q = field.q
         block = query.block_containing(demand)
         packet = answer.packets[query.block_index(block)]
-        acc = list(packet)
-        for idx in sorted(self.side.indices):
-            c = self.cauchy.coeff(idx, 1)
-            value = self.known[idx]
-            acc = [(a - c * v) % q for a, v in zip(acc, value)]
+        # m_demand = c_demand^-1 · (packet - sum of c_j·m_j over the side set)
         inv = field.inv(self.cauchy.coeff(demand, 1))
-        return {demand: tuple(inv * a % q for a in acc)}
+        side = sorted(self.side.indices)
+        coeffs = [inv] + [-inv * self.cauchy.coeff(idx, 1) % field.q for idx in side]
+        rows = [packet] + [self.known[idx] for idx in side]
+        return {demand: tuple(combine_rows(coeffs, rows, field.q))}
 
     def _decode_merge_round(
         self, query: PartitionQuery, answer: RoundAnswer, demand: int
@@ -565,33 +576,24 @@ class Client:
         current = query.block_containing(demand)
         bi = query.block_index(current)
         columns = round_column_indices(params.m, params.l, query.round_no)
+        known = sorted(chain)
         for ci, col in enumerate(columns):
             packet = answer.packets[bi * len(columns) + ci]
-            acc = list(packet)
-            for idx in sorted(chain):
-                c = self.cauchy.coeff(idx, col)
-                value = self.known[idx]
-                acc = [(a - c * v) % q for a, v in zip(acc, value)]
+            coeffs = [1] + [-self.cauchy.coeff(idx, col) for idx in known]
+            rhs.append(combine_rows(coeffs, [packet] + [self.known[i] for i in known], q))
             rows.append([self.cauchy.coeff(u, col) for u in unknowns])
-            rhs.append(acc)
 
         if len(rows) != len(unknowns):
             raise SingularSystem(
                 f"assembled {len(rows)} equations for {len(unknowns)} unknowns"
             )
-        matrix = FieldMatrix(field, rows)
-        solutions: list[list[int]] = []
-        for s in range(params.symbols):
-            try:
-                solutions.append(solve_linear_system(matrix, [row[s] for row in rhs]))
-            except SingularMatrix as exc:
-                raise SingularSystem(
-                    "decode system is singular; coding matrix property violated"
-                ) from exc
-        return {
-            u: tuple(solutions[s][i] for s in range(params.symbols))
-            for i, u in enumerate(unknowns)
-        }
+        try:
+            solution = solve_linear_system(FieldMatrix(field, rows), rhs)
+        except SingularMatrix as exc:
+            raise SingularSystem(
+                "decode system is singular; coding matrix property violated"
+            ) from exc
+        return {u: tuple(solution[i]) for i, u in enumerate(unknowns)}
 
 
 class Server:
@@ -644,13 +646,10 @@ class Server:
         columns = round_column_indices(self.params.m, self.params.l, query.round_no)
         packets: list[Message] = []
         for block in query.blocks:
+            messages = [self.database.message(idx) for idx in block]
             for col in columns:
-                acc = [0] * self.params.symbols
-                for idx in block:
-                    c = self.cauchy.coeff(idx, col)
-                    msg = self.database.message(idx)
-                    acc = [(a + c * v) % q for a, v in zip(acc, msg)]
-                packets.append(tuple(acc))
+                coeffs = [self.cauchy.coeff(idx, col) for idx in block]
+                packets.append(tuple(combine_rows(coeffs, messages, q)))
         self._queries.append(query)
         return RoundAnswer(query.round_no, tuple(packets))
 

@@ -5,7 +5,6 @@ import json
 import socket
 import subprocess
 import sys
-import time
 
 import pytest
 
@@ -213,23 +212,6 @@ def test_client_connection_refused(tmp_path, capsys):
 # serve + client end to end
 # ---------------------------------------------------------------------------
 
-def _free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
-def _wait_for_listen(port: int, timeout: float = 10.0) -> None:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        try:
-            socket.create_connection(("127.0.0.1", port), timeout=0.2).close()
-            return
-        except OSError:
-            time.sleep(0.05)
-    raise TimeoutError(f"server never listened on port {port}")
-
-
 def test_serve_client_end_to_end(tmp_path, capsys):
     db_path = tmp_path / "db.bin"
     write_database(counting_database(), str(db_path))
@@ -237,18 +219,21 @@ def test_serve_client_end_to_end(tmp_path, capsys):
     config_path.write_text(
         json.dumps({"k": 12, "m": 2, "q": 17, "database": str(db_path)})
     )
-    port = _free_port()
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "opir.cli",
             "serve", "--config", str(config_path),
-            "--listen", f"127.0.0.1:{port}",
+            "--listen", "127.0.0.1:0",
         ],
-        stdout=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        text=True,
     )
     try:
-        _wait_for_listen(port)
+        # The line comes once the socket is bound, naming the port picked.
+        line = proc.stdout.readline()
+        assert line.startswith("serving on 127.0.0.1:"), line
+        port = int(line.rsplit(":", 1)[1])
         transcript_path = tmp_path / "remote.bin"
         code = run_cli(
             "client",
@@ -274,7 +259,7 @@ def test_serve_client_end_to_end(tmp_path, capsys):
     finally:
         proc.terminate()
         try:
-            proc.wait(timeout=5)
+            proc.communicate(timeout=5)
         except subprocess.TimeoutExpired:
             proc.kill()
-            proc.wait(timeout=5)
+            proc.communicate(timeout=5)

@@ -17,6 +17,7 @@ from opir import (
     next_prime,
     solve_linear_system,
 )
+from opir.field import combine_rows
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23]
 
@@ -184,8 +185,13 @@ def brute_force_solutions(field, rows, rhs):
 
 
 def test_solve_matches_brute_force_f5():
-    """Exhaust every 2x2 system over F_5 against trying all 25 vectors."""
+    """Exhaust every 2x2 system over F_5 against trying all 25 vectors.
+
+    A block right-hand side is solved column by column: each column of the
+    result must be that column's brute-force solution.
+    """
     field = PrimeField(5)
+    block = [[1, 2], [0, 3]]
     for a, b, c, d in itertools.product(range(5), repeat=4):
         rows = [[a, b], [c, d]]
         matrix = FieldMatrix(field, rows)
@@ -196,6 +202,13 @@ def test_solve_matches_brute_force_f5():
             else:
                 with pytest.raises(SingularMatrix):
                     solve_linear_system(matrix, rhs)
+        columns = [brute_force_solutions(field, rows, col) for col in zip(*block)]
+        if all(len(sols) == 1 for sols in columns):
+            solved = solve_linear_system(matrix, block)
+            assert [list(col) for col in zip(*solved)] == [sols[0] for sols in columns]
+        else:
+            with pytest.raises(SingularMatrix):
+                solve_linear_system(matrix, block)
 
 
 def test_solve_known_3x3():
@@ -210,6 +223,17 @@ def test_solve_rejects_non_square():
     field = PrimeField(5)
     with pytest.raises(ValueError):
         solve_linear_system(FieldMatrix(field, [[1, 2]]), [1])
+
+
+def test_solve_rejects_ragged_block():
+    field = PrimeField(5)
+    with pytest.raises(ValueError):
+        solve_linear_system(FieldMatrix.identity(field, 2), [[1, 2], [3]])
+
+
+def test_combine_rows_reduces_to_residues():
+    rows = [[1, 2, 3], [4, 0, 16]]
+    assert combine_rows([3, -5], rows, 17) == [(3 - 20) % 17, 6, (9 - 80) % 17]
 
 
 def span_size_rank(field, rows):

@@ -60,6 +60,21 @@ def test_create_rejects_bad_shapes():
         ProtocolParams.create(12, 2, q=13)  # below K + Ml + 1
 
 
+def test_params_fit_wire_fields():
+    # indices and the symbol count travel in 2-byte wire fields
+    assert ProtocolParams.create(4, 1, symbols=65535).symbols == 65535
+    with pytest.raises(InvalidParams):
+        ProtocolParams.create(4, 1, symbols=70000)
+    with pytest.raises(InvalidParams):
+        ProtocolParams(k=65536, m=1, l=15, q=SESSION_PRIME)
+
+
+def test_params_field_built_once():
+    params = ProtocolParams.create(12, 2)
+    assert params.field is params.field
+    assert params.field.q == params.q
+
+
 def test_round_shape_helpers():
     params = ProtocolParams.create(12, 2)
     assert params.n1 == 4
@@ -202,12 +217,16 @@ def test_recoverability_across_grid():
                 assert d in recovered
 
 
-def test_multi_symbol_messages():
-    params, db, side, demands, result = random_session(8, 1, seed=3, symbols=4)
+@pytest.mark.parametrize("k,m,symbols", [(8, 1, 4), (32, 1, 64)])
+def test_multi_symbol_messages(k, m, symbols):
+    # (32, 1) runs five rounds, so decodes past round 3 see symbol blocks too
+    params, db, side, demands, result = random_session(k, m, seed=3, symbols=symbols)
+    assert len(result.recovered) == params.max_rounds
     for recovered in result.recovered:
         for idx, value in recovered.items():
-            assert len(value) == 4
+            assert len(value) == symbols
             assert value == db.message(idx)
+    assert set(side).union(*result.recovered) == set(range(1, k + 1))
 
 
 def test_deterministic_transcripts():
