@@ -1,30 +1,36 @@
-"""Brute-force verification of the scheme's claims on concrete transcripts.
+"""Verification of the scheme's claims on concrete transcripts.
 
 Three independent checks, all computed from the server's view alone:
 
-* posterior: enumerate every (side-information set, demand sequence) pair
-  that could have produced the observed partition sequence, weight each by
-  its exact prior and randomness probability, and normalize.  For a correct
-  run every per-round posterior row is uniformly 1/K.
+* posterior: the exact demand posterior given the observed partition
+  sequence.  Every (side-information set, demand sequence) pair that could
+  have produced the transcript is equally likely -- its probability is the
+  same product of uniform priors and per-round randomness probabilities --
+  so the posterior is a ratio of counts.  A hypothesis's future depends only
+  on its chain block (the observed block holding its side set and demands
+  so far), so the counts are taken by a forward and a backward pass over
+  chain blocks, O(rounds * blocks^2) work, instead of listing the
+  K * prod 2^(i-2)(M+1) hypotheses.  For a correct run every per-round
+  posterior row is uniformly 1/K.  enumerate_hypotheses lists them one by
+  one; it is the brute-force reference the counts are tested against.
 * capacity / measured_rate: the closed-form per-round rate versus the rate
   actually achieved (1 / packets downloaded).
 * rank_profile: rebuild each round's packet coefficient matrix over [1..K]
   and check its rank equals the packet count (no wasted download).
 
-Everything uses exact rational arithmetic; equality checks need no
-tolerances.
+Everything uses exact integer and rational arithmetic; equality checks need
+no tolerances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
 
-from .cauchy import round_column_indices
-from .errors import InconsistentTranscript, InvalidParams, RoundOutOfRange
+from .cauchy import CauchyMatrix, round_column_indices
+from .errors import InconsistentTranscript, RoundOutOfRange
 from .field import FieldMatrix, matrix_rank
-from .protocol import Transcript
+from .protocol import PartitionQuery, ProtocolParams, Transcript, derive_l
 
 
 @dataclass(frozen=True)
@@ -33,7 +39,6 @@ class Hypothesis:
 
     side: frozenset[int]
     demands: tuple[int, ...]
-    weight: Fraction
 
 
 @dataclass(frozen=True)
@@ -61,24 +66,12 @@ class PosteriorTable:
         return all(p == target for row in self.rows for p in row)
 
 
-def _round1_factor(k: int, m: int) -> Fraction:
-    """P(one specific ordered round-1 partition | side set and demand fixed)."""
-    n1 = k // (m + 1)
-    rest = k - m - 1
-    partitions = factorial(rest) // (factorial(m + 1) ** (n1 - 1) * factorial(n1 - 1))
-    return Fraction(1, partitions * factorial(n1))
-
-
-def _merge_factor(prev_blocks: int) -> Fraction:
-    """P(one specific ordered merge | demand and chain blocks fixed).
-
-    The remaining prev_blocks - 2 blocks are paired uniformly; the resulting
-    prev_blocks // 2 blocks are ordered uniformly.
-    """
-    remaining = prev_blocks - 2
-    half = remaining // 2
-    pairings = factorial(remaining) // (2**half * factorial(half))
-    return Fraction(1, pairings * factorial(prev_blocks // 2))
+def _check_contiguous(transcript: Transcript) -> None:
+    if not transcript.rounds:
+        raise ValueError("transcript has no rounds")
+    for j, rnd in enumerate(transcript.rounds, start=1):
+        if rnd.query.round_no != j:
+            raise ValueError(f"transcript rounds not contiguous at position {j}")
 
 
 def enumerate_hypotheses(transcript: Transcript) -> tuple[Hypothesis, ...]:
@@ -87,37 +80,25 @@ def enumerate_hypotheses(transcript: Transcript) -> tuple[Hypothesis, ...]:
     Walks the rounds forward.  Round 1: the demand-plus-side block can be
     any observed block, split any of the M+1 ways.  Round i >= 2: the
     hypothesis's accumulated chain block must sit inside exactly one
-    observed block whose other half is a previous-round block; the demand
-    can be any element of that other half.  Weights multiply the uniform
-    priors with the per-round randomness probabilities.
+    observed block whose other half is a previous-round block, and every
+    other observed block must merge two previous-round blocks; the demand
+    can be any element of that other half.
+
+    This is the brute-force reference for posterior: its size is
+    K * prod 2^(i-2)(M+1), so it is for tests on small shapes.
     """
-    if not transcript.rounds:
-        raise ValueError("transcript has no rounds")
-    for j, rnd in enumerate(transcript.rounds, start=1):
-        if rnd.query.round_no != j:
-            raise ValueError(f"transcript rounds not contiguous at position {j}")
+    _check_contiguous(transcript)
 
-    params = transcript.params
-    k, m = params.k, params.m
-
-    round1 = transcript.rounds[0].query
-    side_prior = Fraction(1, comb(k, m))
-    demand_prior = Fraction(1, k - m)
-    base = side_prior * demand_prior * _round1_factor(k, m)
-
-    # state: (side, demands, chain block as frozenset, weight)
-    states: list[tuple[frozenset[int], tuple[int, ...], frozenset[int], Fraction]] = []
-    for block in round1.blocks:
+    # state: (side, demands, chain block as frozenset)
+    states: list[tuple[frozenset[int], tuple[int, ...], frozenset[int]]] = []
+    for block in transcript.rounds[0].query.blocks:
         members = frozenset(block)
         for w in block:
-            states.append((members - {w}, (w,), members, base))
+            states.append((members - {w}, (w,), members))
 
-    for rnd in transcript.rounds[1:]:
-        query = rnd.query
-        i = query.round_no
-        prev_query = transcript.rounds[i - 2].query
-        prev_sets = {frozenset(b) for b in prev_query.blocks}
-        blocks = [frozenset(b) for b in query.blocks]
+    for prev, rnd in zip(transcript.rounds, transcript.rounds[1:]):
+        prev_sets = {frozenset(b) for b in prev.query.blocks}
+        blocks = [frozenset(b) for b in rnd.query.blocks]
         # A block is a well-formed merge if it is the union of exactly two
         # previous-round blocks; hypotheses only differ in WHICH block is
         # the demand-chain merge, so precompute this once.
@@ -126,13 +107,8 @@ def enumerate_hypotheses(transcript: Transcript) -> tuple[Hypothesis, ...]:
             and set().union(*(p for p in prev_sets if p <= b)) == b
             for b in blocks
         ]
-        known_count = 2 ** (i - 2) * (m + 1)
-        factor = Fraction(1, k - known_count) * _merge_factor(params.block_count(i - 1))
-
-        next_states: list[
-            tuple[frozenset[int], tuple[int, ...], frozenset[int], Fraction]
-        ] = []
-        for side, demands, chain, weight in states:
+        next_states = []
+        for side, demands, chain in states:
             merged = [bi for bi, b in enumerate(blocks) if chain <= b]
             if len(merged) != 1:
                 continue
@@ -142,44 +118,99 @@ def enumerate_hypotheses(transcript: Transcript) -> tuple[Hypothesis, ...]:
                 continue
             if not all(well_formed[bi] for bi in range(len(blocks)) if bi != d_index):
                 continue
-            new_chain = blocks[d_index]
-            new_weight = weight * factor
             for w in sorted(other):
-                next_states.append((side, demands + (w,), new_chain, new_weight))
+                next_states.append((side, demands + (w,), blocks[d_index]))
         states = next_states
 
     if not states:
         raise InconsistentTranscript(
             "no side-information and demand assignment explains this transcript"
         )
-    return tuple(
-        Hypothesis(side=s, demands=d, weight=wt) for s, d, _, wt in states
-    )
+    return tuple(Hypothesis(side=s, demands=d) for s, d, _ in states)
+
+
+def _chain_links(
+    prev: PartitionQuery, query: PartitionQuery
+) -> list[tuple[int, frozenset[int]] | None]:
+    """Where a chain ending at each previous-round block goes this round.
+
+    Entry p is (d, other) when a chain whose block is prev.blocks[p]
+    continues: query.blocks[d] is the one block containing it, other is the
+    rest of that block (where this round's demand lies) and is itself a
+    previous-round block, and every other block of the query merges two
+    previous-round blocks.  Otherwise entry p is None.
+    """
+    prev_sets = {frozenset(b) for b in prev.blocks}
+    blocks = [frozenset(b) for b in query.blocks]
+    malformed = []
+    for d, block in enumerate(blocks):
+        inside = [p for p in prev_sets if p <= block]
+        if len(inside) != 2 or inside[0] | inside[1] != block:
+            malformed.append(d)
+    links: list[tuple[int, frozenset[int]] | None] = []
+    for chain in map(frozenset, prev.blocks):
+        merged = [d for d, b in enumerate(blocks) if chain <= b]
+        other = blocks[merged[0]] - chain if len(merged) == 1 else None
+        ok = other in prev_sets and malformed in ([], merged)
+        links.append((merged[0], other) if ok else None)
+    return links
 
 
 def posterior(transcript: Transcript) -> PosteriorTable:
-    """Exact Bayesian demand posteriors given everything the server saw."""
-    hypotheses = enumerate_hypotheses(transcript)
+    """Exact Bayesian demand posteriors given everything the server saw.
+
+    All consistent hypotheses are equally likely, so each row is the number
+    of hypotheses whose demand that round is w over the number in all.  A
+    forward pass counts hypothesis prefixes ending at each chain block, a
+    backward pass counts their completions; a round-i demand in the other
+    half of a chain's merge counts prefixes times completions.
+    """
+    _check_contiguous(transcript)
     k = transcript.params.k
-    t = len(transcript.rounds)
-    total = sum(h.weight for h in hypotheses)
-    rows = []
-    for j in range(t):
-        mass = [Fraction(0)] * k
-        for h in hypotheses:
-            mass[h.demands[j] - 1] += h.weight
-        rows.append(tuple(p / total for p in mass))
-    return PosteriorTable(k=k, rows=tuple(rows), hypothesis_count=len(hypotheses))
+    queries = [rnd.query for rnd in transcript.rounds]
+    links = [_chain_links(prev, query) for prev, query in zip(queries, queries[1:])]
+
+    # forward[i][p]: hypotheses up to round i+1 whose chain is block p of that round
+    forward = [[len(b) for b in queries[0].blocks]]
+    for step, query in zip(links, queries[1:]):
+        counts = [0] * len(query.blocks)
+        for p, link in enumerate(step):
+            if link is not None:
+                counts[link[0]] += forward[-1][p] * len(link[1])
+        forward.append(counts)
+    # backward[i][p]: ways to finish the transcript from block p of round i+1
+    backward = [[1] * len(queries[-1].blocks)]
+    for step in reversed(links):
+        later = backward[0]
+        backward.insert(
+            0, [0 if link is None else len(link[1]) * later[link[0]] for link in step]
+        )
+
+    total = sum(forward[-1])
+    if not total:
+        raise InconsistentTranscript(
+            "no side-information and demand assignment explains this transcript"
+        )
+    mass = [0] * k
+    for p, block in enumerate(queries[0].blocks):
+        for w in block:
+            mass[w - 1] += backward[0][p]
+    rows = [tuple(Fraction(c, total) for c in mass)]
+    for i, step in enumerate(links):
+        mass = [0] * k
+        for p, link in enumerate(step):
+            if link is not None:
+                d, other = link
+                ways = forward[i][p] * backward[i + 1][d]
+                for w in other:
+                    mass[w - 1] += ways
+        rows.append(tuple(Fraction(c, total) for c in mass))
+    return PosteriorTable(k=k, rows=tuple(rows), hypothesis_count=total)
 
 
 def capacity(k: int, m: int, round_no: int) -> Fraction:
     """Closed-form per-round rate: (M+1)/K at round 1, 2^(i-1)(M+1)/(KM) after."""
-    if m < 1 or k <= m + 1 or k % (m + 1) != 0:
-        raise InvalidParams(f"K/(M+1) must be a power of two >= 2: K={k}, M={m}")
-    ratio = k // (m + 1)
-    if ratio & (ratio - 1):
-        raise InvalidParams(f"K/(M+1) must be a power of two >= 2: K={k}, M={m}")
-    l = ratio.bit_length() - 1
+    l = derive_l(k, m)
     if not 1 <= round_no <= l + 1:
         raise RoundOutOfRange(f"round {round_no} outside 1..{l + 1}")
     if round_no == 1:
@@ -189,11 +220,7 @@ def capacity(k: int, m: int, round_no: int) -> Fraction:
 
 def capacity_table(k: int, m: int) -> tuple[tuple[int, Fraction], ...]:
     """(round, capacity) for every round the parameters support."""
-    ratio = k // (m + 1) if m >= 1 and k % (m + 1) == 0 else 0
-    if ratio < 2 or ratio & (ratio - 1):
-        raise InvalidParams(f"K/(M+1) must be a power of two >= 2: K={k}, M={m}")
-    l = ratio.bit_length() - 1
-    return tuple((i, capacity(k, m, i)) for i in range(1, l + 2))
+    return tuple((i, capacity(k, m, i)) for i in range(1, derive_l(k, m) + 2))
 
 
 def measured_rate(transcript: Transcript, round_no: int) -> Fraction:
@@ -203,13 +230,10 @@ def measured_rate(transcript: Transcript, round_no: int) -> Fraction:
     return Fraction(1, transcript.rounds[round_no - 1].download_cost)
 
 
-def coefficient_matrix(transcript: Transcript, round_no: int) -> FieldMatrix:
-    """Rebuild a round's packet coefficients as rows over messages 1..K."""
-    if not 1 <= round_no <= len(transcript.rounds):
-        raise ValueError(f"transcript has no round {round_no}")
-    params = transcript.params
-    cauchy = transcript.cauchy()
-    query = transcript.rounds[round_no - 1].query
+def _round_matrix(
+    params: ProtocolParams, cauchy: CauchyMatrix, round_no: int, query: PartitionQuery
+) -> FieldMatrix:
+    """The packet coefficients of a round's query as rows over messages 1..K."""
     columns = round_column_indices(params.m, params.l, round_no)
     rows = []
     for block in query.blocks:
@@ -221,11 +245,21 @@ def coefficient_matrix(transcript: Transcript, round_no: int) -> FieldMatrix:
     return FieldMatrix(params.field, rows)
 
 
+def coefficient_matrix(transcript: Transcript, round_no: int) -> FieldMatrix:
+    """Rebuild a round's packet coefficients as rows over messages 1..K."""
+    if not 1 <= round_no <= len(transcript.rounds):
+        raise ValueError(f"transcript has no round {round_no}")
+    query = transcript.rounds[round_no - 1].query
+    return _round_matrix(transcript.params, transcript.cauchy(), round_no, query)
+
+
 def rank_profile(transcript: Transcript) -> tuple[tuple[int, int], ...]:
     """(round, rank of that round's coefficient matrix) for every round."""
+    params = transcript.params
+    cauchy = transcript.cauchy()
     return tuple(
-        (i, matrix_rank(coefficient_matrix(transcript, i)))
-        for i in range(1, len(transcript.rounds) + 1)
+        (i, matrix_rank(_round_matrix(params, cauchy, i, rnd.query)))
+        for i, rnd in enumerate(transcript.rounds, start=1)
     )
 
 

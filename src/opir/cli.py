@@ -21,7 +21,7 @@ from fractions import Fraction
 from .audit import capacity, capacity_table, expected_rank, measured_rate, posterior, rank_profile
 from .errors import OpirError
 from .net import SessionConfig, run_remote_session, server_from_config
-from .protocol import Database, ProtocolParams, SideInformation, run_session
+from .protocol import Database, ProtocolParams, SessionResult, SideInformation, run_session
 from .wire import read_database, transcript_from_bytes, transcript_to_bytes, write_database
 
 
@@ -60,19 +60,33 @@ def _derived_rng(seed: int, stream: str) -> random.Random:
     return random.Random(f"{stream}:{seed}")
 
 
-def _print_round(
-    round_no: int,
-    demand: int,
-    cost: int,
-    rate: Fraction,
-    cap: Fraction,
-    recovered: dict[int, tuple[int, ...]],
-) -> None:
-    values = ", ".join(f"{i}={list(v)}" for i, v in sorted(recovered.items()))
-    print(
-        f"round {round_no}: demand {demand}, packets {cost},"
-        f" rate {rate}, capacity {cap}, recovered {values}"
-    )
+def _report_session(args: argparse.Namespace, database: Database, result: SessionResult) -> int:
+    """Print each round, check rate == capacity and every recovered value
+    against the database, write the transcript if asked; the exit code."""
+    transcript = result.transcript
+    params = transcript.params
+    ok = True
+    for i, (demand, recovered) in enumerate(zip(args.demands, result.recovered), start=1):
+        rate = measured_rate(transcript, i)
+        cap = capacity(params.k, params.m, i)
+        values = ", ".join(f"{index}={list(v)}" for index, v in sorted(recovered.items()))
+        print(
+            f"round {i}: demand {demand}, packets {transcript.costs[i - 1]},"
+            f" rate {rate}, capacity {cap}, recovered {values}"
+        )
+        if rate != cap:
+            ok = False
+            print(f"  MISMATCH: rate {rate} differs from capacity {cap}")
+        for index, value in recovered.items():
+            if value != database.message(index):
+                ok = False
+                print(f"  MISMATCH: recovered {index} differs from database")
+    if args.transcript_out:
+        with open(args.transcript_out, "wb") as fh:
+            fh.write(transcript_to_bytes(transcript))
+        print(f"transcript written to {args.transcript_out}")
+    print("all rounds at capacity" if ok else "FAIL: rate or recovery check failed")
+    return 0 if ok else 1
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -87,32 +101,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         side_indices = sorted(
             _derived_rng(seed, "side").sample(range(1, params.k + 1), params.m)
         )
-    demands = args.demands
     print(
         f"parameters: K={params.k} M={params.m} l={params.l}"
         f" q={params.q} symbols={params.symbols}"
     )
     print(f"seed: {seed}")
     print(f"side information: {sorted(side_indices)}")
-    result = run_session(params, database, side_indices, demands, seed=seed)
-    transcript = result.transcript
-    ok = True
-    for i, (demand, recovered) in enumerate(zip(demands, result.recovered), start=1):
-        rate = measured_rate(transcript, i)
-        cap = capacity(params.k, params.m, i)
-        _print_round(i, demand, transcript.costs[i - 1], rate, cap, recovered)
-        if rate != cap:
-            ok = False
-        for index, value in recovered.items():
-            if value != database.message(index):
-                ok = False
-                print(f"  MISMATCH: recovered {index} differs from database")
-    if args.transcript_out:
-        with open(args.transcript_out, "wb") as fh:
-            fh.write(transcript_to_bytes(transcript))
-        print(f"transcript written to {args.transcript_out}")
-    print("all rounds at capacity" if ok else "FAIL: rate or recovery check failed")
-    return 0 if ok else 1
+    result = run_session(params, database, side_indices, args.demands, seed=seed)
+    return _report_session(args, database, result)
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -132,22 +128,16 @@ def cmd_client(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     database = read_database(args.db)
     side = SideInformation.from_database(database, args.side)
-    result = run_remote_session(args.connect, side, args.demands, seed=seed)
+    # The server refuses a session whose shape differs from the local copy.
+    expect = {"k": database.k, "q": database.q, "symbols": database.symbols}
+    result = run_remote_session(args.connect, side, args.demands, seed=seed, expect=expect)
     params = result.transcript.params
     print(
         f"parameters: K={params.k} M={params.m} l={params.l}"
         f" q={params.q} symbols={params.symbols}"
     )
     print(f"seed: {seed}")
-    for i, (demand, recovered) in enumerate(zip(args.demands, result.recovered), start=1):
-        rate = measured_rate(result.transcript, i)
-        cap = capacity(params.k, params.m, i)
-        _print_round(i, demand, result.transcript.costs[i - 1], rate, cap, recovered)
-    if args.transcript_out:
-        with open(args.transcript_out, "wb") as fh:
-            fh.write(transcript_to_bytes(result.transcript))
-        print(f"transcript written to {args.transcript_out}")
-    return 0
+    return _report_session(args, database, result)
 
 
 def cmd_audit(args: argparse.Namespace) -> int:

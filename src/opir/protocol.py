@@ -97,6 +97,14 @@ _SAFE_POINTS: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {
 _session_cauchy_cache: dict[tuple[int, int, int, int], CauchyMatrix] = {}
 
 
+def derive_l(k: int, m: int) -> int:
+    """The l with K = (M+1)*2^l; InvalidParams unless K/(M+1) is a power of two >= 2."""
+    ratio = k // (m + 1) if m >= 1 and k % (m + 1) == 0 else 0
+    if ratio < 2 or ratio & (ratio - 1):
+        raise InvalidParams(f"K/(M+1) must be a power of two >= 2: K={k}, M={m}")
+    return ratio.bit_length() - 1
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Session parameters: K messages, side-information size M, K/(M+1) = 2^l."""
@@ -139,12 +147,7 @@ class ProtocolParams:
         canonical points, no prime at all avoids this).  Passing q
         explicitly always wins, with the documented decode risk at l >= 2.
         """
-        if m < 1 or k <= m + 1 or k % (m + 1) != 0:
-            raise InvalidParams(f"K/(M+1) must be a power of two >= 2: K={k}, M={m}")
-        ratio = k // (m + 1)
-        if ratio & (ratio - 1):
-            raise InvalidParams(f"K/(M+1) must be a power of two >= 2: K={k}, M={m}")
-        l = ratio.bit_length() - 1
+        l = derive_l(k, m)
         if q is None:
             q = next_prime(k + m * l + 1) if l == 1 else SESSION_PRIME
         return cls(k=k, m=m, l=l, q=q, symbols=symbols)

@@ -1,16 +1,22 @@
 import dataclasses
+import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from opir import audit, protocol
 from opir import (
     Database,
     InconsistentTranscript,
     InvalidParams,
     PartitionQuery,
     ProtocolParams,
+    RoundAnswer,
     RoundOutOfRange,
+    Transcript,
+    TranscriptRound,
     capacity,
     capacity_table,
     coefficient_matrix,
@@ -102,29 +108,141 @@ def test_posterior_uniform_across_grid():
                 assert sum(table.row(j)) == 1
 
 
-def test_hypothesis_weights_all_equal():
-    """Every consistent explanation is exactly equally likely.
+def count_ratio(transcript):
+    """(rows, count) from the brute-force hypothesis list: the reference posterior."""
+    hyps = enumerate_hypotheses(transcript)
+    k = transcript.params.k
+    rows = []
+    for j in range(len(transcript.rounds)):
+        counts = [0] * k
+        for h in hyps:
+            counts[h.demands[j] - 1] += 1
+        rows.append(tuple(Fraction(c, len(hyps)) for c in counts))
+    return tuple(rows), len(hyps)
 
-    This is the fact that makes the posterior a count ratio; checking it
-    directly localizes a bug to the weights rather than the normalization.
-    """
-    for k, m in [(8, 1), (12, 2)]:
-        _, _, _, _, result = random_session(k, m, seed=5)
-        hyps = enumerate_hypotheses(result.transcript)
-        weights = {h.weight for h in hyps}
-        assert len(weights) == 1
-        demands_len = {len(h.demands) for h in hyps}
-        assert demands_len == {len(result.transcript.rounds)}
+
+def round_prefixes(transcript):
+    for r in range(1, len(transcript.rounds) + 1):
+        yield dataclasses.replace(transcript, rounds=transcript.rounds[:r])
 
 
 def test_posterior_is_count_ratio():
-    _, _, _, _, result = random_session(12, 2, seed=13)
-    hyps = enumerate_hypotheses(result.transcript)
-    table = posterior(result.transcript)
-    for j in range(1, table.rounds + 1):
-        for w in range(1, 13):
-            matching = sum(1 for h in hyps if h.demands[j - 1] == w)
-            assert table.probability(j, w) == Fraction(matching, len(hyps))
+    """Every consistent explanation is equally likely, so the posterior is a
+    count ratio: the chain-block counts must equal the enumerated ones."""
+    for k, m in GRID:
+        for seed in (13, 14):
+            _, _, _, _, result = random_session(k, m, seed=seed)
+            for prefix in round_prefixes(result.transcript):
+                rows, count = count_ratio(prefix)
+                table = posterior(prefix)
+                assert table.rows == rows, (k, m, seed, len(prefix.rounds))
+                assert table.hypothesis_count == count
+
+
+def matches_reference(transcript):
+    """Assert posterior gives the reference counts, or raises as the reference
+    does; return whether any hypothesis explains the transcript."""
+    try:
+        expected = count_ratio(transcript)
+    except InconsistentTranscript:
+        with pytest.raises(InconsistentTranscript):
+            posterior(transcript)
+        return False
+    table = posterior(transcript)
+    assert (table.rows, table.hypothesis_count) == expected
+    return True
+
+
+def swap_across_blocks(transcript, round_no, rng):
+    """The transcript with one index of two random blocks of a round exchanged."""
+    rnd = transcript.rounds[round_no - 1]
+    blocks = [list(b) for b in rnd.query.blocks]
+    a, b = rng.sample(range(len(blocks)), 2)
+    x, y = rng.randrange(len(blocks[a])), rng.randrange(len(blocks[b]))
+    blocks[a][x], blocks[b][y] = blocks[b][y], blocks[a][x]
+    tampered = dataclasses.replace(rnd, query=PartitionQuery.of(round_no, blocks))
+    rounds = list(transcript.rounds)
+    rounds[round_no - 1] = tampered
+    return dataclasses.replace(transcript, rounds=tuple(rounds))
+
+
+def test_tampered_posterior_agrees_with_enumeration():
+    """Indices swapped across blocks at any round: same exception, or same counts."""
+    rng = random.Random(29)
+    raised = 0
+    # (16, 1) has four blocks at round 2, so a swap there leaves chains in
+    # untouched blocks that only the every-other-block-merges rule stops.
+    for k, m in GRID + [(16, 1)]:
+        _, _, _, _, result = random_session(k, m, seed=17)
+        for prefix in round_prefixes(result.transcript):
+            for round_no, rnd in enumerate(prefix.rounds, start=1):
+                if len(rnd.query.blocks) < 2:
+                    continue
+                raised += not matches_reference(swap_across_blocks(prefix, round_no, rng))
+    assert raised > 0
+
+
+@pytest.mark.parametrize(
+    "round1, round2, explained",
+    [
+        # A block merging three round-1 blocks: its chains' other half is
+        # no round-1 block, and every other chain meets a malformed block.
+        ([(1, 2), (3, 4), (5, 6), (7,), (8,)], [(1, 2, 3, 4, 5, 6), (7, 8)], False),
+        # Round 1 misses index 8, which round 2 adds to a pair of blocks.
+        ([(1, 2), (3, 4), (5, 6), (7,)], [(1, 2, 3, 4, 8), (5, 6, 7)], False),
+        # Index 1 sits in two round-1 blocks: the chain's own merge holds
+        # three of them, yet {1, 2} and {3, 4} still explain it.
+        ([(1, 2), (3, 4), (1,), (5, 6), (7, 8)], [(1, 2, 3, 4), (5, 6, 7, 8)], True),
+        # Two round-2 blocks hold {1, 2}: its chains stop, the others go on.
+        ([(1, 2), (3, 4), (5, 6), (7,), (8,)], [(1, 2, 3, 4), (1, 2, 5, 6), (7, 8)], True),
+    ],
+)
+def test_posterior_matches_reference_on_improper_merges(round1, round2, explained):
+    params = ProtocolParams.create(8, 1)
+    rounds = tuple(
+        TranscriptRound(PartitionQuery.of(i, blocks), RoundAnswer(i, ()))
+        for i, blocks in enumerate((round1, round2), start=1)
+    )
+    assert matches_reference(Transcript(params, (), (), rounds)) is explained
+
+
+def test_posterior_does_not_enumerate(golden, monkeypatch):
+    def refuse(transcript):
+        raise AssertionError("posterior listed the hypotheses")
+
+    monkeypatch.setattr(audit, "enumerate_hypotheses", refuse)
+    _, _, result = golden
+    assert posterior(result.transcript).hypothesis_count == 216
+
+
+def synthetic_transcript(k, m, seed):
+    """The queries of a whole session: random round-1 blocks, then random
+    pairwise merges.  Answers are empty; the posterior reads only queries."""
+    params = ProtocolParams.create(k, m)
+    rng = random.Random(seed)
+    order = list(range(1, k + 1))
+    rng.shuffle(order)
+    blocks = [tuple(order[i : i + m + 1]) for i in range(0, k, m + 1)]
+    rounds = []
+    for round_no in range(1, params.max_rounds + 1):
+        if round_no > 1:
+            rng.shuffle(blocks)
+            blocks = [blocks[i] + blocks[i + 1] for i in range(0, len(blocks), 2)]
+        query = PartitionQuery.of(round_no, blocks)
+        rounds.append(TranscriptRound(query, RoundAnswer(round_no, ())))
+    return Transcript(params=params, cauchy_x=(), cauchy_y=(), rounds=tuple(rounds))
+
+
+def test_posterior_counts_at_k128():
+    """2^28 hypotheses at K=128, M=1: far too many to list, cheap to count."""
+    transcript = synthetic_transcript(128, 1, seed=5)
+    start = time.perf_counter()
+    table = posterior(transcript)
+    elapsed = time.perf_counter() - start
+    assert table.rounds == 7
+    assert table.is_uniform()
+    assert table.hypothesis_count == 2**28
+    assert elapsed < 2.0, elapsed
 
 
 def test_hypotheses_include_truth():
@@ -226,6 +344,15 @@ def test_measured_rate_matches_capacity_across_grid():
 def test_golden_rank_profile(golden):
     params, db, result = golden
     assert rank_profile(result.transcript) == ((1, 4), (2, 4), (3, 2))
+
+
+def test_rank_profile_builds_coding_matrix_once(golden, monkeypatch):
+    builds = []
+    real = protocol.build_cauchy
+    monkeypatch.setattr(protocol, "build_cauchy", lambda *a: builds.append(a) or real(*a))
+    _, _, result = golden
+    assert len(rank_profile(result.transcript)) == 3
+    assert len(builds) == 1
 
 
 def test_rank_equals_packet_count_across_grid():

@@ -1,14 +1,16 @@
 """Command line: output contracts, exit codes, and the serve/client pair."""
 
+import contextlib
 import dataclasses
 import json
+import random
 import socket
 import subprocess
 import sys
 
 import pytest
 
-from opir import PartitionQuery, ProtocolParams, run_session
+from opir import Database, PartitionQuery, ProtocolParams, run_session
 from opir.cli import main
 from opir.wire import read_database, transcript_from_bytes, transcript_to_bytes, write_database
 from conftest import GOLDEN_SEED, counting_database
@@ -212,9 +214,11 @@ def test_client_connection_refused(tmp_path, capsys):
 # serve + client end to end
 # ---------------------------------------------------------------------------
 
-def test_serve_client_end_to_end(tmp_path, capsys):
-    db_path = tmp_path / "db.bin"
-    write_database(counting_database(), str(db_path))
+@contextlib.contextmanager
+def serving(tmp_path, database):
+    """An `opir serve` process for a K=12, M=2, q=17 database; yields its port."""
+    db_path = tmp_path / "served.bin"
+    write_database(database, str(db_path))
     config_path = tmp_path / "server.json"
     config_path.write_text(
         json.dumps({"k": 12, "m": 2, "q": 17, "database": str(db_path)})
@@ -233,7 +237,20 @@ def test_serve_client_end_to_end(tmp_path, capsys):
         # The line comes once the socket is bound, naming the port picked.
         line = proc.stdout.readline()
         assert line.startswith("serving on 127.0.0.1:"), line
-        port = int(line.rsplit(":", 1)[1])
+        yield int(line.rsplit(":", 1)[1])
+    finally:
+        proc.terminate()
+        try:
+            proc.communicate(timeout=5)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate(timeout=5)
+
+
+def test_serve_client_end_to_end(tmp_path, capsys):
+    db_path = tmp_path / "db.bin"
+    write_database(counting_database(), str(db_path))
+    with serving(tmp_path, counting_database()) as port:
         transcript_path = tmp_path / "remote.bin"
         code = run_cli(
             "client",
@@ -247,6 +264,7 @@ def test_serve_client_end_to_end(tmp_path, capsys):
         out = capsys.readouterr().out
         assert code == 0
         assert "round 3: demand 7, packets 2, rate 1/2, capacity 1/2" in out
+        assert "all rounds at capacity" in out
 
         params = ProtocolParams.create(12, 2, q=17)
         local = run_session(
@@ -256,10 +274,24 @@ def test_serve_client_end_to_end(tmp_path, capsys):
 
         assert run_cli("audit", "--transcript", str(transcript_path)) == 0
         assert "PASS" in capsys.readouterr().out
-    finally:
-        proc.terminate()
-        try:
-            proc.communicate(timeout=5)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.communicate(timeout=5)
+
+
+def test_client_fails_on_values_not_in_its_database(tmp_path, capsys):
+    """Served and local databases share K and q but differ in values."""
+    served = Database.random(12, 1, 17, random.Random(4))
+    assert served != counting_database()
+    db_path = tmp_path / "db.bin"
+    write_database(counting_database(), str(db_path))
+    with serving(tmp_path, served) as port:
+        code = run_cli(
+            "client",
+            "--connect", f"127.0.0.1:{port}",
+            "--side", "2,3",
+            "--demands", "1,4",
+            "--seed", str(GOLDEN_SEED),
+            "--db", str(db_path),
+        )
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "MISMATCH" in out
+    assert out.rstrip().endswith("FAIL: rate or recovery check failed")
