@@ -37,7 +37,6 @@ from .errors import (
     DecodeError,
     DemandKnown,
     DivisionByZero,
-    FieldMismatch,
     FieldTooSmall,
     InconsistentTranscript,
     InvalidParams,
@@ -51,7 +50,6 @@ from .errors import (
     SingularSystem,
 )
 from .field import (
-    FieldElement,
     FieldMatrix,
     PrimeField,
     is_prime,
@@ -94,9 +92,7 @@ __all__ = [
     "DecodeError",
     "DemandKnown",
     "DivisionByZero",
-    "FieldElement",
     "FieldMatrix",
-    "FieldMismatch",
     "FieldTooSmall",
     "Hypothesis",
     "InconsistentTranscript",

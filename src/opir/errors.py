@@ -5,10 +5,6 @@ class OpirError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class FieldMismatch(OpirError):
-    """Arithmetic attempted between elements of two different fields."""
-
-
 class DivisionByZero(OpirError, ZeroDivisionError):
     """Inversion or division by the zero element."""
 

@@ -5,16 +5,22 @@ residues in [0, q), matrices are row-major grids of residues, and the solver
 and rank routines run plain Gaussian elimination mod q.  No floating point is
 used anywhere, so every result is exact and identical across platforms.
 
-Message vectors (length-m tuples of residues) are treated as vectors over
-F_q on which scalar coefficients act componentwise; no extension-field
-multiplication is ever needed or provided.
+A message is a row of S residues on which scalar coefficients act
+componentwise; no extension-field multiplication is ever needed or provided.
+To combine whole messages at once, `pack_row` lays a row out as one Python
+int with a 128-bit slot per symbol, so sum_j c_j·m_j over packed rows is one
+big-int multiply-add per message, and `unpack_row` reduces each slot mod q
+once at the end.  The slot bound that makes this exact is stated next to
+`pack_row`.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections.abc import Sequence
 
-from .errors import DivisionByZero, FieldMismatch, SingularMatrix
+from .errors import DivisionByZero, SingularMatrix
 
 # Keeping q below 2^31 means every product of two residues fits in a native
 # 64-bit integer; desk-scale parameters never get anywhere near this.
@@ -59,8 +65,7 @@ class PrimeField:
     """The prime field F_q.
 
     Arithmetic methods take and return canonical residues (plain ints in
-    [0, q)); calling the field produces a :class:`FieldElement` wrapper for
-    operator-style arithmetic.
+    [0, q)).
     """
 
     __slots__ = ("q",)
@@ -71,9 +76,6 @@ class PrimeField:
         if q >= MAX_MODULUS:
             raise ValueError(f"field modulus {q} exceeds the 2^31 cap")
         self.q = q
-
-    def __call__(self, value: int) -> "FieldElement":
-        return FieldElement(value, self)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PrimeField) and other.q == self.q
@@ -107,105 +109,6 @@ class PrimeField:
 
     def div(self, a: int, b: int) -> int:
         return a * self.inv(b) % self.q
-
-
-class FieldElement:
-    """A canonical residue bound to its field.
-
-    Mixed arithmetic with plain ints is allowed (the int is reduced into the
-    field); arithmetic with an element of a *different* field raises
-    :class:`FieldMismatch`.
-    """
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field: PrimeField):
-        self.value = value % field.q
-        self.field = field
-
-    def _operand(self, other: object) -> int | None:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatch(
-                    f"cannot mix F_{self.field.q} and F_{other.field.q} elements"
-                )
-            return other.value
-        if isinstance(other, int):
-            return other % self.field.q
-        return None
-
-    def __add__(self, other: object) -> "FieldElement":
-        v = self._operand(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.value + v, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: object) -> "FieldElement":
-        v = self._operand(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.value - v, self.field)
-
-    def __rsub__(self, other: object) -> "FieldElement":
-        v = self._operand(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(v - self.value, self.field)
-
-    def __mul__(self, other: object) -> "FieldElement":
-        v = self._operand(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.value * v, self.field)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: object) -> "FieldElement":
-        v = self._operand(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.value * self.field.inv(v), self.field)
-
-    def __rtruediv__(self, other: object) -> "FieldElement":
-        v = self._operand(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(v * self.field.inv(self.value), self.field)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(-self.value, self.field)
-
-    def __pow__(self, exponent: int) -> "FieldElement":
-        if exponent < 0:
-            base = self.field.inv(self.value)
-            exponent = -exponent
-        else:
-            base = self.value
-        return FieldElement(pow(base, exponent, self.field.q), self.field)
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FieldElement):
-            return other.field == self.field and other.value == self.value
-        if isinstance(other, int):
-            return self.value == other % self.field.q
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field.q, self.value))
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __repr__(self) -> str:
-        return f"F{self.field.q}({self.value})"
 
 
 class FieldMatrix:
@@ -273,19 +176,67 @@ class FieldMatrix:
         return f"FieldMatrix({self.rows}x{self.cols} over F_{self.field.q})"
 
 
+# Packed rows.  Symbol i of a row sits in bits [128·i, 128·i + 128) of one
+# int.  Every packed input holds canonical residues < q < 2^31 (MAX_MODULUS)
+# and combine_packed reduces every coefficient into [0, q) before it
+# multiplies, so each product is < 2^62 and no slot ever goes negative; a
+# subtraction of c·m is a multiply by (q - c).  No combination has more than
+# 65535 terms, because ProtocolParams caps K (and so every block and decode
+# system) at 65535, so a slot holds < 2^62 · 2^16 = 2^78 and never carries
+# into the next one.
+_SLOT_BYTES = 16
+
+# array("Q") words are in native byte order while the packed int is read and
+# written little-endian, so a big-endian host byteswaps the words.
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def pack_row(row: Sequence[int]) -> int:
+    """One int holding `row`'s residues, one 128-bit slot per symbol."""
+    words = array("Q", bytes(_SLOT_BYTES * len(row)))
+    words[::2] = array("Q", row)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return int.from_bytes(words, "little")
+
+
+def unpack_row(value: int, symbols: int, q: int) -> list[int]:
+    """The `symbols` residues mod q of a packed combination (see pack_row)."""
+    words = array("Q", value.to_bytes(_SLOT_BYTES * symbols, "little"))
+    if _BIG_ENDIAN:
+        words.byteswap()
+    wrap = (1 << 64) % q
+    return [(lo + hi * wrap) % q for lo, hi in zip(words[::2], words[1::2])]
+
+
+def combine_packed(coeffs: Sequence[int], packed: Sequence[int], symbols: int, q: int) -> list[int]:
+    """The residues of sum_j coeffs[j]·packed[j] mod q, for rows packed by pack_row.
+
+    Any integer coefficient is accepted; each is reduced into [0, q) first,
+    so a negative one subtracts without a slot going negative.
+    """
+    return unpack_row(sum(c % q * p for c, p in zip(coeffs, packed)), symbols, q)
+
+
 def solve_linear_system(matrix: FieldMatrix, rhs: Sequence) -> list:
     """Solve A·X = B exactly over the matrix's field.
 
-    Like numpy.linalg.solve, `rhs` is either a vector b of n residues or a
-    block B of n rows of S residues each (S right-hand sides side by side),
-    and the result has the same form.  Both go through one Gauss-Jordan
-    pass over the augmented rows [A | B] with first-nonzero pivoting; the
-    elimination order is fixed, so results are identical across runs and
-    platforms.  Raises :class:`SingularMatrix` when A is not invertible.
+    Like numpy.linalg.solve, `rhs` is either a vector b of n canonical
+    residues or a block B of n rows of S canonical residues each (S
+    right-hand sides side by side), and the result has the same form.
+    Raises :class:`SingularMatrix` when A is not invertible.
 
-    Only pivot rows are reduced mod q during the pass: every other row
-    update adds less than q^2 per entry, and one final reduction turns the
-    result into residues.
+    One Gauss-Jordan pass over [A | I] gives A^-1, then each row of X is one
+    packed combination of the rows of B.  The pivot for each column is the
+    first row, in the original order, that is not yet a pivot and has a
+    nonzero entry there; the order is fixed, so results are identical across
+    runs and platforms.  Rows are not swapped, and [A | I] is kept in n x n
+    cells: once column j of A is eliminated it is a unit vector, and its
+    cell holds column pivots[j] of the right half, which was a unit vector
+    until then.  So row pivots[c] ends as row c of A^-1, with its entries
+    in pivot order.  Only the pivot row is reduced mod q at each step: any
+    other row update adds less than q^2 per entry, and the entries of A^-1
+    are reduced as they are combined.
     """
     if matrix.rows != matrix.cols:
         raise ValueError("solve requires a square matrix")
@@ -295,35 +246,41 @@ def solve_linear_system(matrix: FieldMatrix, rhs: Sequence) -> list:
     q = field.q
     n = matrix.rows
     vector = not rhs or isinstance(rhs[0], int)
-    block = [[v] for v in rhs] if vector else [list(row) for row in rhs]
-    if any(len(row) != len(block[0]) for row in block):
+    block = [(v,) for v in rhs] if vector else rhs
+    symbols = len(block[0]) if block else 0
+    if any(len(row) != symbols for row in block):
         raise ValueError("ragged rows in right-hand side")
-    aug = [list(matrix.row(r)) + block[r] for r in range(n)]
+    cells = [list(matrix.row(r)) for r in range(n)]
+    free = list(range(n))
+    pivots: list[int] = []
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] % q), None)
-        if pivot is None:
+        p = next((r for r in free if cells[r][col] % q), None)
+        if p is None:
             raise SingularMatrix(f"matrix has rank < {n}")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = field.inv(aug[col][col])
-        aug[col] = [v * inv % q for v in aug[col]]
+        free.remove(p)
+        pivots.append(p)
+        inv = field.inv(cells[p][col])
+        cells[p][col] = 1
+        cells[p] = [v * inv % q for v in cells[p]]
         for r in range(n):
-            f = aug[r][col] % q
-            if r != col and f:
-                aug[r] = [vr - f * vc for vr, vc in zip(aug[r], aug[col])]
+            f = cells[r][col] % q
+            if r != p and f:
+                cells[r][col] = 0
+                cells[r] = [vr - f * vp for vr, vp in zip(cells[r], cells[p])]
+    packed = [pack_row(block[p]) for p in pivots]
+    solution = [combine_packed(cells[p], packed, symbols, q) for p in pivots]
     if vector:
-        return [row[n] % q for row in aug]
-    return [[v % q for v in row[n:]] for row in aug]
+        return [row[0] for row in solution]
+    return solution
 
 
 def combine_rows(coeffs: Sequence[int], rows: Sequence[Sequence[int]], q: int) -> list[int]:
     """The linear combination sum_j coeffs[j]·rows[j] of equal-length rows, mod q.
 
-    Products accumulate as plain integers and each symbol is reduced once.
+    Rows hold canonical residues; they are packed, combined as whole
+    integers and each symbol is reduced once.
     """
-    acc = [coeffs[0] * v for v in rows[0]]
-    for c, row in zip(coeffs[1:], rows[1:]):
-        acc = [a + c * v for a, v in zip(acc, row)]
-    return [a % q for a in acc]
+    return combine_packed(coeffs, [pack_row(row) for row in rows], len(rows[0]), q)
 
 
 def matrix_rank(matrix: FieldMatrix) -> int:

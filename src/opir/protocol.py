@@ -55,9 +55,11 @@ from .errors import (
 from .field import (
     FieldMatrix,
     PrimeField,
+    combine_packed,
     combine_rows,
     is_prime,
     next_prime,
+    pack_row,
     solve_linear_system,
 )
 
@@ -95,6 +97,11 @@ _SAFE_POINTS: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {
 }
 
 _session_cauchy_cache: dict[tuple[int, int, int, int], CauchyMatrix] = {}
+
+
+def _canonical(row, q: int) -> bool:
+    """True when every symbol of a row is a residue in [0, q); min/max run at C speed."""
+    return not row or (0 <= min(row) and max(row) < q)
 
 
 def derive_l(k: int, m: int) -> int:
@@ -238,7 +245,7 @@ class Database:
         for msg in self.messages:
             if len(msg) != width:
                 raise InvalidParams("all messages must have the same symbol count")
-            if any(not 0 <= v < self.q for v in msg):
+            if not _canonical(msg, self.q):
                 raise InvalidParams("message symbols must be canonical residues mod q")
 
     @classmethod
@@ -261,6 +268,11 @@ class Database:
     def message(self, index: int) -> Message:
         """Message by 1-based index."""
         return self.messages[index - 1]
+
+    @cached_property
+    def packed(self) -> tuple[int, ...]:
+        """Every message as one packed int (field.pack_row), 0-based, built once."""
+        return tuple(pack_row(msg) for msg in self.messages)
 
 
 @dataclass(frozen=True)
@@ -421,11 +433,16 @@ class Client:
         for _, msg in side.values:
             if len(msg) != params.symbols:
                 raise InvalidParams("side-information messages have wrong symbol count")
+            if not _canonical(msg, params.q):
+                raise InvalidParams("side-information symbols must be residues mod q")
         self.params = params
         self.side = side
         self.cauchy = cauchy
         self.rng = rng if rng is not None else random.Random(seed)
         self.known: dict[int, Message] = side.as_dict()
+        # Packed copies of known messages, made when a chain subtraction
+        # first needs them: the last round's block is never packed.
+        self._packed: dict[int, int] = {}
         self.merged_chain: frozenset[int] | None = None
         self._queries: list[PartitionQuery] = []
         self._answers: list[RoundAnswer] = []
@@ -514,6 +531,8 @@ class Client:
             )
         if any(len(p) != self.params.symbols for p in answer.packets):
             raise AnswerMismatch("packet symbol count does not match parameters")
+        if not all(_canonical(p, self.params.q) for p in answer.packets):
+            raise AnswerMismatch("packet symbols must be residues mod q")
         demand = self._pending_demand
         assert demand is not None
         if round_no == 1:
@@ -580,10 +599,14 @@ class Client:
         bi = query.block_index(current)
         columns = round_column_indices(params.m, params.l, query.round_no)
         known = sorted(chain)
+        for i in known:
+            if i not in self._packed:
+                self._packed[i] = pack_row(self.known[i])
+        known_packed = [self._packed[i] for i in known]
         for ci, col in enumerate(columns):
-            packet = answer.packets[bi * len(columns) + ci]
+            packet = pack_row(answer.packets[bi * len(columns) + ci])
             coeffs = [1] + [-self.cauchy.coeff(idx, col) for idx in known]
-            rhs.append(combine_rows(coeffs, [packet] + [self.known[i] for i in known], q))
+            rhs.append(combine_packed(coeffs, [packet] + known_packed, params.symbols, q))
             rows.append([self.cauchy.coeff(u, col) for u in unknowns])
 
         if len(rows) != len(unknowns):
@@ -646,13 +669,15 @@ class Server:
         prev = self._queries[-1] if self._queries else None
         validate_query(self.params, query, prev)
         q = self.params.q
+        symbols = self.params.symbols
+        packed = self.database.packed
         columns = round_column_indices(self.params.m, self.params.l, query.round_no)
         packets: list[Message] = []
         for block in query.blocks:
-            messages = [self.database.message(idx) for idx in block]
+            messages = [packed[idx - 1] for idx in block]
             for col in columns:
                 coeffs = [self.cauchy.coeff(idx, col) for idx in block]
-                packets.append(tuple(combine_rows(coeffs, messages, q)))
+                packets.append(tuple(combine_packed(coeffs, messages, symbols, q)))
         self._queries.append(query)
         return RoundAnswer(query.round_no, tuple(packets))
 

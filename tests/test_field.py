@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from opir import (
     DivisionByZero,
-    FieldElement,
     FieldMatrix,
-    FieldMismatch,
     PrimeField,
     SingularMatrix,
     is_prime,
@@ -17,7 +15,7 @@ from opir import (
     next_prime,
     solve_linear_system,
 )
-from opir.field import combine_rows
+from opir.field import combine_rows, pack_row, unpack_row
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23]
 
@@ -108,66 +106,6 @@ def test_add_mul_match_int_arithmetic(q, a, b):
 
 
 # ---------------------------------------------------------------------------
-# field elements
-# ---------------------------------------------------------------------------
-
-def test_element_operators_exhaustive_f17():
-    field = PrimeField(17)
-    for a in range(17):
-        for b in range(17):
-            x, y = field(a), field(b)
-            assert int(x + y) == (a + b) % 17
-            assert int(x - y) == (a - b) % 17
-            assert int(x * y) == (a * b) % 17
-            if b:
-                assert int((x / y) * y) == a
-
-
-def test_element_int_mixing():
-    field = PrimeField(17)
-    x = field(5)
-    assert x + 3 == field(8)
-    assert 3 + x == field(8)
-    assert 2 * x == field(10)
-    assert x - 6 == field(16)
-    assert 1 / field(2) == field(9)
-    assert x == 5 and x != 6
-
-
-def test_element_pow():
-    field = PrimeField(17)
-    x = field(3)
-    assert int(x**0) == 1
-    assert int(x**4) == 3**4 % 17
-    assert x**-1 == x.inv()
-    # Fermat: a^(q-1) = 1
-    for a in range(1, 17):
-        assert int(field(a) ** 16) == 1
-
-
-def test_element_cross_field_rejected():
-    with pytest.raises(FieldMismatch):
-        PrimeField(17)(3) + PrimeField(19)(3)
-
-
-def test_element_repr_and_bool():
-    field = PrimeField(17)
-    assert repr(field(5)) == "F17(5)"
-    assert bool(field(5)) and not bool(field(0))
-
-
-@given(st.sampled_from(SMALL_PRIMES), st.integers(0, 100), st.integers(0, 100), st.integers(0, 100))
-def test_element_ring_axioms(q, a, b, c):
-    f = PrimeField(q)
-    x, y, z = f(a), f(b), f(c)
-    assert x + y == y + x
-    assert x * y == y * x
-    assert (x + y) + z == x + (y + z)
-    assert x * (y + z) == x * y + x * z
-    assert x + (-x) == f(0)
-
-
-# ---------------------------------------------------------------------------
 # linear algebra
 # ---------------------------------------------------------------------------
 
@@ -184,11 +122,23 @@ def brute_force_solutions(field, rows, rhs):
     return out
 
 
+def cramer_2x2(q, rows, col):
+    """The solution of a 2x2 system by Cramer's rule mod q, or None if singular."""
+    (a, b), (c, d) = rows
+    det = (a * d - b * c) % q
+    if not det:
+        return None
+    inv = pow(det, -1, q)
+    return [(d * col[0] - b * col[1]) * inv % q, (a * col[1] - c * col[0]) * inv % q]
+
+
 def test_solve_matches_brute_force_f5():
     """Exhaust every 2x2 system over F_5 against trying all 25 vectors.
 
     A block right-hand side is solved column by column: each column of the
-    result must be that column's brute-force solution.
+    result must be that column's brute-force solution.  Random blocks of 1,
+    3 and 256 columns at q = 17 and q = 2^31 - 1 are checked the same way
+    against Cramer's rule, singular matrices included.
     """
     field = PrimeField(5)
     block = [[1, 2], [0, 3]]
@@ -209,6 +159,26 @@ def test_solve_matches_brute_force_f5():
         else:
             with pytest.raises(SingularMatrix):
                 solve_linear_system(matrix, block)
+    rng = random.Random(5)
+    for q in (17, 2**31 - 1):
+        field = PrimeField(q)
+        for symbols in (1, 3, 256):
+            for trial in range(8):
+                a, b, c, d = (rng.randrange(q) for _ in range(4))
+                # the first system of each size is singular: row 2 = 2 * row 1
+                rows = [[a, b], [2 * a % q, 2 * b % q] if trial == 0 else [c, d]]
+                block = [
+                    [rng.choice((0, q - 1, rng.randrange(q))) for _ in range(symbols)]
+                    for _ in range(2)
+                ]
+                columns = [cramer_2x2(q, rows, col) for col in zip(*block)]
+                matrix = FieldMatrix(field, rows)
+                if columns[0] is None:
+                    with pytest.raises(SingularMatrix):
+                        solve_linear_system(matrix, block)
+                else:
+                    solved = solve_linear_system(matrix, block)
+                    assert [list(col) for col in zip(*solved)] == columns
 
 
 def test_solve_known_3x3():
@@ -234,6 +204,24 @@ def test_solve_rejects_ragged_block():
 def test_combine_rows_reduces_to_residues():
     rows = [[1, 2, 3], [4, 0, 16]]
     assert combine_rows([3, -5], rows, 17) == [(3 - 20) % 17, 6, (9 - 80) % 17]
+
+
+@pytest.mark.parametrize("symbols", [1, 256])
+def test_pack_row_round_trip(symbols):
+    q = 2**31 - 1
+    rng = random.Random(symbols)
+    row = [rng.choice((0, 1, q - 1, rng.randrange(q))) for _ in range(symbols)]
+    assert unpack_row(pack_row(row), symbols, q) == row
+
+
+@pytest.mark.parametrize("symbols", [1, 3])
+def test_combine_rows_worst_case_slot(symbols):
+    """The most a slot can hold: 65535 terms (the K cap) of (q-1)·(q-1) at q = 2^31 - 1."""
+    q = 2**31 - 1
+    terms = 65535
+    expected = terms * (q - 1) ** 2 % q
+    result = combine_rows([q - 1] * terms, [[q - 1] * symbols] * terms, q)
+    assert result == [expected] * symbols
 
 
 def span_size_rank(field, rows):

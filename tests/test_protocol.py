@@ -312,6 +312,15 @@ def test_side_size_must_match():
         Client(params, SideInformation.from_database(db, [2]), server.cauchy)
 
 
+@pytest.mark.parametrize("bad", [-5, 17, 2**70])
+def test_side_values_must_be_residues(bad):
+    params = ProtocolParams.create(12, 2, q=17)
+    server = Server(counting_database(), params)
+    side = SideInformation.from_values({2: (2,), 3: (bad,)})
+    with pytest.raises(InvalidParams):
+        Client(params, side, server.cauchy)
+
+
 # ---------------------------------------------------------------------------
 # answer mismatches
 # ---------------------------------------------------------------------------
@@ -337,6 +346,16 @@ def test_answer_symbol_count_mismatch():
     client.build_query(1)
     with pytest.raises(AnswerMismatch):
         client.decode_answer(RoundAnswer(1, ((0, 0),) * 4))
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_answer_values_must_be_residues(shift):
+    """A packet value moved out of [0, q) by ±q is refused, not reduced and decoded."""
+    params, db, server, client = make_session()
+    answer = server.answer(client.build_query(1))
+    moved = ((answer.packets[0][0] + shift * params.q,),) + answer.packets[1:]
+    with pytest.raises(AnswerMismatch):
+        client.decode_answer(RoundAnswer(1, moved))
 
 
 # ---------------------------------------------------------------------------
