@@ -28,9 +28,7 @@ from .cauchy import (
     all_merge_systems_invertible,
     build_cauchy,
     canonical_points,
-    merge_system_invertible,
     round_column_indices,
-    round_columns,
 )
 from .errors import (
     AnswerMismatch,
@@ -129,12 +127,10 @@ __all__ = [
     "is_prime",
     "matrix_rank",
     "measured_rate",
-    "merge_system_invertible",
     "next_prime",
     "posterior",
     "rank_profile",
     "round_column_indices",
-    "round_columns",
     "run_remote_session",
     "run_session",
     "server_from_config",

@@ -53,10 +53,6 @@ class PosteriorTable:
     def rounds(self) -> int:
         return len(self.rows)
 
-    def probability(self, round_no: int, index: int) -> Fraction:
-        """P(round-round_no demand = index), both 1-based."""
-        return self.rows[round_no - 1][index - 1]
-
     def row(self, round_no: int) -> tuple[Fraction, ...]:
         return self.rows[round_no - 1]
 

@@ -8,8 +8,9 @@ round's decode systems solvable.
 
 The systems solved at round 3 are not plain submatrices: their first-round
 rows are zero outside one half of the merged block.  Such mixed systems can
-be singular even though the matrix is Cauchy (see merge_system_invertible),
-so decode-safety of a matrix has to be checked, not assumed.
+be singular even though the matrix is Cauchy, so decode-safety of a matrix
+has to be checked, not assumed; all_merge_systems_invertible derives the
+residue-sum criterion it checks.
 
 Round 1 uses column 1 alone; round i >= 2 uses the M-column block
 (i-2)M+2 .. (i-1)M+1.  Successive rounds therefore draw on disjoint columns,
@@ -21,8 +22,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import FieldTooSmall, RoundOutOfRange
-from .field import FieldMatrix, PrimeField, next_prime
+from .errors import FieldTooSmall, InvalidParams, RoundOutOfRange
+from .field import FieldMatrix, PrimeField
 
 
 @dataclass(frozen=True)
@@ -39,10 +40,6 @@ class CauchyMatrix:
     @property
     def field(self) -> PrimeField:
         return self.matrix.field
-
-    @property
-    def num_columns(self) -> int:
-        return self.m * self.l + 1
 
     def coeff(self, index: int, column: int) -> int:
         """Entry for message `index` and coding column `column`, both 1-based."""
@@ -65,34 +62,32 @@ def build_cauchy(
     k: int,
     m: int,
     l: int,
-    q: int | None = None,
+    q: int,
     x_points: tuple[int, ...] | None = None,
     y_points: tuple[int, ...] | None = None,
 ) -> CauchyMatrix:
     """Build the K x (M*l + 1) coding matrix over F_q.
 
-    When q is omitted, the smallest prime >= K + Ml + 1 is used.  When the
-    point sets are omitted, the canonical sets from :func:`canonical_points`
-    are used; callers may supply their own as long as all K + Ml + 1 points
-    are distinct.
+    When the point sets are omitted, the canonical sets from
+    :func:`canonical_points` are used.  Callers may supply their own, for
+    instance points read from a transcript or a server's HELLO, as long as
+    all K + Ml + 1 points are distinct; InvalidParams otherwise.
     """
     cols = m * l + 1
-    if q is None:
-        q = next_prime(k + cols)
     if q < k + cols:
         raise FieldTooSmall(f"need q >= {k + cols} for K={k}, M={m}, l={l}; got q={q}")
     field = PrimeField(q)
     if x_points is None and y_points is None:
         x_points, y_points = canonical_points(q, k, m, l)
     elif x_points is None or y_points is None:
-        raise ValueError("supply both point sets or neither")
+        raise InvalidParams("supply both point sets or neither")
     else:
         x_points = tuple(v % q for v in x_points)
         y_points = tuple(v % q for v in y_points)
     if len(x_points) != k or len(y_points) != cols:
-        raise ValueError(f"need {k} x-points and {cols} y-points")
+        raise InvalidParams(f"need {k} x-points and {cols} y-points")
     if len(set(x_points) | set(y_points)) != k + cols:
-        raise ValueError("x and y points must be pairwise distinct and disjoint")
+        raise InvalidParams("x and y points must be pairwise distinct and disjoint")
     entries = [[field.inv((x - y) % q) for y in y_points] for x in x_points]
     return CauchyMatrix(
         k=k, m=m, l=l, x_points=x_points, y_points=y_points,
@@ -112,19 +107,18 @@ def round_column_indices(m: int, l: int, round_no: int) -> tuple[int, ...]:
     )
 
 
-def round_columns(cauchy: CauchyMatrix, round_no: int) -> FieldMatrix:
-    """The K x 1 (round 1) or K x M (round >= 2) column block for a round."""
-    columns = round_column_indices(cauchy.m, cauchy.l, round_no)
-    return cauchy.matrix.submatrix(range(cauchy.k), [c - 1 for c in columns])
+def all_merge_systems_invertible(cauchy: CauchyMatrix) -> bool:
+    """Whether every possible round-3 decode system for this matrix is solvable.
 
+    Exhausts all unions of two disjoint (M+1)-blocks, i.e. every block a
+    third round could be asked to decode regardless of side information,
+    demands, or random choices.  For l <= 2 this covers all rounds (round-2
+    systems are genuine Cauchy submatrices, hence always invertible); for
+    deeper schedules the rounds past 3 are not enumerated here.
 
-def merge_system_invertible(
-    cauchy: CauchyMatrix, left: tuple[int, ...], right: tuple[int, ...]
-) -> bool:
-    """Whether decoding the merged block left | right at round 3 can succeed.
-
-    The system has 2(M+1) unknowns: two first-round packets (column 1
-    restricted to each half) plus the full columns 2..2M+1 over the union.
+    The system for a merged block left | right (1-based, disjoint, each of
+    size M+1) has 2(M+1) unknowns and rows: the round-1 column restricted
+    to each half, plus the full columns 2..2M+1 over the union.
     Row-reducing the two masked rows against the unmasked Cauchy columns
     shows the system is invertible iff
 
@@ -135,44 +129,10 @@ def merge_system_invertible(
     poles are the union's x-points, and the masked row escapes the span of
     the Cauchy columns exactly when the residues over one half do not cancel.
     The condition is symmetric in the two halves because all residues sum
-    to zero.  Blocks are 1-based message indices, disjoint, each of size M+1.
-    """
-    q = cauchy.field.q
-    xs = cauchy.x_points
-    ys = cauchy.y_points
-    union = left + right
-    # common-denominator form: sum of w_i * prod of the other halves' dens
-    dens = []
-    nums = []
-    for i in left:
-        xi = xs[i - 1]
-        w = 1
-        for j in range(2, 2 * cauchy.m + 2):
-            w = w * (xi - ys[j - 1]) % q
-        den = 1
-        for other in union:
-            if other != i:
-                den = den * (xi - xs[other - 1]) % q
-        nums.append(w)
-        dens.append(den)
-    total = 0
-    for pos, w in enumerate(nums):
-        term = w
-        for jpos, den in enumerate(dens):
-            if jpos != pos:
-                term = term * den % q
-        total = (total + term) % q
-    return total != 0
-
-
-def all_merge_systems_invertible(cauchy: CauchyMatrix) -> bool:
-    """Whether every possible round-3 decode system for this matrix is solvable.
-
-    Exhausts all unions of two disjoint (M+1)-blocks, i.e. every block a
-    third round could be asked to decode regardless of side information,
-    demands, or random choices.  For l <= 2 this covers all rounds (round-2
-    systems are genuine Cauchy submatrices, hence always invertible); for
-    deeper schedules the rounds past 3 are not enumerated here.
+    to zero, so each split is tested once, with the union's first index on
+    the left.  The sum is taken over a common denominator: numerator i times
+    the denominators of the half's other indices.  Numerators depend only on
+    i and denominators only on i and the union, so both are computed once.
 
     The canonical equally-spaced points fail this check for every prime:
     e.g. K=8, M=1 has a merged block whose residue sum is identically zero

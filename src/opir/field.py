@@ -86,29 +86,11 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"PrimeField({self.q})"
 
-    def normalize(self, value: int) -> int:
-        return value % self.q
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.q
-
-    def neg(self, a: int) -> int:
-        return -a % self.q
-
     def inv(self, a: int) -> int:
         a %= self.q
         if a == 0:
             raise DivisionByZero("zero has no multiplicative inverse")
         return pow(a, -1, self.q)
-
-    def div(self, a: int, b: int) -> int:
-        return a * self.inv(b) % self.q
 
 
 class FieldMatrix:
@@ -134,28 +116,11 @@ class FieldMatrix:
         self.cols = width
         self._data = tuple(rows)
 
-    @classmethod
-    def identity(cls, field: PrimeField, n: int) -> "FieldMatrix":
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, field: PrimeField, rows: int, cols: int) -> "FieldMatrix":
-        return cls(field, [[0] * cols for _ in range(rows)])
-
     def at(self, row: int, col: int) -> int:
         return self._data[row][col]
 
     def row(self, row: int) -> tuple[int, ...]:
         return self._data[row]
-
-    def column(self, col: int) -> tuple[int, ...]:
-        return tuple(r[col] for r in self._data)
-
-    def mul_vector(self, vec: Sequence[int]) -> list[int]:
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match column count")
-        q = self.field.q
-        return [sum(a * v for a, v in zip(row, vec)) % q for row in self._data]
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "FieldMatrix":
         return FieldMatrix(
@@ -218,13 +183,12 @@ def combine_packed(coeffs: Sequence[int], packed: Sequence[int], symbols: int, q
     return unpack_row(sum(c % q * p for c, p in zip(coeffs, packed)), symbols, q)
 
 
-def solve_linear_system(matrix: FieldMatrix, rhs: Sequence) -> list:
+def solve_linear_system(matrix: FieldMatrix, rhs: Sequence[Sequence[int]]) -> list[list[int]]:
     """Solve A·X = B exactly over the matrix's field.
 
-    Like numpy.linalg.solve, `rhs` is either a vector b of n canonical
-    residues or a block B of n rows of S canonical residues each (S
-    right-hand sides side by side), and the result has the same form.
-    Raises :class:`SingularMatrix` when A is not invertible.
+    `rhs` is a block B of n rows of S canonical residues each (S right-hand
+    sides side by side), and X comes back as n rows of S residues.  Raises
+    :class:`SingularMatrix` when A is not invertible.
 
     One Gauss-Jordan pass over [A | I] gives A^-1, then each row of X is one
     packed combination of the rows of B.  The pivot for each column is the
@@ -245,10 +209,8 @@ def solve_linear_system(matrix: FieldMatrix, rhs: Sequence) -> list:
     field = matrix.field
     q = field.q
     n = matrix.rows
-    vector = not rhs or isinstance(rhs[0], int)
-    block = [(v,) for v in rhs] if vector else rhs
-    symbols = len(block[0]) if block else 0
-    if any(len(row) != symbols for row in block):
+    symbols = len(rhs[0]) if rhs else 0
+    if any(len(row) != symbols for row in rhs):
         raise ValueError("ragged rows in right-hand side")
     cells = [list(matrix.row(r)) for r in range(n)]
     free = list(range(n))
@@ -267,20 +229,8 @@ def solve_linear_system(matrix: FieldMatrix, rhs: Sequence) -> list:
             if r != p and f:
                 cells[r][col] = 0
                 cells[r] = [vr - f * vp for vr, vp in zip(cells[r], cells[p])]
-    packed = [pack_row(block[p]) for p in pivots]
-    solution = [combine_packed(cells[p], packed, symbols, q) for p in pivots]
-    if vector:
-        return [row[0] for row in solution]
-    return solution
-
-
-def combine_rows(coeffs: Sequence[int], rows: Sequence[Sequence[int]], q: int) -> list[int]:
-    """The linear combination sum_j coeffs[j]·rows[j] of equal-length rows, mod q.
-
-    Rows hold canonical residues; they are packed, combined as whole
-    integers and each symbol is reduced once.
-    """
-    return combine_packed(coeffs, [pack_row(row) for row in rows], len(rows[0]), q)
+    packed = [pack_row(rhs[p]) for p in pivots]
+    return [combine_packed(cells[p], packed, symbols, q) for p in pivots]
 
 
 def matrix_rank(matrix: FieldMatrix) -> int:

@@ -49,7 +49,12 @@ class SessionConfig:
     @classmethod
     def from_file(cls, path: str) -> "SessionConfig":
         with open(path) as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:  # bad JSON or bad UTF-8
+                raise InvalidParams(f"config {path} is not valid JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise InvalidParams(f"config {path} must hold a JSON object")
         known = {"k", "m", "q", "symbols", "database", "x_points", "y_points"}
         unknown = set(raw) - known
         if unknown:
@@ -182,19 +187,11 @@ def create_server(
 
 
 def server_from_config(config: SessionConfig, listen: tuple[str, int]) -> OpirTCPServer:
-    """Load and check the database, then bind; caller runs serve_forever."""
-    from .wire import read_database
-
+    """Load the database, then check and bind; caller runs serve_forever."""
     if config.database_path is None:
         raise InvalidParams("server config needs a database path")
-    database = read_database(config.database_path)
+    database = wire.read_database(config.database_path)
     params = config.params()
-    if database.k != params.k or database.q != params.q or database.symbols != params.symbols:
-        raise InvalidParams(
-            f"database file holds K={database.k}, symbols={database.symbols},"
-            f" q={database.q}; config wants K={params.k},"
-            f" symbols={params.symbols}, q={params.q}"
-        )
     cauchy = None
     if config.x_points is not None or config.y_points is not None:
         cauchy = build_cauchy(

@@ -56,7 +56,6 @@ from .field import (
     FieldMatrix,
     PrimeField,
     combine_packed,
-    combine_rows,
     is_prime,
     next_prime,
     pack_row,
@@ -420,7 +419,6 @@ class Client:
         side: SideInformation,
         cauchy: CauchyMatrix,
         seed: int | None = None,
-        rng: random.Random | None = None,
     ):
         if side.size != params.m:
             raise InvalidParams(f"side information must hold M={params.m} messages")
@@ -438,10 +436,10 @@ class Client:
         self.params = params
         self.side = side
         self.cauchy = cauchy
-        self.rng = rng if rng is not None else random.Random(seed)
+        self.rng = random.Random(seed)
         self.known: dict[int, Message] = side.as_dict()
-        # Packed copies of known messages, made when a chain subtraction
-        # first needs them: the last round's block is never packed.
+        # Packed copies of known messages, made by _packed_known when a
+        # subtraction first needs them: the last round's block is never packed.
         self._packed: dict[int, int] = {}
         self.merged_chain: frozenset[int] | None = None
         self._queries: list[PartitionQuery] = []
@@ -455,10 +453,6 @@ class Client:
     @property
     def has_pending_query(self) -> bool:
         return len(self._queries) > len(self._answers)
-
-    @property
-    def history(self) -> list[tuple[PartitionQuery, RoundAnswer]]:
-        return list(zip(self._queries, self._answers))
 
     def build_query(self, demand: int) -> PartitionQuery:
         """Build the next round's query for the given demand index."""
@@ -540,26 +534,31 @@ class Client:
             self.merged_chain = frozenset(query.block_containing(demand))
         else:
             recovered = self._decode_merge_round(query, answer, demand)
-            chain = self.merged_chain
-            assert chain is not None
             self.merged_chain = frozenset(query.block_containing(demand))
         self.known.update(recovered)
         self._answers.append(answer)
         self._pending_demand = None
         return recovered
 
+    def _packed_known(self, indices: list[int]) -> list[int]:
+        """Packed copies of known messages, each packed on first use."""
+        for i in indices:
+            if i not in self._packed:
+                self._packed[i] = pack_row(self.known[i])
+        return [self._packed[i] for i in indices]
+
     def _decode_round1(
         self, query: PartitionQuery, answer: RoundAnswer, demand: int
     ) -> dict[int, Message]:
-        field = self.params.field
+        params = self.params
         block = query.block_containing(demand)
-        packet = answer.packets[query.block_index(block)]
+        packet = pack_row(answer.packets[query.block_index(block)])
         # m_demand = c_demand^-1 · (packet - sum of c_j·m_j over the side set)
-        inv = field.inv(self.cauchy.coeff(demand, 1))
+        inv = params.field.inv(self.cauchy.coeff(demand, 1))
         side = sorted(self.side.indices)
-        coeffs = [inv] + [-inv * self.cauchy.coeff(idx, 1) % field.q for idx in side]
-        rows = [packet] + [self.known[idx] for idx in side]
-        return {demand: tuple(combine_rows(coeffs, rows, field.q))}
+        coeffs = [inv] + [-inv * self.cauchy.coeff(idx, 1) for idx in side]
+        rows = [packet] + self._packed_known(side)
+        return {demand: tuple(combine_packed(coeffs, rows, params.symbols, params.q))}
 
     def _decode_merge_round(
         self, query: PartitionQuery, answer: RoundAnswer, demand: int
@@ -599,10 +598,7 @@ class Client:
         bi = query.block_index(current)
         columns = round_column_indices(params.m, params.l, query.round_no)
         known = sorted(chain)
-        for i in known:
-            if i not in self._packed:
-                self._packed[i] = pack_row(self.known[i])
-        known_packed = [self._packed[i] for i in known]
+        known_packed = self._packed_known(known)
         for ci, col in enumerate(columns):
             packet = pack_row(answer.packets[bi * len(columns) + ci])
             coeffs = [1] + [-self.cauchy.coeff(idx, col) for idx in known]
@@ -635,12 +631,13 @@ class Server:
         params: ProtocolParams,
         cauchy: CauchyMatrix | None = None,
     ):
-        if database.k != params.k:
-            raise InvalidParams("database size does not match K")
-        if database.q != params.q:
-            raise InvalidParams("database field does not match q")
-        if database.symbols != params.symbols:
-            raise InvalidParams("database symbol count does not match parameters")
+        have = (database.k, database.symbols, database.q)
+        want = (params.k, params.symbols, params.q)
+        if have != want:
+            raise InvalidParams(
+                "database holds K={}, symbols={}, q={}; parameters want"
+                " K={}, symbols={}, q={}".format(*have, *want)
+            )
         if cauchy is None:
             cauchy = session_cauchy(params)
         elif (cauchy.k, cauchy.m, cauchy.l, cauchy.field.q) != (
@@ -654,10 +651,6 @@ class Server:
         self.params = params
         self.cauchy = cauchy
         self._queries: list[PartitionQuery] = []
-
-    @property
-    def rounds_answered(self) -> int:
-        return len(self._queries)
 
     def answer(self, query: PartitionQuery) -> RoundAnswer:
         """Validate a query and return its coded packets."""

@@ -92,8 +92,12 @@ def encode_frame(frame_type: int, payload: bytes = b"") -> bytes:
     return HEADER.pack(MAGIC, VERSION, frame_type, len(payload)) + payload
 
 
-def decode_frame(data: bytes, offset: int = 0) -> tuple[int, bytes, int]:
-    """Parse one frame at offset; returns (type, payload, next offset)."""
+def _parse_header(data: bytes, offset: int = 0) -> tuple[int, int]:
+    """Check the frame header at offset; returns (type, payload length).
+
+    The one header parser: decode_frame and read_frame each call it and
+    never each other, so a traced run counts every frame once.
+    """
     if len(data) - offset < HEADER.size:
         raise DecodeError("truncated frame header")
     magic, version, frame_type, length = HEADER.unpack_from(data, offset)
@@ -103,6 +107,12 @@ def decode_frame(data: bytes, offset: int = 0) -> tuple[int, bytes, int]:
         raise DecodeError(f"unsupported version {version}")
     if frame_type not in _FRAME_TYPES:
         raise DecodeError(f"unknown frame type {frame_type:#x}")
+    return frame_type, length
+
+
+def decode_frame(data: bytes, offset: int = 0) -> tuple[int, bytes, int]:
+    """Parse one frame at offset; returns (type, payload, next offset)."""
+    frame_type, length = _parse_header(data, offset)
     start = offset + HEADER.size
     if len(data) - start < length:
         raise DecodeError("truncated frame payload")
@@ -111,14 +121,7 @@ def decode_frame(data: bytes, offset: int = 0) -> tuple[int, bytes, int]:
 
 def read_frame(reader) -> tuple[int, bytes]:
     """Read one frame from a file-like object (blocking, exact reads)."""
-    header = _read_exact(reader, HEADER.size, "frame header")
-    magic, version, frame_type, length = HEADER.unpack(header)
-    if magic != MAGIC:
-        raise DecodeError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise DecodeError(f"unsupported version {version}")
-    if frame_type not in _FRAME_TYPES:
-        raise DecodeError(f"unknown frame type {frame_type:#x}")
+    frame_type, length = _parse_header(_read_exact(reader, HEADER.size, "frame header"))
     return frame_type, _read_exact(reader, length, "frame payload")
 
 

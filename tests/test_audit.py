@@ -370,7 +370,10 @@ def test_coefficient_matrix_reproduces_packets(golden):
     for round_no, rnd in enumerate(result.transcript.rounds, start=1):
         matrix = coefficient_matrix(result.transcript, round_no)
         flat_db = [db.message(i)[0] for i in range(1, 13)]
-        products = matrix.mul_vector(flat_db)
+        products = [
+            sum(c * v for c, v in zip(matrix.row(r), flat_db)) % params.q
+            for r in range(matrix.rows)
+        ]
         assert tuple((v,) for v in products) == rnd.answer.packets
 
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,17 +7,17 @@ from hypothesis import strategies as st
 
 from opir import (
     SESSION_PRIME,
+    FieldMatrix,
     FieldTooSmall,
-    PrimeField,
+    InvalidParams,
     ProtocolParams,
     RoundOutOfRange,
     all_merge_systems_invertible,
     build_cauchy,
     canonical_points,
     matrix_rank,
-    merge_system_invertible,
+    next_prime,
     round_column_indices,
-    round_columns,
     session_cauchy,
 )
 from conftest import GOLDEN_MATRIX
@@ -49,17 +50,10 @@ def test_canonical_point_layout():
 
 def test_entry_definition(golden_cauchy):
     """entry[i][j] * (x_i - y_j) = 1 for every entry."""
-    field = PrimeField(17)
     for i in range(1, 13):
         for j in range(1, 6):
-            diff = field.sub(golden_cauchy.x_points[i - 1], golden_cauchy.y_points[j - 1])
-            assert field.mul(golden_cauchy.coeff(i, j), diff) == 1
-
-
-def test_default_q_is_smallest_valid_prime():
-    assert build_cauchy(12, 2, 2).field.q == 17
-    assert build_cauchy(4, 1, 1).field.q == 7  # 4 + 1*1 + 1 = 6 -> 7
-    assert build_cauchy(16, 3, 2).field.q == 23
+            diff = golden_cauchy.x_points[i - 1] - golden_cauchy.y_points[j - 1]
+            assert golden_cauchy.coeff(i, j) * diff % 17 == 1
 
 
 def test_field_too_small():
@@ -68,13 +62,20 @@ def test_field_too_small():
 
 
 def test_rejects_bad_points():
-    with pytest.raises(ValueError):
+    """Points can come from outside the program (a transcript, a HELLO), so
+    bad ones are an InvalidParams the CLI reports, not a ValueError."""
+    with pytest.raises(InvalidParams):
         build_cauchy(4, 1, 1, q=11, x_points=(1, 2, 3, 3), y_points=(5, 6))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams):
         # x and y sets must be disjoint
         build_cauchy(4, 1, 1, q=11, x_points=(1, 2, 3, 4), y_points=(4, 5))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams):
+        # equal modulo q
+        build_cauchy(4, 1, 1, q=11, x_points=(1, 2, 3, 14), y_points=(5, 6))
+    with pytest.raises(InvalidParams):
         build_cauchy(4, 1, 1, q=11, x_points=(1, 2, 3), y_points=(5, 6))
+    with pytest.raises(InvalidParams):
+        build_cauchy(4, 1, 1, q=11, x_points=(1, 2, 3, 4))
 
 
 def test_round_column_indices():
@@ -96,21 +97,17 @@ def test_round_columns_partition_all_columns():
 
 
 def test_round_columns_golden(golden_cauchy):
-    col1 = round_columns(golden_cauchy, 1)
-    assert col1.cols == 1 and col1.rows == 12
-    assert col1.column(0) == (7, 3, 5, 15, 2, 12, 14, 10, 4, 11, 8, 16)
-    z = round_columns(golden_cauchy, 2)
-    assert z.cols == 2
-    assert tuple(z.at(i, 0) for i in range(6)) == (13, 7, 3, 5, 15, 2)
-    t = round_columns(golden_cauchy, 3)
-    assert t.column(0) == tuple(row[3] for row in GOLDEN_MATRIX)
-    with pytest.raises(RoundOutOfRange):
-        round_columns(golden_cauchy, 4)
+    def column(round_no, pos):
+        col = round_column_indices(2, 2, round_no)[pos]
+        return tuple(golden_cauchy.coeff(i, col) for i in range(1, 13))
+
+    assert column(1, 0) == (7, 3, 5, 15, 2, 12, 14, 10, 4, 11, 8, 16)
+    assert column(2, 0)[:6] == (13, 7, 3, 5, 15, 2)
+    assert column(3, 0) == tuple(row[3] for row in GOLDEN_MATRIX)
 
 
 def test_every_m_plus_1_submatrix_invertible(golden_cauchy):
     """All 3x3 submatrices of the golden matrix have full rank."""
-    field = PrimeField(17)
     entries = golden_cauchy.matrix
     for rows in itertools.combinations(range(12), 3):
         for cols in itertools.combinations(range(5), 3):
@@ -125,16 +122,13 @@ def test_every_m_plus_1_submatrix_invertible(golden_cauchy):
 @settings(max_examples=30, deadline=None)
 def test_entry_inverse_property(shape, q_offset):
     """Entry times point difference is 1 for any admissible prime modulus."""
-    from opir import next_prime
-
     k, m, l = shape
     q = next_prime(k + m * l + 1 + q_offset)
     cauchy = build_cauchy(k, m, l, q=q)
-    field = PrimeField(q)
     for i in range(1, k + 1):
         for j in range(1, m * l + 2):
-            diff = field.sub(cauchy.x_points[i - 1], cauchy.y_points[j - 1])
-            assert field.mul(cauchy.coeff(i, j), diff) == 1
+            diff = cauchy.x_points[i - 1] - cauchy.y_points[j - 1]
+            assert cauchy.coeff(i, j) * diff % q == 1
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +143,6 @@ def merge_oracle_invertible(cauchy, left, right):
         rows.append([cauchy.coeff(u, 1) if u in blk else 0 for u in union])
     for col in range(2, 2 * cauchy.m + 2):
         rows.append([cauchy.coeff(u, col) for u in union])
-    from opir import FieldMatrix
-
     return matrix_rank(FieldMatrix(cauchy.field, rows)) == len(union)
 
 
@@ -163,23 +155,37 @@ def all_splits(k, m):
 
 
 def test_merge_invertibility_formula_matches_elimination():
-    """Exhaustive agreement between the residue-sum test and Gauss elimination."""
+    """The residue-sum check agrees with Gauss elimination of every split.
+
+    At K=8, M=1 over q = 11, 13 and 101, for the canonical points and 100
+    seeded random point sets per prime, all_merge_systems_invertible must
+    equal the oracle's verdict over all 210 splits.  Both verdicts occur:
+    every set fails at q = 11 and 13, and a few pass at q = 101.
+    """
+    rng = random.Random(2024)
+    verdicts = []
     for q in (11, 13, 101):
-        cauchy = build_cauchy(8, 1, 2, q=q)
-        for left, right in all_splits(8, 1):
-            assert merge_system_invertible(cauchy, left, right) == merge_oracle_invertible(
-                cauchy, left, right
-            ), (q, left, right)
+        point_sets = [canonical_points(q, 8, 1, 2)]
+        for _ in range(100):
+            points = rng.sample(range(q), 11)
+            point_sets.append((tuple(points[:8]), tuple(points[8:])))
+        for xs, ys in point_sets:
+            cauchy = build_cauchy(8, 1, 2, q, xs, ys)
+            expected = all(
+                merge_oracle_invertible(cauchy, left, right) for left, right in all_splits(8, 1)
+            )
+            assert all_merge_systems_invertible(cauchy) == expected, (q, xs, ys)
+            verdicts.append(expected)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_golden_field_has_singular_merges(golden_cauchy):
     """q=17 with canonical points admits undecodable merged blocks."""
-    assert not merge_system_invertible(golden_cauchy, (6, 7, 10), (2, 5, 8))
     assert not merge_oracle_invertible(golden_cauchy, (6, 7, 10), (2, 5, 8))
     assert not all_merge_systems_invertible(golden_cauchy)
     # the fixed example's own merges decode fine, which is why its session works
-    assert merge_system_invertible(golden_cauchy, (7, 8, 9), (10, 11, 12))
-    assert merge_system_invertible(golden_cauchy, (1, 2, 3), (4, 5, 6))
+    assert merge_oracle_invertible(golden_cauchy, (7, 8, 9), (10, 11, 12))
+    assert merge_oracle_invertible(golden_cauchy, (1, 2, 3), (4, 5, 6))
 
 
 def test_canonical_points_fail_at_every_prime():
@@ -190,7 +196,7 @@ def test_canonical_points_fail_at_every_prime():
     """
     for q in (11, 13, 10007):
         cauchy = build_cauchy(8, 1, 2, q=q)
-        assert not merge_system_invertible(cauchy, (3, 8), (4, 5))
+        assert not merge_oracle_invertible(cauchy, (3, 8), (4, 5))
         assert not all_merge_systems_invertible(cauchy)
 
 
@@ -217,5 +223,5 @@ def test_session_cauchy_policy():
 
 
 def test_l1_schedules_trivially_certified():
-    assert all_merge_systems_invertible(build_cauchy(4, 1, 1))
-    assert all_merge_systems_invertible(build_cauchy(8, 3, 1))
+    assert all_merge_systems_invertible(build_cauchy(4, 1, 1, q=7))
+    assert all_merge_systems_invertible(build_cauchy(8, 3, 1, q=13))

@@ -133,6 +133,27 @@ def test_audit_rejects_garbage_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_audit_reports_repeated_coding_point(tmp_path):
+    """A HELLO whose x points repeat is an error line and exit 1, no traceback."""
+    params = ProtocolParams.create(4, 1)
+    database = Database(q=params.q, messages=((1,), (2,), (3,), (4,)))
+    transcript = run_session(params, database, [2], [1, 3], seed=1).transcript
+    xs = transcript.cauchy_x
+    bad = dataclasses.replace(transcript, cauchy_x=(xs[0], xs[0]) + xs[2:])
+    path = tmp_path / "repeated.bin"
+    path.write_bytes(transcript_to_bytes(bad))
+    proc = subprocess.run(
+        [sys.executable, "-m", "opir.cli", "audit", "--transcript", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "distinct" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # gen-db
 # ---------------------------------------------------------------------------

@@ -2,8 +2,6 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from opir import (
     DivisionByZero,
@@ -15,9 +13,7 @@ from opir import (
     next_prime,
     solve_linear_system,
 )
-from opir.field import combine_rows, pack_row, unpack_row
-
-SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23]
+from opir.field import combine_packed, pack_row, unpack_row
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +60,7 @@ def test_inverse_exhaustive():
     for q in (2, 3, 5, 17, 101):
         field = PrimeField(q)
         for a in range(1, q):
-            assert field.mul(a, field.inv(a)) == 1
+            assert a * field.inv(a) % q == 1
 
 
 def test_inverse_matches_brute_force():
@@ -80,29 +76,13 @@ def test_inverse_of_zero():
         field.inv(0)
     # callers that only know about the stdlib hierarchy still catch it
     with pytest.raises(ZeroDivisionError):
-        field.div(3, 0)
-
-
-def test_normalization():
-    field = PrimeField(17)
-    assert field.normalize(-1) == 16
-    assert field.normalize(17) == 0
-    assert field.add(16, 5) == 4
-    assert field.sub(3, 5) == 15
+        field.inv(17)
 
 
 def test_field_equality_and_hash():
     assert PrimeField(17) == PrimeField(17)
     assert PrimeField(17) != PrimeField(19)
     assert len({PrimeField(17), PrimeField(17), PrimeField(19)}) == 2
-
-
-@given(st.sampled_from(SMALL_PRIMES), st.integers(), st.integers())
-def test_add_mul_match_int_arithmetic(q, a, b):
-    field = PrimeField(q)
-    assert field.add(a, b) == (a + b) % q
-    assert field.mul(a, b) == (a * b) % q
-    assert field.sub(a, b) == (a - b) % q
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +116,8 @@ def test_solve_matches_brute_force_f5():
     """Exhaust every 2x2 system over F_5 against trying all 25 vectors.
 
     A block right-hand side is solved column by column: each column of the
-    result must be that column's brute-force solution.  Random blocks of 1,
+    result must be that column's brute-force solution, for one-column
+    blocks and for a two-column one.  Random blocks of 1,
     3 and 256 columns at q = 17 and q = 2^31 - 1 are checked the same way
     against Cramer's rule, singular matrices included.
     """
@@ -147,11 +128,12 @@ def test_solve_matches_brute_force_f5():
         matrix = FieldMatrix(field, rows)
         for rhs in ([1, 0], [2, 3]):
             expected = brute_force_solutions(field, rows, rhs)
+            column = [[v] for v in rhs]
             if len(expected) == 1:
-                assert solve_linear_system(matrix, rhs) == expected[0]
+                assert solve_linear_system(matrix, column) == [[v] for v in expected[0]]
             else:
                 with pytest.raises(SingularMatrix):
-                    solve_linear_system(matrix, rhs)
+                    solve_linear_system(matrix, column)
         columns = [brute_force_solutions(field, rows, col) for col in zip(*block)]
         if all(len(sols) == 1 for sols in columns):
             solved = solve_linear_system(matrix, block)
@@ -185,25 +167,25 @@ def test_solve_known_3x3():
     # x=2, y=3, z=5 over F_17
     field = PrimeField(17)
     matrix = FieldMatrix(field, [[1, 1, 1], [2, 1, 0], [0, 3, 2]])
-    rhs = [10, 7, 2]
-    assert solve_linear_system(matrix, rhs) == [2, 3, 5]
+    rhs = [[10], [7], [2]]
+    assert solve_linear_system(matrix, rhs) == [[2], [3], [5]]
 
 
 def test_solve_rejects_non_square():
     field = PrimeField(5)
     with pytest.raises(ValueError):
-        solve_linear_system(FieldMatrix(field, [[1, 2]]), [1])
+        solve_linear_system(FieldMatrix(field, [[1, 2]]), [[1]])
 
 
 def test_solve_rejects_ragged_block():
     field = PrimeField(5)
     with pytest.raises(ValueError):
-        solve_linear_system(FieldMatrix.identity(field, 2), [[1, 2], [3]])
+        solve_linear_system(FieldMatrix(field, [[1, 0], [0, 1]]), [[1, 2], [3]])
 
 
 def test_combine_rows_reduces_to_residues():
-    rows = [[1, 2, 3], [4, 0, 16]]
-    assert combine_rows([3, -5], rows, 17) == [(3 - 20) % 17, 6, (9 - 80) % 17]
+    rows = [pack_row([1, 2, 3]), pack_row([4, 0, 16])]
+    assert combine_packed([3, -5], rows, 3, 17) == [(3 - 20) % 17, 6, (9 - 80) % 17]
 
 
 @pytest.mark.parametrize("symbols", [1, 256])
@@ -220,7 +202,7 @@ def test_combine_rows_worst_case_slot(symbols):
     q = 2**31 - 1
     terms = 65535
     expected = terms * (q - 1) ** 2 % q
-    result = combine_rows([q - 1] * terms, [[q - 1] * symbols] * terms, q)
+    result = combine_packed([q - 1] * terms, [pack_row([q - 1] * symbols)] * terms, symbols, q)
     assert result == [expected] * symbols
 
 
@@ -267,19 +249,10 @@ def test_rank_matches_span_oracle_f3():
 
 def test_matrix_helpers():
     field = PrimeField(7)
-    eye = FieldMatrix.identity(field, 3)
+    eye = FieldMatrix(field, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert matrix_rank(eye) == 3
-    assert eye.mul_vector([1, 2, 3]) == [1, 2, 3]
-    zeros = FieldMatrix.zeros(field, 2, 4)
-    assert matrix_rank(zeros) == 0
+    assert matrix_rank(FieldMatrix(field, [[0] * 4] * 2)) == 0
     m = FieldMatrix(field, [[1, 2, 3], [4, 5, 6]])
     assert m.row(1) == (4, 5, 6)
-    assert m.column(2) == (3, 6)
     assert m.submatrix([1], [0, 2]).row(0) == (4, 6)
     assert m.at(0, 1) == 2
-
-
-def test_matrix_mul_vector_known():
-    field = PrimeField(17)
-    m = FieldMatrix(field, [[7, 3], [5, 15]])
-    assert m.mul_vector([1, 2]) == [(7 + 6) % 17, (5 + 30) % 17]

@@ -3,6 +3,7 @@
 import json
 import random
 import socket
+import socketserver
 import threading
 
 import pytest
@@ -20,6 +21,7 @@ from opir import (
     create_server,
     run_remote_session,
     run_session,
+    server_from_config,
 )
 from opir import wire
 from conftest import GOLDEN_SEED, counting_database
@@ -303,3 +305,37 @@ def test_session_config_rejects_bad_files(tmp_path):
     path.write_text(json.dumps({"k": 12, "m": 2}))
     with pytest.raises(InvalidParams, match="database"):
         SessionConfig.from_file(str(path))
+    path.write_text('{"k": 12, "m": 2,')
+    with pytest.raises(InvalidParams, match="not valid JSON"):
+        SessionConfig.from_file(str(path))
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(InvalidParams, match="not valid JSON"):
+        SessionConfig.from_file(str(path))
+    for top in ("[12, 2]", '"k"', "null"):
+        path.write_text(top)
+        with pytest.raises(InvalidParams, match="JSON object"):
+            SessionConfig.from_file(str(path))
+
+
+@pytest.mark.parametrize("entry", ["create_server", "server_from_config"])
+@pytest.mark.parametrize("field", ["k", "symbols", "q"])
+def test_server_refuses_mismatched_database(tmp_path, monkeypatch, entry, field):
+    """A database whose K, symbols or q differ from the parameters is refused
+    before any socket is bound."""
+    k, symbols, q = {"k": (16, 1, 17), "symbols": (12, 2, 17), "q": (12, 1, 19)}[field]
+    database = Database.random(k, symbols, q, random.Random(3))
+    params = ProtocolParams.create(12, 2, q=17)
+
+    def refuse_bind(self):
+        raise AssertionError("bound a socket for a mismatched database")
+
+    monkeypatch.setattr(socketserver.TCPServer, "server_bind", refuse_bind)
+    if entry == "create_server":
+        with pytest.raises(InvalidParams):
+            create_server(database, params)
+    else:
+        db_path = tmp_path / "db.bin"
+        wire.write_database(database, str(db_path))
+        config = SessionConfig(k=12, m=2, q=17, database_path=str(db_path))
+        with pytest.raises(InvalidParams):
+            server_from_config(config, ("127.0.0.1", 0))

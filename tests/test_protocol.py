@@ -424,3 +424,6 @@ def test_server_database_param_mismatches():
         Server(Database(q=17, messages=((1,),) * 8), params)
     with pytest.raises(InvalidParams):
         Server(Database(q=19, messages=((1,),) * 12), params)
+    # one shape check, whose message names both shapes
+    with pytest.raises(InvalidParams, match=r"K=12, symbols=2, q=17;.* K=12, symbols=1, q=17"):
+        Server(Database(q=17, messages=((1, 2),) * 12), ProtocolParams.create(12, 2, q=17))

@@ -16,6 +16,7 @@ from opir import (
     RoundsExhausted,
     run_session,
 )
+from opir import wire
 from opir.wire import (
     ERR_INTERNAL,
     ERR_MALFORMED_QUERY,
@@ -114,6 +115,30 @@ def test_read_frame_truncated_payload():
     data = encode_frame(FRAME_QUERY, b"xy")
     with pytest.raises(DecodeError, match="closed mid-frame payload"):
         read_frame(io.BytesIO(data[:-1]))
+
+
+def test_frame_readers_share_header_checks(monkeypatch):
+    """read_frame rejects what decode_frame rejects, without calling it (and
+    the other way round), so a wrapper on either sees each frame once."""
+    good = encode_frame(FRAME_QUERY, b"xy")
+    for bad, match in (
+        (b"NOPE" + good[4:], "magic"),
+        (b"OPIR\x02" + good[5:], "version"),
+        (b"OPIR\x01\x66" + good[6:], "frame type"),
+    ):
+        with pytest.raises(DecodeError, match=match):
+            decode_frame(bad)
+        with pytest.raises(DecodeError, match=match):
+            read_frame(io.BytesIO(bad))
+
+    def nested(*args):
+        raise AssertionError("one frame reader called the other")
+
+    monkeypatch.setattr(wire, "decode_frame", nested)
+    assert read_frame(io.BytesIO(good)) == (FRAME_QUERY, b"xy")
+    monkeypatch.setattr(wire, "decode_frame", decode_frame)
+    monkeypatch.setattr(wire, "read_frame", nested)
+    assert decode_frame(good) == (FRAME_QUERY, b"xy", len(good))
 
 
 # ---------------------------------------------------------------------------
