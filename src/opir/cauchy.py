@@ -72,6 +72,13 @@ def build_cauchy(
     :func:`canonical_points` are used.  Callers may supply their own, for
     instance points read from a transcript or a server's HELLO, as long as
     all K + Ml + 1 points are distinct; InvalidParams otherwise.
+
+    All K(Ml+1) entries cost one field inversion (Montgomery's batch
+    inversion): a forward pass keeps the prefix products of the differences
+    x_i - y_j, their product is inverted once, and a backward pass peels
+    one difference off at a time, leaving 1/(x_i - y_j) for each.  A single
+    zero difference would zero the whole product and make every entry
+    wrong, not just its own, so the distinctness check runs first.
     """
     cols = m * l + 1
     if q < k + cols:
@@ -88,7 +95,19 @@ def build_cauchy(
         raise InvalidParams(f"need {k} x-points and {cols} y-points")
     if len(set(x_points) | set(y_points)) != k + cols:
         raise InvalidParams("x and y points must be pairwise distinct and disjoint")
-    entries = [[field.inv((x - y) % q) for y in y_points] for x in x_points]
+    diffs = [x - y for x in x_points for y in y_points]
+    prefix = []
+    running = 1
+    for d in diffs:
+        running = running * d % q
+        prefix.append(running)
+    inverse = field.inv(running)
+    flat = [0] * len(diffs)
+    for n in range(len(diffs) - 1, 0, -1):
+        flat[n] = inverse * prefix[n - 1] % q
+        inverse = inverse * diffs[n] % q
+    flat[0] = inverse
+    entries = [flat[i : i + cols] for i in range(0, len(flat), cols)]
     return CauchyMatrix(
         k=k, m=m, l=l, x_points=x_points, y_points=y_points,
         matrix=FieldMatrix(field, entries),

@@ -16,6 +16,7 @@ once at the end.  The slot bound that makes this exact is stated next to
 
 from __future__ import annotations
 
+import functools
 import sys
 from array import array
 from collections.abc import Sequence
@@ -29,6 +30,12 @@ MAX_MODULUS = 1 << 31
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+# Every ProtocolParams, PrimeField and build_cauchy checks its modulus, and a
+# session or audit makes several of them for one q, so each modulus is tested
+# once per process.  The memo is bounded: a peer that names a new q in every
+# HELLO only evicts older entries.  typed=True keeps 17.0 and True apart
+# from 17 and 1.
+@functools.lru_cache(maxsize=256, typed=True)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; exact for all n < 3.3e24."""
     if n < 2:

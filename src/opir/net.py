@@ -34,6 +34,11 @@ from .protocol import (
 from . import wire
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which is an int subclass.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SessionConfig:
     """Server-side configuration: parameters plus where the data lives."""
@@ -62,6 +67,16 @@ class SessionConfig:
         for key in ("k", "m", "database"):
             if key not in raw:
                 raise InvalidParams(f"config is missing required key '{key}'")
+        for key in ("k", "m", "symbols", "q"):
+            if key in raw and not _is_int(raw[key]):
+                raise InvalidParams(f"config key '{key}' must be an integer")
+        if not isinstance(raw["database"], str):
+            raise InvalidParams("config key 'database' must be a string")
+        for key in ("x_points", "y_points"):
+            if key in raw and not (
+                isinstance(raw[key], list) and all(map(_is_int, raw[key]))
+            ):
+                raise InvalidParams(f"config key '{key}' must be a list of integers")
         return cls(
             k=raw["k"],
             m=raw["m"],

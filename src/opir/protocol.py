@@ -53,6 +53,7 @@ from .errors import (
     SingularSystem,
 )
 from .field import (
+    MAX_MODULUS,
     FieldMatrix,
     PrimeField,
     combine_packed,
@@ -135,6 +136,8 @@ class ProtocolParams:
             raise InvalidParams(
                 f"K and symbols must be at most 65535, got K={self.k}, symbols={self.symbols}"
             )
+        if self.q >= MAX_MODULUS:
+            raise InvalidParams(f"q={self.q} exceeds the field cap 2^31")
         if not is_prime(self.q):
             raise InvalidParams(f"q={self.q} is not prime")
         if self.q < self.k + self.m * self.l + 1:

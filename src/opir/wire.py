@@ -25,6 +25,7 @@ elements, row-major by message.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -138,7 +139,13 @@ def _read_exact(reader, n: int, what: str) -> bytes:
 
 
 class _Cursor:
-    """Bounds-checked little-endian reads over one payload."""
+    """Bounds-checked little-endian reads over one payload.
+
+    u16s and u32s read a whole run of integers (a block, a packet run, a
+    point list) with one struct.unpack after one length check, so a short
+    payload is a DecodeError before anything is unpacked, however large the
+    count it claims.
+    """
 
     __slots__ = ("data", "pos")
 
@@ -153,29 +160,45 @@ class _Cursor:
         self.pos += n
         return out
 
+    def _run(self, n: int, code: str, width: int) -> tuple[int, ...]:
+        start = self.pos
+        if start + n * width > len(self.data):
+            raise DecodeError("truncated payload")
+        self.pos = start + n * width
+        return struct.unpack_from(f"<{n}{code}", self.data, start)
+
     def u8(self) -> int:
         return self.take(1)[0]
 
-    def u16(self) -> int:
-        return int.from_bytes(self.take(2), "little")
+    def u16s(self, n: int) -> tuple[int, ...]:
+        return self._run(n, "H", 2)
 
-    def u32(self) -> int:
-        return int.from_bytes(self.take(4), "little")
+    def u32s(self, n: int) -> tuple[int, ...]:
+        return self._run(n, "I", 4)
+
+    def u16(self) -> int:
+        return self.u16s(1)[0]
 
     def done(self) -> None:
         if self.pos != len(self.data):
             raise DecodeError("trailing bytes in payload")
 
 
+def _check_residues(values: tuple[int, ...], q: int, what: str) -> None:
+    if values and max(values) >= q:
+        raise DecodeError(f"{what} element not a canonical residue mod {q}")
+
+
+def _rows(values: tuple[int, ...], width: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(values[i : i + width] for i in range(0, len(values), width))
+
+
 def encode_query(query: PartitionQuery) -> bytes:
-    out = bytearray()
-    out += query.round_no.to_bytes(2, "little")
-    out += len(query.blocks).to_bytes(2, "little")
+    values = [query.round_no, len(query.blocks)]
     for block in query.blocks:
-        out += len(block).to_bytes(2, "little")
-        for idx in block:
-            out += idx.to_bytes(2, "little")
-    return bytes(out)
+        values.append(len(block))
+        values += block
+    return struct.pack(f"<{len(values)}H", *values)
 
 
 def decode_query(payload: bytes) -> PartitionQuery:
@@ -193,10 +216,10 @@ def decode_query(payload: bytes) -> PartitionQuery:
         size = cur.u16()
         if size < 1:
             raise DecodeError("empty block")
-        block = tuple(cur.u16() for _ in range(size))
-        if any(block[i] >= block[i + 1] for i in range(size - 1)):
+        block = cur.u16s(size)
+        if not all(map(operator.lt, block, block[1:])):
             raise DecodeError("block indices must be sorted strictly ascending")
-        if seen & set(block):
+        if not seen.isdisjoint(block):
             raise DecodeError("blocks overlap")
         seen.update(block)
         total += size
@@ -209,14 +232,9 @@ def decode_query(payload: bytes) -> PartitionQuery:
 
 def encode_answer(answer: RoundAnswer) -> bytes:
     symbols = len(answer.packets[0]) if answer.packets else 0
-    out = bytearray()
-    out += answer.round_no.to_bytes(2, "little")
-    out += len(answer.packets).to_bytes(2, "little")
-    out += symbols.to_bytes(2, "little")
-    for packet in answer.packets:
-        for value in packet:
-            out += value.to_bytes(4, "little")
-    return bytes(out)
+    values = [v for packet in answer.packets for v in packet]
+    header = struct.pack("<3H", answer.round_no, len(answer.packets), symbols)
+    return header + struct.pack(f"<{len(values)}I", *values)
 
 
 def decode_answer(payload: bytes, q: int) -> RoundAnswer:
@@ -224,18 +242,13 @@ def decode_answer(payload: bytes, q: int) -> RoundAnswer:
     round_no = cur.u16()
     if round_no < 1:
         raise DecodeError("round number must be >= 1")
-    count = cur.u16()
-    symbols = cur.u16()
+    count, symbols = cur.u16s(2)
     if count < 1 or symbols < 1:
         raise DecodeError("answer needs at least one packet and one symbol")
-    packets = []
-    for _ in range(count):
-        packet = tuple(cur.u32() for _ in range(symbols))
-        if any(v >= q for v in packet):
-            raise DecodeError(f"packet element not a canonical residue mod {q}")
-        packets.append(packet)
+    values = cur.u32s(count * symbols)
     cur.done()
-    return RoundAnswer(round_no, tuple(packets))
+    _check_residues(values, q, "packet")
+    return RoundAnswer(round_no, _rows(values, symbols))
 
 
 @dataclass(frozen=True)
@@ -280,29 +293,23 @@ class Hello:
 
 
 def encode_hello(hello: Hello) -> bytes:
-    out = bytearray()
-    for value in (hello.k, hello.m, hello.l, hello.q, hello.symbols):
-        out += value.to_bytes(4, "little")
-    out += (1 if hello.has_points else 0).to_bytes(1, "little")
+    fields = (hello.k, hello.m, hello.l, hello.q, hello.symbols)
+    out = struct.pack("<5IB", *fields, 1 if hello.has_points else 0)
     if hello.has_points:
         assert hello.x_points is not None and hello.y_points is not None
-        out += len(hello.x_points).to_bytes(2, "little")
-        for p in hello.x_points:
-            out += p.to_bytes(4, "little")
-        out += len(hello.y_points).to_bytes(2, "little")
-        for p in hello.y_points:
-            out += p.to_bytes(4, "little")
-    return bytes(out)
+        for points in (hello.x_points, hello.y_points):
+            out += struct.pack(f"<H{len(points)}I", len(points), *points)
+    return out
 
 
 def decode_hello(payload: bytes) -> Hello:
     cur = _Cursor(payload)
-    k, m, l, q, symbols = (cur.u32() for _ in range(5))
+    k, m, l, q, symbols = cur.u32s(5)
     flags = cur.u8()
     x_points = y_points = None
     if flags & 1:
-        x_points = tuple(cur.u32() for _ in range(cur.u16()))
-        y_points = tuple(cur.u32() for _ in range(cur.u16()))
+        x_points = cur.u32s(cur.u16())
+        y_points = cur.u32s(cur.u16())
     cur.done()
     return Hello(k=k, m=m, l=l, q=q, symbols=symbols, x_points=x_points, y_points=y_points)
 
@@ -373,29 +380,21 @@ def transcript_from_bytes(data: bytes) -> Transcript:
 
 
 def write_database(database: Database, path: str) -> None:
+    row = struct.Struct(f"<{database.symbols}I")
     with open(path, "wb") as fh:
-        fh.write(database.k.to_bytes(4, "little"))
-        fh.write(database.symbols.to_bytes(4, "little"))
-        fh.write(database.q.to_bytes(4, "little"))
+        fh.write(struct.pack("<3I", database.k, database.symbols, database.q))
         for msg in database.messages:
-            for value in msg:
-                fh.write(value.to_bytes(4, "little"))
+            fh.write(row.pack(*msg))
 
 
 def read_database(path: str) -> Database:
     with open(path, "rb") as fh:
         data = fh.read()
     cur = _Cursor(data)
-    k = cur.u32()
-    symbols = cur.u32()
-    q = cur.u32()
+    k, symbols, q = cur.u32s(3)
     if k < 1 or symbols < 1 or q < 2:
         raise DecodeError("database header is not plausible")
-    messages = []
-    for _ in range(k):
-        msg = tuple(cur.u32() for _ in range(symbols))
-        if any(v >= q for v in msg):
-            raise DecodeError(f"database element not a canonical residue mod {q}")
-        messages.append(msg)
+    values = cur.u32s(k * symbols)
     cur.done()
-    return Database(q=q, messages=tuple(messages))
+    _check_residues(values, q, "database")
+    return Database(q=q, messages=_rows(values, symbols))

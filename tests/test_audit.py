@@ -6,8 +6,10 @@ from itertools import combinations
 
 import pytest
 
-from opir import audit, protocol
+from opir import audit, field, protocol
+from opir.wire import transcript_from_bytes, transcript_to_bytes
 from opir import (
+    SESSION_PRIME,
     Database,
     InconsistentTranscript,
     InvalidParams,
@@ -353,6 +355,19 @@ def test_rank_profile_builds_coding_matrix_once(golden, monkeypatch):
     _, _, result = golden
     assert len(rank_profile(result.transcript)) == 3
     assert len(builds) == 1
+
+
+def test_audit_tests_primality_once_per_modulus():
+    """Decoding and auditing a transcript makes several ProtocolParams,
+    PrimeField and build_cauchy calls for one q; Miller-Rabin runs once."""
+    _, _, _, _, result = random_session(16, 1, seed=5)
+    data = transcript_to_bytes(result.transcript)
+    field.is_prime.cache_clear()
+    transcript = transcript_from_bytes(data)
+    assert posterior(transcript).is_uniform()
+    assert len(rank_profile(transcript)) == 4
+    assert transcript.params.q == SESSION_PRIME
+    assert field.is_prime.cache_info().misses == 1
 
 
 def test_rank_equals_packet_count_across_grid():

@@ -10,6 +10,7 @@ from opir import (
     FieldMatrix,
     FieldTooSmall,
     InvalidParams,
+    PrimeField,
     ProtocolParams,
     RoundOutOfRange,
     all_merge_systems_invertible,
@@ -113,6 +114,26 @@ def test_every_m_plus_1_submatrix_invertible(golden_cauchy):
         for cols in itertools.combinations(range(5), 3):
             sub = entries.submatrix(rows, cols)
             assert matrix_rank(sub) == 3, (rows, cols)
+
+
+def test_build_makes_one_inversion(monkeypatch):
+    """Every entry comes out of one batch inversion, and bad points are
+    refused before it: a zero difference would corrupt every entry."""
+    calls = []
+    real = PrimeField.inv
+    monkeypatch.setattr(PrimeField, "inv", lambda self, a: calls.append(a) or real(self, a))
+    points = session_cauchy(ProtocolParams.create(32, 1))
+    q = SESSION_PRIME
+    calls.clear()
+    cauchy = build_cauchy(32, 1, 4, q, points.x_points, points.y_points)
+    assert len(calls) == 1
+    for i, x in enumerate(cauchy.x_points, start=1):
+        for j, y in enumerate(cauchy.y_points, start=1):
+            assert cauchy.coeff(i, j) == pow(x - y, -1, q)
+    calls.clear()
+    with pytest.raises(InvalidParams):
+        build_cauchy(4, 1, 1, q=11, x_points=(1, 2, 3, 4), y_points=(4, 5))
+    assert calls == []
 
 
 @given(

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from opir import Database, PartitionQuery, ProtocolParams, run_session
+from opir import Database, PartitionQuery, ProtocolParams, run_session, wire
 from opir.cli import main
 from opir.wire import read_database, transcript_from_bytes, transcript_to_bytes, write_database
 from conftest import GOLDEN_SEED, counting_database
@@ -133,6 +133,15 @@ def test_audit_rejects_garbage_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _audit_file(path):
+    return subprocess.run(
+        [sys.executable, "-m", "opir.cli", "audit", "--transcript", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
 def test_audit_reports_repeated_coding_point(tmp_path):
     """A HELLO whose x points repeat is an error line and exit 1, no traceback."""
     params = ProtocolParams.create(4, 1)
@@ -142,15 +151,32 @@ def test_audit_reports_repeated_coding_point(tmp_path):
     bad = dataclasses.replace(transcript, cauchy_x=(xs[0], xs[0]) + xs[2:])
     path = tmp_path / "repeated.bin"
     path.write_bytes(transcript_to_bytes(bad))
-    proc = subprocess.run(
-        [sys.executable, "-m", "opir.cli", "audit", "--transcript", str(path)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = _audit_file(path)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
     assert "distinct" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_audit_reports_modulus_above_field_cap(tmp_path):
+    """A HELLO naming a prime q >= 2^31 is an error line and exit 1, no traceback."""
+    params = ProtocolParams.create(4, 1)
+    database = Database(q=params.q, messages=((1,), (2,), (3,), (4,)))
+    transcript = run_session(params, database, [2], [1, 3], seed=1).transcript
+    data = transcript_to_bytes(transcript)
+    _, _, rounds_start = wire.decode_frame(data)
+    hello = dataclasses.replace(
+        wire.Hello.for_params(params, transcript.cauchy_x, transcript.cauchy_y),
+        q=4294967291,  # the largest prime below 2^32
+    )
+    path = tmp_path / "big-q.bin"
+    path.write_bytes(
+        wire.encode_frame(wire.FRAME_HELLO, wire.encode_hello(hello)) + data[rounds_start:]
+    )
+    proc = _audit_file(path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "cap" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -315,6 +315,15 @@ def test_session_config_rejects_bad_files(tmp_path):
         path.write_text(top)
         with pytest.raises(InvalidParams, match="JSON object"):
             SessionConfig.from_file(str(path))
+    # wrongly typed values, which used to escape as TypeError tracebacks
+    good = {"k": 12, "m": 2, "q": 17, "database": "db.bin"}
+    for key, value in [
+        ("k", "12"), ("m", True), ("q", 17.0), ("q", None), ("symbols", [1]),
+        ("database", 5), ("x_points", 5), ("y_points", [1, "2"]), ("x_points", [True]),
+    ]:
+        path.write_text(json.dumps({**good, key: value}))
+        with pytest.raises(InvalidParams, match=key):
+            SessionConfig.from_file(str(path))
 
 
 @pytest.mark.parametrize("entry", ["create_server", "server_from_config"])

@@ -20,6 +20,7 @@ from opir import (
     run_session,
     validate_query,
 )
+from opir.field import MAX_MODULUS
 from conftest import GOLDEN_ROUND1_BLOCKS, GOLDEN_SEED, GRID, counting_database, random_session
 
 
@@ -67,6 +68,14 @@ def test_params_fit_wire_fields():
         ProtocolParams.create(4, 1, symbols=70000)
     with pytest.raises(InvalidParams):
         ProtocolParams(k=65536, m=1, l=15, q=SESSION_PRIME)
+
+
+def test_params_reject_modulus_above_field_cap():
+    # 4294967291 is prime, but field arithmetic is capped at 2^31
+    for q in (4294967291, MAX_MODULUS):
+        with pytest.raises(InvalidParams, match="cap"):
+            ProtocolParams(k=4, m=1, l=1, q=q)
+    assert ProtocolParams(k=4, m=1, l=1, q=MAX_MODULUS - 1).q == SESSION_PRIME
 
 
 def test_params_field_built_once():

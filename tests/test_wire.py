@@ -259,6 +259,41 @@ def test_hello_decode_rejections():
         decode_hello(payload + b"\x00")
 
 
+def test_every_proper_prefix_is_a_decode_error(tmp_path):
+    """Truncation anywhere, even inside a bulk-read run of integers, is a
+    DecodeError, never a struct.error or IndexError."""
+    query = encode_query(PartitionQuery.of(2, [(1, 2, 5, 6), (3, 4, 7, 8)]))
+    answer = encode_answer(RoundAnswer(2, ((1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12))))
+    hello = encode_hello(Hello.for_params(ProtocolParams.create(4, 1), (1, 2, 3, 4), (5, 6)))
+    decoders = [(query, decode_query), (answer, lambda p: decode_answer(p, 17)),
+                (hello, decode_hello)]
+    for payload, decode in decoders:
+        decode(payload)
+        for cut in range(len(payload)):
+            with pytest.raises(DecodeError):
+                decode(payload[:cut])
+    path = tmp_path / "db.bin"
+    write_database(Database(q=17, messages=((1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12))), str(path))
+    data = path.read_bytes()
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(DecodeError):
+            read_database(str(path))
+
+
+def test_answer_residue_checked_at_every_position():
+    packets = ((1, 2, 3), (4, 5, 6), (7, 8, 9))
+    assert decode_answer(encode_answer(RoundAnswer(2, packets)), 17).packets == packets
+    for p in range(3):
+        for s in range(3):
+            for bad in (17, 2**32 - 1):
+                rows = [list(packet) for packet in packets]
+                rows[p][s] = bad
+                payload = encode_answer(RoundAnswer(2, tuple(map(tuple, rows))))
+                with pytest.raises(DecodeError, match="residue"):
+                    decode_answer(payload, 17)
+
+
 # ---------------------------------------------------------------------------
 # error codec
 # ---------------------------------------------------------------------------
