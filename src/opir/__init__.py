@@ -16,9 +16,7 @@ from .audit import (
     PosteriorTable,
     capacity,
     capacity_table,
-    coefficient_matrix,
     enumerate_hypotheses,
-    expected_rank,
     measured_rate,
     posterior,
     rank_profile,
@@ -120,10 +118,8 @@ __all__ = [
     "canonical_points",
     "capacity",
     "capacity_table",
-    "coefficient_matrix",
     "create_server",
     "enumerate_hypotheses",
-    "expected_rank",
     "is_prime",
     "matrix_rank",
     "measured_rate",

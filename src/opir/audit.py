@@ -15,8 +15,11 @@ Three independent checks, all computed from the server's view alone:
   one; it is the brute-force reference the counts are tested against.
 * capacity / measured_rate: the closed-form per-round rate versus the rate
   actually achieved (1 / packets downloaded).
-* rank_profile: rebuild each round's packet coefficient matrix over [1..K]
-  and check its rank equals the packet count (no wasted download).
+* rank_profile: each round's packet-coefficient rank, which should equal
+  the packet count (no wasted download).  A packet's coefficients are zero
+  outside its block, so when a round's blocks partition [1..K] its rank is
+  the sum of per-block ranks: each block is one small matrix with a row per
+  packet and a column per member.
 
 Everything uses exact integer and rational arithmetic; equality checks need
 no tolerances.
@@ -27,10 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cauchy import CauchyMatrix, round_column_indices
+from .cauchy import round_column_indices
 from .errors import InconsistentTranscript, RoundOutOfRange
 from .field import FieldMatrix, matrix_rank
-from .protocol import PartitionQuery, ProtocolParams, Transcript, derive_l
+from .protocol import PartitionQuery, Transcript, derive_l
 
 
 @dataclass(frozen=True)
@@ -64,10 +67,10 @@ class PosteriorTable:
 
 def _check_contiguous(transcript: Transcript) -> None:
     if not transcript.rounds:
-        raise ValueError("transcript has no rounds")
+        raise InconsistentTranscript("transcript has no rounds")
     for j, rnd in enumerate(transcript.rounds, start=1):
         if rnd.query.round_no != j:
-            raise ValueError(f"transcript rounds not contiguous at position {j}")
+            raise InconsistentTranscript(f"transcript rounds not contiguous at position {j}")
 
 
 def enumerate_hypotheses(transcript: Transcript) -> tuple[Hypothesis, ...]:
@@ -226,41 +229,25 @@ def measured_rate(transcript: Transcript, round_no: int) -> Fraction:
     return Fraction(1, transcript.rounds[round_no - 1].download_cost)
 
 
-def _round_matrix(
-    params: ProtocolParams, cauchy: CauchyMatrix, round_no: int, query: PartitionQuery
-) -> FieldMatrix:
-    """The packet coefficients of a round's query as rows over messages 1..K."""
-    columns = round_column_indices(params.m, params.l, round_no)
-    rows = []
-    for block in query.blocks:
-        members = set(block)
-        for col in columns:
-            rows.append(
-                [cauchy.coeff(idx, col) if idx in members else 0 for idx in range(1, params.k + 1)]
-            )
-    return FieldMatrix(params.field, rows)
-
-
-def coefficient_matrix(transcript: Transcript, round_no: int) -> FieldMatrix:
-    """Rebuild a round's packet coefficients as rows over messages 1..K."""
-    if not 1 <= round_no <= len(transcript.rounds):
-        raise ValueError(f"transcript has no round {round_no}")
-    query = transcript.rounds[round_no - 1].query
-    return _round_matrix(transcript.params, transcript.cauchy(), round_no, query)
-
-
 def rank_profile(transcript: Transcript) -> tuple[tuple[int, int], ...]:
-    """(round, rank of that round's coefficient matrix) for every round."""
+    """(round, rank of that round's packet coefficients) for every round.
+
+    The rank is summed block by block, which is exact only because the
+    blocks partition [1..K]; InconsistentTranscript when they do not.
+    """
     params = transcript.params
+    field = params.field
     cauchy = transcript.cauchy()
-    return tuple(
-        (i, matrix_rank(_round_matrix(params, cauchy, i, rnd.query)))
-        for i, rnd in enumerate(transcript.rounds, start=1)
-    )
-
-
-def expected_rank(k: int, m: int, round_no: int) -> int:
-    """The download lower bound in packets: K/(M+1), then KM/(2^(i-1)(M+1))."""
-    if round_no == 1:
-        return k // (m + 1)
-    return k * m // (2 ** (round_no - 1) * (m + 1))
+    indices = list(range(1, params.k + 1))
+    profile = []
+    for i, rnd in enumerate(transcript.rounds, start=1):
+        blocks = rnd.query.blocks
+        if sorted(u for block in blocks for u in block) != indices:
+            raise InconsistentTranscript(f"round {i} does not partition [1..{params.k}]")
+        columns = round_column_indices(params.m, params.l, i)
+        rank = 0
+        for block in blocks:
+            rows = [[cauchy.coeff(u, c) for u in block] for c in columns]
+            rank += matrix_rank(FieldMatrix(field, rows))
+        profile.append((i, rank))
+    return tuple(profile)

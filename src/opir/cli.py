@@ -18,7 +18,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .audit import capacity, capacity_table, expected_rank, measured_rate, posterior, rank_profile
+from .audit import capacity, capacity_table, measured_rate, posterior, rank_profile
 from .errors import OpirError
 from .net import SessionConfig, run_remote_session, server_from_config
 from .protocol import Database, ProtocolParams, SessionResult, SideInformation, run_session
@@ -168,7 +168,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
             ok = False
         print(f"rate round {i}: measured {rate}, capacity {cap} [{mark}]")
     for round_no, rank in rank_profile(transcript):
-        want = expected_rank(params.k, params.m, round_no)
+        want = 1 / capacity(params.k, params.m, round_no)
         mark = "ok" if rank == want else "MISMATCH"
         if rank != want:
             ok = False

@@ -4,20 +4,22 @@ One session runs up to l+1 rounds.  Each round the client sends an ordered
 partition of the message indices [1..K] and the server answers with coded
 packets built from fixed Cauchy-matrix columns:
 
-* Round 1: K/(M+1) blocks of size M+1.  One block is the demand index plus
-  the M side-information indices; the rest of [K] is partitioned uniformly
-  at random.  The server returns one packet per block (column 1).
-* Round i >= 2: the previous round's blocks are merged in pairs.  The block
-  holding the new demand is merged with the block holding the client's
-  accumulated known set; the remaining blocks are paired uniformly at
-  random.  The server returns M packets per block (columns (i-2)M+2 ..
-  (i-1)M+1).
+Every round is one merge.  Before round 1 each message is its own block
+and the client's chain (what it knows) is the side-information set.  A
+round merges the chain with the previous block holding the new demand and
+groups the other previous blocks uniformly at random:
 
-Decoding round 1 is a single subtraction and inversion.  Decoding round
-i >= 2 gathers, from the whole stored history, every packet supported
-inside the previous-round block that holds the demand, subtracts known
-messages from the current round's packets, and solves the resulting square
-system, recovering the entire block, which then feeds later rounds.
+* Round 1: the singletons outside the demand-plus-side block are grouped
+  M+1 at a time, giving K/(M+1) blocks of size M+1.  The server returns
+  one packet per block (column 1).
+* Round i >= 2: the other blocks are paired.  The server returns M packets
+  per block (columns (i-2)M+2 .. (i-1)M+1).
+
+Decoding gathers, from the whole stored history, every packet supported
+inside the previous block that holds the demand, subtracts known messages
+from the current round's packets, and solves the resulting square system,
+recovering that entire block, which then feeds later rounds.  At round 1
+that block is the demand alone, so the system is 1 x 1.
 
 Round-3 systems mix masked first-round rows with plain Cauchy columns and
 can be singular over small fields, so sessions with three or more rounds
@@ -97,6 +99,17 @@ _SAFE_POINTS: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {
 }
 
 _session_cauchy_cache: dict[tuple[int, int, int, int], CauchyMatrix] = {}
+
+
+def _check_coding_matrix(cauchy: CauchyMatrix, params: "ProtocolParams") -> None:
+    """InvalidParams unless the coding matrix has the parameters' K, M, l and q."""
+    have = (cauchy.k, cauchy.m, cauchy.l, cauchy.field.q)
+    want = (params.k, params.m, params.l, params.q)
+    if have != want:
+        raise InvalidParams(
+            "coding matrix has K={}, M={}, l={}, q={}; parameters want"
+            " K={}, M={}, l={}, q={}".format(*have, *want)
+        )
 
 
 def _canonical(row, q: int) -> bool:
@@ -243,7 +256,11 @@ class Database:
     def __post_init__(self) -> None:
         if not self.messages:
             raise InvalidParams("database must hold at least one message")
+        if self.q >= MAX_MODULUS or not is_prime(self.q):
+            raise InvalidParams(f"q={self.q} must be a prime below the field cap 2^31")
         width = len(self.messages[0])
+        if width < 1:
+            raise InvalidParams("messages need at least one symbol")
         for msg in self.messages:
             if len(msg) != width:
                 raise InvalidParams("all messages must have the same symbol count")
@@ -427,24 +444,21 @@ class Client:
             raise InvalidParams(f"side information must hold M={params.m} messages")
         if not all(1 <= i <= params.k for i in side.indices):
             raise InvalidParams("side-information indices out of range")
-        if (cauchy.k, cauchy.m, cauchy.l) != (params.k, params.m, params.l):
-            raise InvalidParams("coding matrix shape does not match parameters")
-        if cauchy.field.q != params.q:
-            raise InvalidParams("coding matrix field does not match parameters")
+        _check_coding_matrix(cauchy, params)
         for _, msg in side.values:
             if len(msg) != params.symbols:
                 raise InvalidParams("side-information messages have wrong symbol count")
             if not _canonical(msg, params.q):
                 raise InvalidParams("side-information symbols must be residues mod q")
         self.params = params
-        self.side = side
         self.cauchy = cauchy
         self.rng = random.Random(seed)
         self.known: dict[int, Message] = side.as_dict()
         # Packed copies of known messages, made by _packed_known when a
         # subtraction first needs them: the last round's block is never packed.
         self._packed: dict[int, int] = {}
-        self.merged_chain: frozenset[int] | None = None
+        # The known block the next round merges with the demand's block.
+        self.merged_chain: frozenset[int] = side.indices
         self._queries: list[PartitionQuery] = []
         self._answers: list[RoundAnswer] = []
         self._pending_demand: int | None = None
@@ -458,7 +472,12 @@ class Client:
         return len(self._queries) > len(self._answers)
 
     def build_query(self, demand: int) -> PartitionQuery:
-        """Build the next round's query for the given demand index."""
+        """Build the next round's query for the given demand index.
+
+        The chain merges with the previous block holding the demand (its
+        singleton at round 1); the other previous blocks are grouped at
+        random, M+1 singletons at round 1 and two blocks after.
+        """
         if self.has_pending_query:
             raise ProtocolOrder("previous query has not been answered and decoded")
         round_no = self.rounds_completed + 1
@@ -470,48 +489,36 @@ class Client:
             raise ValueError(f"demand index {demand} outside [1..{self.params.k}]")
         if demand in self.known:
             raise DemandKnown(f"message {demand} is already known")
-        if round_no == 1:
-            query = self._build_round1(demand)
-        else:
-            query = self._build_merge_round(round_no, demand)
+        query = self._build_merge_round(round_no, demand)
         self._queries.append(query)
         self._pending_demand = demand
         return query
 
-    def _build_round1(self, demand: int) -> PartitionQuery:
-        params = self.params
-        demand_block = tuple(sorted({demand} | self.side.indices))
-        rest = [i for i in range(1, params.k + 1) if i not in demand_block]
-        self.rng.shuffle(rest)
-        width = params.m + 1
-        blocks: list[Block] = [demand_block]
-        for i in range(0, len(rest), width):
-            blocks.append(tuple(sorted(rest[i : i + width])))
-        self.rng.shuffle(blocks)
-        return PartitionQuery(1, tuple(blocks))
+    def _previous(self, round_no: int) -> PartitionQuery:
+        """The partition round round_no merges: singletons 1..K before round 1."""
+        if round_no > 1:
+            return self._queries[round_no - 2]
+        return PartitionQuery(0, tuple((i,) for i in range(1, self.params.k + 1)))
 
     def _build_merge_round(self, round_no: int, demand: int) -> PartitionQuery:
-        prev = self._queries[-1]
-        chain = self.merged_chain
-        assert chain is not None
-        chain_block = tuple(sorted(chain))
-        demand_block = prev.block_containing(demand)
-        merged = tuple(sorted(chain_block + demand_block))
-        rest = [b for b in prev.blocks if b != chain_block and b != demand_block]
+        prev = self._previous(round_no)
+        merged_set = self.merged_chain.union(prev.block_containing(demand))
+        # A previous block lies wholly inside the merged block or outside it.
+        rest = [b for b in prev.blocks if b[0] not in merged_set]
         self.rng.shuffle(rest)
-        blocks: list[Block] = [merged]
-        for i in range(0, len(rest), 2):
-            blocks.append(tuple(sorted(rest[i] + rest[i + 1])))
+        width = len(prev.blocks) // self.params.block_count(round_no)
+        blocks: list[Block] = [tuple(sorted(merged_set))]
+        for i in range(0, len(rest), width):
+            blocks.append(tuple(sorted(sum(rest[i : i + width], ()))))
         self.rng.shuffle(blocks)
         return PartitionQuery(round_no, tuple(blocks))
 
     def decode_answer(self, answer: RoundAnswer) -> dict[int, Message]:
         """Decode a round's packets; returns the newly recovered messages.
 
-        Round 1 recovers the demand by subtracting side information from its
-        block's packet.  Later rounds recover the whole previous-round block
-        containing the demand by solving a square system assembled from the
-        entire history.
+        Every round recovers the whole previous block containing the demand
+        (the demand alone at round 1) by solving a square system assembled
+        from the entire history.
         """
         if not self.has_pending_query:
             raise ProtocolOrder("no outstanding query to decode an answer for")
@@ -532,12 +539,8 @@ class Client:
             raise AnswerMismatch("packet symbols must be residues mod q")
         demand = self._pending_demand
         assert demand is not None
-        if round_no == 1:
-            recovered = self._decode_round1(query, answer, demand)
-            self.merged_chain = frozenset(query.block_containing(demand))
-        else:
-            recovered = self._decode_merge_round(query, answer, demand)
-            self.merged_chain = frozenset(query.block_containing(demand))
+        recovered = self._decode_merge_round(query, answer, demand)
+        self.merged_chain = frozenset(query.block_containing(demand))
         self.known.update(recovered)
         self._answers.append(answer)
         self._pending_demand = None
@@ -550,31 +553,15 @@ class Client:
                 self._packed[i] = pack_row(self.known[i])
         return [self._packed[i] for i in indices]
 
-    def _decode_round1(
-        self, query: PartitionQuery, answer: RoundAnswer, demand: int
-    ) -> dict[int, Message]:
-        params = self.params
-        block = query.block_containing(demand)
-        packet = pack_row(answer.packets[query.block_index(block)])
-        # m_demand = c_demand^-1 · (packet - sum of c_j·m_j over the side set)
-        inv = params.field.inv(self.cauchy.coeff(demand, 1))
-        side = sorted(self.side.indices)
-        coeffs = [inv] + [-inv * self.cauchy.coeff(idx, 1) for idx in side]
-        rows = [packet] + self._packed_known(side)
-        return {demand: tuple(combine_packed(coeffs, rows, params.symbols, params.q))}
-
     def _decode_merge_round(
         self, query: PartitionQuery, answer: RoundAnswer, demand: int
     ) -> dict[int, Message]:
         params = self.params
         field = params.field
         q = field.q
-        prev = self._queries[query.round_no - 2]
-        target = prev.block_containing(demand)
+        target = self._previous(query.round_no).block_containing(demand)
         unknowns = list(target)
         target_set = set(target)
-        chain = self.merged_chain
-        assert chain is not None
 
         rows: list[list[int]] = []
         rhs: list[list[int]] = []
@@ -600,7 +587,7 @@ class Client:
         current = query.block_containing(demand)
         bi = query.block_index(current)
         columns = round_column_indices(params.m, params.l, query.round_no)
-        known = sorted(chain)
+        known = sorted(self.merged_chain)
         known_packed = self._packed_known(known)
         for ci, col in enumerate(columns):
             packet = pack_row(answer.packets[bi * len(columns) + ci])
@@ -643,13 +630,7 @@ class Server:
             )
         if cauchy is None:
             cauchy = session_cauchy(params)
-        elif (cauchy.k, cauchy.m, cauchy.l, cauchy.field.q) != (
-            params.k,
-            params.m,
-            params.l,
-            params.q,
-        ):
-            raise InvalidParams("coding matrix does not match parameters")
+        _check_coding_matrix(cauchy, params)
         self.database = database
         self.params = params
         self.cauchy = cauchy

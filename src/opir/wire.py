@@ -359,6 +359,8 @@ def transcript_from_bytes(data: bytes) -> Transcript:
             if pending is not None:
                 raise DecodeError("two queries without an answer between them")
             pending = decode_query(payload)
+            if sum(map(len, pending.blocks)) != params.k:
+                raise DecodeError(f"query blocks do not cover 1..{params.k}")
         elif frame_type == FRAME_ANSWER:
             if pending is None:
                 raise DecodeError("answer without a preceding query")

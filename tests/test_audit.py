@@ -21,9 +21,7 @@ from opir import (
     TranscriptRound,
     capacity,
     capacity_table,
-    coefficient_matrix,
     enumerate_hypotheses,
-    expected_rank,
     matrix_rank,
     measured_rate,
     posterior,
@@ -258,9 +256,9 @@ def test_hypotheses_include_truth():
 
 def test_enumerate_rejects_malformed_transcripts(golden):
     params, db, result = golden
-    with pytest.raises(ValueError):
+    with pytest.raises(InconsistentTranscript):
         enumerate_hypotheses(dataclasses.replace(result.transcript, rounds=()))
-    with pytest.raises(ValueError):
+    with pytest.raises(InconsistentTranscript):
         enumerate_hypotheses(
             dataclasses.replace(result.transcript, rounds=result.transcript.rounds[1:])
         )
@@ -376,15 +374,36 @@ def test_rank_equals_packet_count_across_grid():
         _, _, _, _, result = random_session(k, m, seed=47)
         profile = rank_profile(result.transcript)
         for round_no, rank in profile:
-            assert rank == expected_rank(k, m, round_no) == params.packet_count(round_no)
+            assert rank == 1 / capacity(k, m, round_no) == params.packet_count(round_no)
 
 
-def test_coefficient_matrix_reproduces_packets(golden):
-    """Multiplying the rebuilt coefficients by the database gives the answers."""
+def k_wide_round_matrix(transcript, round_no):
+    """Reference: a round's packet coefficients as rows over messages 1..K."""
+    params = transcript.params
+    cauchy = transcript.cauchy()
+    columns = protocol.round_column_indices(params.m, params.l, round_no)
+    rows = []
+    for block in transcript.rounds[round_no - 1].query.blocks:
+        for col in columns:
+            rows.append(
+                [cauchy.coeff(u, col) if u in block else 0 for u in range(1, params.k + 1)]
+            )
+    return field.FieldMatrix(params.field, rows)
+
+
+def k_wide_rank_profile(transcript):
+    return tuple(
+        (i, matrix_rank(k_wide_round_matrix(transcript, i)))
+        for i in range(1, len(transcript.rounds) + 1)
+    )
+
+
+def test_k_wide_reference_reproduces_packets(golden):
+    """Multiplying the reference coefficients by the database gives the answers."""
     params, db, result = golden
+    flat_db = [db.message(i)[0] for i in range(1, 13)]
     for round_no, rnd in enumerate(result.transcript.rounds, start=1):
-        matrix = coefficient_matrix(result.transcript, round_no)
-        flat_db = [db.message(i)[0] for i in range(1, 13)]
+        matrix = k_wide_round_matrix(result.transcript, round_no)
         products = [
             sum(c * v for c, v in zip(matrix.row(r), flat_db)) % params.q
             for r in range(matrix.rows)
@@ -392,17 +411,54 @@ def test_coefficient_matrix_reproduces_packets(golden):
         assert tuple((v,) for v in products) == rnd.answer.packets
 
 
-def test_coefficient_matrix_rejects_bad_round(golden):
-    params, db, result = golden
-    with pytest.raises(ValueError):
-        coefficient_matrix(result.transcript, 0)
-    with pytest.raises(ValueError):
-        coefficient_matrix(result.transcript, 4)
+def test_rank_profile_matches_k_wide_reference_across_grid():
+    for k, m in GRID:
+        for seed in range(5):
+            _, _, _, _, result = random_session(k, m, seed=seed)
+            assert rank_profile(result.transcript) == k_wide_rank_profile(result.transcript)
 
 
-def test_expected_rank_pinned():
-    assert expected_rank(12, 2, 1) == 4
-    assert expected_rank(12, 2, 2) == 4
-    assert expected_rank(12, 2, 3) == 2
-    assert expected_rank(8, 1, 2) == 2
-    assert expected_rank(16, 3, 3) == 3
+def random_partition_transcript(params, rng):
+    """Every round a random partition of [1..K] into blocks of random sizes."""
+    cauchy = protocol.session_cauchy(params)
+    rounds = []
+    for i in range(1, params.max_rounds + 1):
+        order = rng.sample(range(1, params.k + 1), params.k)
+        cuts = sorted(rng.sample(range(1, params.k), rng.randrange(params.k)))
+        blocks = [order[a:b] for a, b in zip([0] + cuts, cuts + [params.k])]
+        rounds.append(TranscriptRound(PartitionQuery.of(i, blocks), RoundAnswer(i, ())))
+    return Transcript(params, cauchy.x_points, cauchy.y_points, tuple(rounds))
+
+
+@pytest.mark.parametrize("k, m, q", [(12, 2, 17), (12, 2, None), (16, 3, 37), (24, 2, 31)])
+def test_rank_profile_matches_k_wide_reference_on_odd_blocks(k, m, q):
+    """Blocks of any size, including ones smaller than the round's column count."""
+    params = ProtocolParams.create(k, m, q=q)
+    rng = random.Random(k * 100 + m)
+    saw_small_block = False
+    for _ in range(20):
+        transcript = random_partition_transcript(params, rng)
+        assert rank_profile(transcript) == k_wide_rank_profile(transcript)
+        saw_small_block |= any(
+            len(b) < m for rnd in transcript.rounds[1:] for b in rnd.query.blocks
+        )
+    assert saw_small_block
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [(1, 2, 3), (3, 4, 5), (6, 7, 8), (9, 10, 11, 12)],  # index 3 twice
+        [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)],  # index 0, 12 missing
+        [(1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 13)],  # index K+1, 12 missing
+    ],
+)
+def test_rank_profile_rejects_non_partitions(golden, blocks):
+    _, _, result = golden
+    first = result.transcript.rounds[0]
+    bad = dataclasses.replace(first, query=PartitionQuery.of(1, blocks))
+    transcript = dataclasses.replace(
+        result.transcript, rounds=(bad,) + result.transcript.rounds[1:]
+    )
+    with pytest.raises(InconsistentTranscript, match="partition"):
+        rank_profile(transcript)

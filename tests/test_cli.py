@@ -133,13 +133,54 @@ def test_audit_rejects_garbage_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def _audit_file(path):
+def _cli_process(*argv):
     return subprocess.run(
-        [sys.executable, "-m", "opir.cli", "audit", "--transcript", str(path)],
+        [sys.executable, "-m", "opir.cli", *argv],
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def _audit_file(path):
+    return _cli_process("audit", "--transcript", str(path))
+
+
+def _hello_only(transcript):
+    return wire.transcript_to_bytes(dataclasses.replace(transcript, rounds=()))
+
+
+def _starts_at_round_2(transcript):
+    return wire.transcript_to_bytes(
+        dataclasses.replace(transcript, rounds=transcript.rounds[1:])
+    )
+
+
+def _query_beyond_k(transcript):
+    """A K=4 transcript whose round-1 QUERY covers 1..6."""
+    data = wire.transcript_to_bytes(dataclasses.replace(transcript, rounds=()))
+    query = PartitionQuery(1, ((1, 2, 3), (4, 5, 6)))
+    answer = transcript.rounds[0].answer
+    return (
+        data
+        + wire.encode_frame(wire.FRAME_QUERY, wire.encode_query(query))
+        + wire.encode_frame(wire.FRAME_ANSWER, wire.encode_answer(answer))
+    )
+
+
+@pytest.mark.parametrize("make", [_hello_only, _starts_at_round_2, _query_beyond_k])
+def test_audit_reports_malformed_round_sequence(tmp_path, make):
+    """No rounds, a first round that is not 1, or a query beyond [1..K]:
+    an error line and exit 1, no traceback."""
+    params = ProtocolParams.create(4, 1)
+    database = Database(q=params.q, messages=((1,), (2,), (3,), (4,)))
+    transcript = run_session(params, database, [2], [1, 3], seed=1).transcript
+    path = tmp_path / "malformed.bin"
+    path.write_bytes(make(transcript))
+    proc = _audit_file(path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_audit_reports_repeated_coding_point(tmp_path):
@@ -194,6 +235,22 @@ def test_gen_db_writes_readable_file(tmp_path, capsys):
     assert database.q == 17
     assert database.symbols == 1
     assert "wrote K=12" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--m-symbols", "0"), ("--q", "1"), ("--q", "16"), ("--q", "5000000000")],
+)
+def test_gen_db_refuses_unservable_database(tmp_path, option, value):
+    """Zero-symbol messages or a q that is no prime below 2^31: an error
+    line and exit 1, no traceback, and no file."""
+    path = tmp_path / "db.bin"
+    argv = {"--k": "4", "--q": "17", "--seed": "9", "--out": str(path), option: value}
+    proc = _cli_process("gen-db", *(part for pair in argv.items() for part in pair))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert not path.exists()
 
 
 def test_gen_db_is_deterministic_per_seed(tmp_path):

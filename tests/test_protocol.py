@@ -17,6 +17,7 @@ from opir import (
     RoundsExhausted,
     Server,
     SideInformation,
+    build_cauchy,
     run_session,
     validate_query,
 )
@@ -143,6 +144,35 @@ def test_round1_query_structure():
         validate_query(params, query, None)
         assert tuple(sorted({1, 2, 3})) in query.blocks  # {W1} | S
         assert all(len(b) == 3 for b in query.blocks)
+
+
+def round1_reference(k, m, side, demand, seed):
+    """Round 1 built directly: the demand-plus-side block, the rest of [K]
+    shuffled and cut M+1 at a time, then the blocks shuffled."""
+    rng = random.Random(seed)
+    demand_block = tuple(sorted({demand} | set(side)))
+    rest = [i for i in range(1, k + 1) if i not in demand_block]
+    rng.shuffle(rest)
+    blocks = [demand_block]
+    for i in range(0, len(rest), m + 1):
+        blocks.append(tuple(sorted(rest[i : i + m + 1])))
+    rng.shuffle(blocks)
+    return tuple(blocks)
+
+
+@pytest.mark.parametrize("k, m", GRID)
+def test_round1_merge_matches_direct_partition(k, m):
+    """Merging singletons reproduces the direct round-1 partition, draw for draw."""
+    params = ProtocolParams.create(k, m)
+    cauchy = build_cauchy(params.k, params.m, params.l, params.q)
+    for seed in range(50):
+        rng = random.Random(seed)
+        side = rng.sample(range(1, k + 1), m)
+        demand = rng.choice([i for i in range(1, k + 1) if i not in side])
+        values = SideInformation.from_values({i: (0,) for i in side})
+        client = Client(params, values, cauchy, seed=seed)
+        query = client.build_query(demand)
+        assert query.blocks == round1_reference(k, m, side, demand, seed), (k, m, seed)
 
 
 def test_round1_k4_only_one_remainder_partition():
@@ -425,6 +455,22 @@ def test_server_holds_no_client_secrets():
     client.decode_answer(server.answer(client.build_query(1)))
     fields = set(vars(server))
     assert fields == {"database", "params", "cauchy", "_queries"}
+
+
+@pytest.mark.parametrize(
+    "k, m, q",
+    [(8, 1, 17), (12, 2, 19)],
+    ids=["other-shape", "other-field"],
+)
+def test_client_and_server_refuse_mismatched_coding_matrix(k, m, q):
+    params = ProtocolParams.create(12, 2, q=17)
+    other = ProtocolParams.create(k, m, q=q)
+    cauchy = build_cauchy(other.k, other.m, other.l, other.q)
+    side = SideInformation.from_database(counting_database(), [2, 3])
+    with pytest.raises(InvalidParams, match="coding matrix has K=.*; parameters want K=12"):
+        Client(params, side, cauchy)
+    with pytest.raises(InvalidParams, match="coding matrix has K=.*; parameters want K=12"):
+        Server(counting_database(), params, cauchy)
 
 
 def test_server_database_param_mismatches():
