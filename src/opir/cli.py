@@ -60,6 +60,13 @@ def _derived_rng(seed: int, stream: str) -> random.Random:
     return random.Random(f"{stream}:{seed}")
 
 
+def _print_params(params: ProtocolParams, suffix: str = "") -> None:
+    print(
+        f"parameters: K={params.k} M={params.m} l={params.l}"
+        f" q={params.q} symbols={params.symbols}{suffix}"
+    )
+
+
 def _report_session(args: argparse.Namespace, database: Database, result: SessionResult) -> int:
     """Print each round, check rate == capacity and every recovered value
     against the database, write the transcript if asked; the exit code."""
@@ -101,10 +108,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         side_indices = sorted(
             _derived_rng(seed, "side").sample(range(1, params.k + 1), params.m)
         )
-    print(
-        f"parameters: K={params.k} M={params.m} l={params.l}"
-        f" q={params.q} symbols={params.symbols}"
-    )
+    _print_params(params)
     print(f"seed: {seed}")
     print(f"side information: {sorted(side_indices)}")
     result = run_session(params, database, side_indices, args.demands, seed=seed)
@@ -131,11 +135,7 @@ def cmd_client(args: argparse.Namespace) -> int:
     # The server refuses a session whose shape differs from the local copy.
     expect = {"k": database.k, "q": database.q, "symbols": database.symbols}
     result = run_remote_session(args.connect, side, args.demands, seed=seed, expect=expect)
-    params = result.transcript.params
-    print(
-        f"parameters: K={params.k} M={params.m} l={params.l}"
-        f" q={params.q} symbols={params.symbols}"
-    )
+    _print_params(result.transcript.params)
     print(f"seed: {seed}")
     return _report_session(args, database, result)
 
@@ -144,10 +144,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     with open(args.transcript, "rb") as fh:
         transcript = transcript_from_bytes(fh.read())
     params = transcript.params
-    print(
-        f"parameters: K={params.k} M={params.m} l={params.l}"
-        f" q={params.q} symbols={params.symbols}, rounds={len(transcript.rounds)}"
-    )
+    _print_params(params, f", rounds={len(transcript.rounds)}")
     table = posterior(transcript)
     print(f"hypotheses: {table.hypothesis_count}")
     ok = True

@@ -2,8 +2,9 @@
 
 Everything in this module is integer math: field elements are canonical
 residues in [0, q), matrices are row-major grids of residues, and the solver
-and rank routines run plain Gaussian elimination mod q.  No floating point is
-used anywhere, so every result is exact and identical across platforms.
+and the rank routine share one Gauss-Jordan elimination mod q.  No floating
+point is used anywhere, so every result is exact and identical across
+platforms.
 
 A message is a row of S residues on which scalar coefficients act
 componentwise; no extension-field multiplication is ever needed or provided.
@@ -84,12 +85,6 @@ class PrimeField:
             raise ValueError(f"field modulus {q} exceeds the 2^31 cap")
         self.q = q
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PrimeField) and other.q == self.q
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.q))
-
     def __repr__(self) -> str:
         return f"PrimeField({self.q})"
 
@@ -133,16 +128,6 @@ class FieldMatrix:
         return FieldMatrix(
             self.field, [[self._data[r][c] for c in col_idx] for r in row_idx]
         )
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FieldMatrix)
-            and other.field == self.field
-            and other._data == self._data
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field.q, self._data))
 
     def __repr__(self) -> str:
         return f"FieldMatrix({self.rows}x{self.cols} over F_{self.field.q})"
@@ -190,6 +175,44 @@ def combine_packed(coeffs: Sequence[int], packed: Sequence[int], symbols: int, q
     return unpack_row(sum(c % q * p for c, p in zip(coeffs, packed)), symbols, q)
 
 
+def _gauss_jordan(matrix: FieldMatrix) -> tuple[list[list[int]], list[int]]:
+    """One Gauss-Jordan pass over [A | I] kept in A's cells; returns (cells, pivots).
+
+    Columns are eliminated left to right.  The pivot for a column is the
+    first row, in the original order, that is not yet a pivot and has a
+    nonzero entry there; a column with no such row is skipped, so
+    len(pivots) is the rank.  The order is fixed, so results are identical
+    across runs and platforms.  Rows are not swapped, and [A | I] is kept in
+    the cells of A: once a column of A is eliminated it is a unit vector,
+    and its cell holds the column of the right half that its pivot row
+    owns, which was a unit vector until then.  Only the pivot row is
+    reduced mod q at each step: any other row update adds less than q^2 per
+    entry, so a reader reduces each cell mod q.
+    """
+    field = matrix.field
+    q = field.q
+    cells = [list(matrix.row(r)) for r in range(matrix.rows)]
+    free = list(range(matrix.rows))
+    pivots: list[int] = []
+    for col in range(matrix.cols):
+        if not free:
+            break
+        p = next((r for r in free if cells[r][col] % q), None)
+        if p is None:
+            continue
+        free.remove(p)
+        pivots.append(p)
+        inv = field.inv(cells[p][col])
+        cells[p][col] = 1
+        cells[p] = [v * inv % q for v in cells[p]]
+        for r in range(matrix.rows):
+            f = cells[r][col] % q
+            if r != p and f:
+                cells[r][col] = 0
+                cells[r] = [vr - f * vp for vr, vp in zip(cells[r], cells[p])]
+    return cells, pivots
+
+
 def solve_linear_system(matrix: FieldMatrix, rhs: Sequence[Sequence[int]]) -> list[list[int]]:
     """Solve A·X = B exactly over the matrix's field.
 
@@ -197,67 +220,27 @@ def solve_linear_system(matrix: FieldMatrix, rhs: Sequence[Sequence[int]]) -> li
     sides side by side), and X comes back as n rows of S residues.  Raises
     :class:`SingularMatrix` when A is not invertible.
 
-    One Gauss-Jordan pass over [A | I] gives A^-1, then each row of X is one
-    packed combination of the rows of B.  The pivot for each column is the
-    first row, in the original order, that is not yet a pivot and has a
-    nonzero entry there; the order is fixed, so results are identical across
-    runs and platforms.  Rows are not swapped, and [A | I] is kept in n x n
-    cells: once column j of A is eliminated it is a unit vector, and its
-    cell holds column pivots[j] of the right half, which was a unit vector
-    until then.  So row pivots[c] ends as row c of A^-1, with its entries
-    in pivot order.  Only the pivot row is reduced mod q at each step: any
-    other row update adds less than q^2 per entry, and the entries of A^-1
-    are reduced as they are combined.
+    One _gauss_jordan pass gives A^-1: with every column pivoting, row
+    pivots[c] ends as row c of A^-1, with its entries in pivot order.  Each
+    row of X is then one packed combination of the rows of B, which reduces
+    the entries of A^-1 as it combines them.
     """
     if matrix.rows != matrix.cols:
         raise ValueError("solve requires a square matrix")
     if len(rhs) != matrix.rows:
         raise ValueError("right-hand side length does not match matrix")
-    field = matrix.field
-    q = field.q
+    q = matrix.field.q
     n = matrix.rows
     symbols = len(rhs[0]) if rhs else 0
     if any(len(row) != symbols for row in rhs):
         raise ValueError("ragged rows in right-hand side")
-    cells = [list(matrix.row(r)) for r in range(n)]
-    free = list(range(n))
-    pivots: list[int] = []
-    for col in range(n):
-        p = next((r for r in free if cells[r][col] % q), None)
-        if p is None:
-            raise SingularMatrix(f"matrix has rank < {n}")
-        free.remove(p)
-        pivots.append(p)
-        inv = field.inv(cells[p][col])
-        cells[p][col] = 1
-        cells[p] = [v * inv % q for v in cells[p]]
-        for r in range(n):
-            f = cells[r][col] % q
-            if r != p and f:
-                cells[r][col] = 0
-                cells[r] = [vr - f * vp for vr, vp in zip(cells[r], cells[p])]
+    cells, pivots = _gauss_jordan(matrix)
+    if len(pivots) < n:
+        raise SingularMatrix(f"matrix has rank < {n}")
     packed = [pack_row(rhs[p]) for p in pivots]
     return [combine_packed(cells[p], packed, symbols, q) for p in pivots]
 
 
 def matrix_rank(matrix: FieldMatrix) -> int:
-    """Row rank by Gaussian elimination over the matrix's field."""
-    field = matrix.field
-    q = field.q
-    rows = [list(matrix.row(r)) for r in range(matrix.rows)]
-    rank = 0
-    for col in range(matrix.cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = [v * inv % q for v in rows[rank]]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [(vr - f * vc) % q for vr, vc in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    """Row rank: the number of columns that pivot in _gauss_jordan."""
+    return len(_gauss_jordan(matrix)[1])

@@ -41,15 +41,16 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class SessionConfig:
-    """Server-side configuration: parameters plus where the data lives."""
+    """Server-side configuration: parameters plus where the data lives.
+
+    The coding points are never configured: the server uses session_cauchy.
+    """
 
     k: int
     m: int
+    database_path: str
     q: int | None = None
     symbols: int = 1
-    database_path: str | None = None
-    x_points: tuple[int, ...] | None = None
-    y_points: tuple[int, ...] | None = None
 
     @classmethod
     def from_file(cls, path: str) -> "SessionConfig":
@@ -60,7 +61,7 @@ class SessionConfig:
                 raise InvalidParams(f"config {path} is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise InvalidParams(f"config {path} must hold a JSON object")
-        known = {"k", "m", "q", "symbols", "database", "x_points", "y_points"}
+        known = {"k", "m", "q", "symbols", "database"}
         unknown = set(raw) - known
         if unknown:
             raise InvalidParams(f"unknown config keys: {sorted(unknown)}")
@@ -72,19 +73,12 @@ class SessionConfig:
                 raise InvalidParams(f"config key '{key}' must be an integer")
         if not isinstance(raw["database"], str):
             raise InvalidParams("config key 'database' must be a string")
-        for key in ("x_points", "y_points"):
-            if key in raw and not (
-                isinstance(raw[key], list) and all(map(_is_int, raw[key]))
-            ):
-                raise InvalidParams(f"config key '{key}' must be a list of integers")
         return cls(
             k=raw["k"],
             m=raw["m"],
+            database_path=raw["database"],
             q=raw.get("q"),
             symbols=raw.get("symbols", 1),
-            database_path=raw["database"],
-            x_points=tuple(raw["x_points"]) if "x_points" in raw else None,
-            y_points=tuple(raw["y_points"]) if "y_points" in raw else None,
         )
 
     def params(self) -> ProtocolParams:
@@ -142,25 +136,10 @@ class _SessionHandler(socketserver.StreamRequestHandler):
             return False
         hello = wire.decode_hello(payload)
         params = self.server.params
-        mine = {
-            "k": params.k,
-            "m": params.m,
-            "l": params.l,
-            "q": params.q,
-            "symbols": params.symbols,
-        }
-        theirs = {
-            "k": hello.k,
-            "m": hello.m,
-            "l": hello.l,
-            "q": hello.q,
-            "symbols": hello.symbols,
-        }
-        for name, value in theirs.items():
-            if value and value != mine[name]:
-                self._send_error(
-                    ParamMismatch(f"{name}={value} requested, server has {mine[name]}")
-                )
+        for name in ("k", "m", "l", "q", "symbols"):
+            value, mine = getattr(hello, name), getattr(params, name)
+            if value and value != mine:
+                self._send_error(ParamMismatch(f"{name}={value} requested, server has {mine}"))
                 return False
         reply = wire.Hello.for_params(
             params, self.server.cauchy.x_points, self.server.cauchy.y_points
@@ -203,16 +182,8 @@ def create_server(
 
 def server_from_config(config: SessionConfig, listen: tuple[str, int]) -> OpirTCPServer:
     """Load the database, then check and bind; caller runs serve_forever."""
-    if config.database_path is None:
-        raise InvalidParams("server config needs a database path")
     database = wire.read_database(config.database_path)
-    params = config.params()
-    cauchy = None
-    if config.x_points is not None or config.y_points is not None:
-        cauchy = build_cauchy(
-            params.k, params.m, params.l, params.q, config.x_points, config.y_points
-        )
-    return create_server(database, params, cauchy, *listen)
+    return create_server(database, config.params(), None, *listen)
 
 
 class RemoteSession:
@@ -234,19 +205,9 @@ class RemoteSession:
             frame_type, payload = self._read()
             if frame_type != wire.FRAME_HELLO:
                 raise DecodeError("server did not answer the hello")
-            reply = wire.decode_hello(payload)
-            self.params = reply.params()
-            if not reply.has_points:
-                raise DecodeError("server hello is missing the coding points")
-            assert reply.x_points is not None and reply.y_points is not None
-            cauchy = build_cauchy(
-                self.params.k,
-                self.params.m,
-                self.params.l,
-                self.params.q,
-                reply.x_points,
-                reply.y_points,
-            )
+            self.params, x_points, y_points = wire.decode_hello(payload).session()
+            p = self.params
+            cauchy = build_cauchy(p.k, p.m, p.l, p.q, x_points, y_points)
             self.client = Client(self.params, side, cauchy, seed=seed)
             self._rounds: list[TranscriptRound] = []
         except BaseException:

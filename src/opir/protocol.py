@@ -127,21 +127,19 @@ def derive_l(k: int, m: int) -> int:
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Session parameters: K messages, side-information size M, K/(M+1) = 2^l."""
+    """Session parameters: K messages, side-information size M, field q, symbols.
+
+    K/(M+1) must be a power of two 2^l with l >= 1.  l, the number of rounds
+    after the first, is derived from K and M (derive_l) and never stored.
+    """
 
     k: int
     m: int
-    l: int
     q: int
     symbols: int = 1
 
     def __post_init__(self) -> None:
-        if self.m < 1 or self.l < 1:
-            raise InvalidParams(f"need M >= 1 and l >= 1, got M={self.m}, l={self.l}")
-        if self.k != (self.m + 1) * 2**self.l:
-            raise InvalidParams(
-                f"K must equal (M+1)*2^l: K={self.k}, M={self.m}, l={self.l}"
-            )
+        l = self.l  # derive_l refuses any other shape
         if self.symbols < 1:
             raise InvalidParams("messages need at least one symbol")
         if self.k > 0xFFFF or self.symbols > 0xFFFF:
@@ -153,14 +151,14 @@ class ProtocolParams:
             raise InvalidParams(f"q={self.q} exceeds the field cap 2^31")
         if not is_prime(self.q):
             raise InvalidParams(f"q={self.q} is not prime")
-        if self.q < self.k + self.m * self.l + 1:
+        if self.q < self.k + self.m * l + 1:
             raise InvalidParams(
-                f"need q >= K + M*l + 1 = {self.k + self.m * self.l + 1}, got q={self.q}"
+                f"need q >= K + M*l + 1 = {self.k + self.m * l + 1}, got q={self.q}"
             )
 
     @classmethod
     def create(cls, k: int, m: int, q: int | None = None, symbols: int = 1) -> "ProtocolParams":
-        """Derive l from K and M and pick a default field when q is omitted.
+        """Pick a default field when q is omitted.
 
         Two-round schedules (l = 1) default to the smallest admissible
         prime.  Longer schedules default to SESSION_PRIME so the session
@@ -172,7 +170,12 @@ class ProtocolParams:
         l = derive_l(k, m)
         if q is None:
             q = next_prime(k + m * l + 1) if l == 1 else SESSION_PRIME
-        return cls(k=k, m=m, l=l, q=q, symbols=symbols)
+        return cls(k=k, m=m, q=q, symbols=symbols)
+
+    @cached_property
+    def l(self) -> int:
+        """Rounds after the first: K = (M+1)*2^l."""
+        return derive_l(self.k, self.m)
 
     @cached_property
     def field(self) -> PrimeField:
@@ -285,7 +288,9 @@ class Database:
         return len(self.messages[0])
 
     def message(self, index: int) -> Message:
-        """Message by 1-based index."""
+        """Message by 1-based index; InvalidParams outside [1..K]."""
+        if not 1 <= index <= len(self.messages):
+            raise InvalidParams(f"message index {index} outside [1..{len(self.messages)}]")
         return self.messages[index - 1]
 
     @cached_property
@@ -486,7 +491,7 @@ class Client:
                 f"all {self.params.max_rounds} rounds used; every message is known"
             )
         if not 1 <= demand <= self.params.k:
-            raise ValueError(f"demand index {demand} outside [1..{self.params.k}]")
+            raise InvalidParams(f"demand index {demand} outside [1..{self.params.k}]")
         if demand in self.known:
             raise DemandKnown(f"message {demand} is already known")
         query = self._build_merge_round(round_no, demand)

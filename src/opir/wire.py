@@ -12,7 +12,8 @@ Payloads:
   packets in canonical order, each symbol a 4B element < q.
 * HELLO: k | m | l | q | symbols (4B each, 0 = unspecified) | flags (1B);
   if flags bit 0 is set: x-point count (2B), x points (4B each), y-point
-  count (2B), y points (4B each).
+  count (2B), y points (4B each).  A fully specified l must be the one with
+  K = (M+1)*2^l.
 * ERROR: code (1B) | reason length (2B) | UTF-8 reason.
 * BYE: empty.
 
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 
 from .errors import (
     DecodeError,
+    InvalidParams,
     MalformedQuery,
     ParamMismatch,
     ProtocolOrder,
@@ -285,11 +287,24 @@ class Hello:
         return self.x_points is not None and self.y_points is not None
 
     def params(self) -> ProtocolParams:
+        """The parameters a fully specified HELLO names; its l must be the one K and M imply."""
         if 0 in (self.k, self.m, self.l, self.q, self.symbols):
             raise DecodeError("hello leaves parameters unspecified")
-        return ProtocolParams(
-            k=self.k, m=self.m, l=self.l, q=self.q, symbols=self.symbols
-        )
+        params = ProtocolParams(k=self.k, m=self.m, q=self.q, symbols=self.symbols)
+        if self.l != params.l:
+            raise InvalidParams(
+                f"K must equal (M+1)*2^l: K={self.k}, M={self.m}, l={self.l}"
+            )
+        return params
+
+    def session(self) -> tuple[ProtocolParams, tuple[int, ...], tuple[int, ...]]:
+        """(params, x points, y points) of a server's HELLO or a transcript header."""
+        params = self.params()
+        if self.x_points is None or self.y_points is None:
+            raise DecodeError("hello is missing the coding points")
+        if len(self.x_points) != params.k or len(self.y_points) != params.m * params.l + 1:
+            raise DecodeError("coding point counts do not match parameters")
+        return params, self.x_points, self.y_points
 
 
 def encode_hello(hello: Hello) -> bytes:
@@ -344,13 +359,7 @@ def transcript_from_bytes(data: bytes) -> Transcript:
     frame_type, payload, offset = decode_frame(data)
     if frame_type != FRAME_HELLO:
         raise DecodeError("transcript must start with a parameter header")
-    hello = decode_hello(payload)
-    params = hello.params()
-    if not hello.has_points:
-        raise DecodeError("transcript header is missing the coding points")
-    assert hello.x_points is not None and hello.y_points is not None
-    if len(hello.x_points) != params.k or len(hello.y_points) != params.m * params.l + 1:
-        raise DecodeError("coding point counts do not match parameters")
+    params, x_points, y_points = decode_hello(payload).session()
     rounds = []
     pending: PartitionQuery | None = None
     while offset < len(data):
@@ -375,8 +384,8 @@ def transcript_from_bytes(data: bytes) -> Transcript:
         raise DecodeError("transcript ends with an unanswered query")
     return Transcript(
         params=params,
-        cauchy_x=hello.x_points,
-        cauchy_y=hello.y_points,
+        cauchy_x=x_points,
+        cauchy_y=y_points,
         rounds=tuple(rounds),
     )
 

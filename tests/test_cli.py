@@ -7,6 +7,7 @@ import random
 import socket
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -181,6 +182,54 @@ def test_audit_reports_malformed_round_sequence(tmp_path, make):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_audit_reports_huge_l_quickly(tmp_path):
+    """A HELLO-only file whose l is 2^32 - 1 is an error line within seconds:
+    l is compared with the one K and M imply, never used as an exponent."""
+    hello = wire.Hello(
+        k=12, m=2, l=2**32 - 1, q=17, symbols=1,
+        x_points=tuple(range(20, 32)), y_points=tuple(range(5)),
+    )
+    path = tmp_path / "huge-l.bin"
+    path.write_bytes(wire.encode_frame(wire.FRAME_HELLO, wire.encode_hello(hello)))
+    start = time.monotonic()
+    proc = _audit_file(path)
+    assert time.monotonic() - start < 5
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "K must equal" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _assert_error_exit(proc, *words):
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    for word in words:
+        assert word in proc.stderr
+
+
+def test_simulate_reports_out_of_range_indices():
+    """A demand or side index outside [1..K] is an error line and exit 1."""
+    base = ("simulate", "--k", "12", "--m", "2", "--q", "17", "--seed", "1")
+    proc = _cli_process(*base, "--side", "2,3", "--demands", "13")
+    _assert_error_exit(proc, "demand index 13 outside [1..12]")
+    proc = _cli_process(*base, "--side", "2,13", "--demands", "1")
+    _assert_error_exit(proc, "message index 13 outside [1..12]")
+
+
+def test_client_reports_out_of_range_side_before_connecting(tmp_path):
+    db_path = tmp_path / "db.bin"
+    write_database(counting_database(), str(db_path))
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    proc = _cli_process(
+        "client", "--connect", f"127.0.0.1:{port}",
+        "--side", "2,13", "--demands", "1", "--db", str(db_path),
+    )
+    _assert_error_exit(proc, "message index 13 outside [1..12]")
 
 
 def test_audit_reports_repeated_coding_point(tmp_path):

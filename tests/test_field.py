@@ -79,12 +79,6 @@ def test_inverse_of_zero():
         field.inv(17)
 
 
-def test_field_equality_and_hash():
-    assert PrimeField(17) == PrimeField(17)
-    assert PrimeField(17) != PrimeField(19)
-    assert len({PrimeField(17), PrimeField(17), PrimeField(19)}) == 2
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 # ---------------------------------------------------------------------------
@@ -256,3 +250,47 @@ def test_matrix_helpers():
     assert m.row(1) == (4, 5, 6)
     assert m.submatrix([1], [0, 2]).row(0) == (4, 6)
     assert m.at(0, 1) == 2
+
+
+def row_echelon_rank(field, rows):
+    """Reference rank: row echelon form with row swaps and eager reduction."""
+    q = field.q
+    rows = [list(r) for r in rows]
+    cols = len(rows[0]) if rows else 0
+    rank = 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = field.inv(rows[rank][col])
+        rows[rank] = [v * inv % q for v in rows[rank]]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [(vr - f * vc) % q for vr, vc in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 17, 101, 2**31 - 1])
+def test_rank_matches_row_echelon_reference(q):
+    """The Gauss-Jordan rank against row echelon form on random matrices of
+    0..7 rows by 0..7 columns, many with rows forced to be combinations of
+    earlier ones."""
+    field = PrimeField(q)
+    rng = random.Random(q)
+    for _ in range(300):
+        n_rows, n_cols = rng.randrange(8), rng.randrange(8)
+        rows = []
+        for _ in range(n_rows):
+            if rows and rng.random() < 0.5:
+                coeffs = [rng.randrange(q) for _ in rows]
+                combo = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n_cols)]
+                rows.append([v % q for v in combo])
+            else:
+                rows.append([rng.randrange(q) for _ in range(n_cols)])
+        matrix = FieldMatrix(field, rows)
+        assert matrix_rank(matrix) == row_echelon_rank(field, rows), rows

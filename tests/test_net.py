@@ -1,5 +1,6 @@
 """TCP transport: loopback equivalence, error frames, session lifecycle."""
 
+import dataclasses
 import json
 import random
 import socket
@@ -172,6 +173,39 @@ def test_param_mismatch_raised_locally(golden_server):
         RemoteSession(address, side, expect={"k": 8})
     with pytest.raises(ParamMismatch, match="q=19"):
         RemoteSession(address, side, expect={"q": 19})
+    with pytest.raises(ParamMismatch, match="m=3 requested, server has 2"):
+        RemoteSession(address, side, expect={"m": 3})
+    with pytest.raises(ParamMismatch, match="l=3 requested, server has 2"):
+        RemoteSession(address, side, expect={"l": 3})
+    with pytest.raises(ParamMismatch, match="symbols=2 requested, server has 1"):
+        RemoteSession(address, side, expect={"symbols": 2})
+
+
+def test_client_refuses_server_hello_with_huge_l():
+    """A server HELLO whose l is not the one K and M imply is InvalidParams,
+    decided without raising 2 to that l."""
+    reply = wire.Hello(
+        k=12, m=2, l=2**24, q=17, symbols=1,
+        x_points=tuple(range(20, 32)), y_points=tuple(range(5)),
+    )
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def fake_server():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rwb") as f:
+            wire.read_frame(f)
+            _send_frame(f, wire.FRAME_HELLO, wire.encode_hello(reply))
+            f.read()  # until the client hangs up
+
+    thread = threading.Thread(target=fake_server, daemon=True)
+    thread.start()
+    try:
+        side = SideInformation.from_database(counting_database(), [2, 3])
+        with pytest.raises(InvalidParams, match="K must equal"):
+            RemoteSession(listener.getsockname(), side)
+    finally:
+        thread.join(timeout=5)
+        listener.close()
 
 
 def test_matching_expectations_are_accepted(golden_server):
@@ -324,6 +358,16 @@ def test_session_config_rejects_bad_files(tmp_path):
         path.write_text(json.dumps({**good, key: value}))
         with pytest.raises(InvalidParams, match=key):
             SessionConfig.from_file(str(path))
+    # coding points are not configurable, even as well-typed lists
+    for key in ("x_points", "y_points"):
+        path.write_text(json.dumps({**good, key: [1, 2, 3]}))
+        with pytest.raises(InvalidParams, match=f"unknown config keys: \\['{key}'\\]"):
+            SessionConfig.from_file(str(path))
+
+
+def test_session_config_fields():
+    names = [f.name for f in dataclasses.fields(SessionConfig)]
+    assert names == ["k", "m", "database_path", "q", "symbols"]
 
 
 @pytest.mark.parametrize("entry", ["create_server", "server_from_config"])

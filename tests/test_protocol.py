@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from opir import (
     validate_query,
 )
 from opir.field import MAX_MODULUS
+from opir.protocol import derive_l
 from conftest import GOLDEN_ROUND1_BLOCKS, GOLDEN_SEED, GRID, counting_database, random_session
 
 
@@ -35,6 +37,15 @@ def test_create_derives_l():
         assert params.l == l
         assert params.k == (params.m + 1) * 2**params.l
         assert params.q >= k + m * l + 1
+
+
+def test_params_store_no_l():
+    """l is derived from K and M, never a field of its own."""
+    assert [f.name for f in dataclasses.fields(ProtocolParams)] == ["k", "m", "q", "symbols"]
+    for k, m in GRID:
+        params = ProtocolParams.create(k, m)
+        assert params.l == derive_l(k, m)
+        assert ProtocolParams(k=k, m=m, q=params.q).l == params.l
 
 
 def test_create_default_field_policy():
@@ -68,15 +79,15 @@ def test_params_fit_wire_fields():
     with pytest.raises(InvalidParams):
         ProtocolParams.create(4, 1, symbols=70000)
     with pytest.raises(InvalidParams):
-        ProtocolParams(k=65536, m=1, l=15, q=SESSION_PRIME)
+        ProtocolParams(k=65536, m=1, q=SESSION_PRIME)
 
 
 def test_params_reject_modulus_above_field_cap():
     # 4294967291 is prime, but field arithmetic is capped at 2^31
     for q in (4294967291, MAX_MODULUS):
         with pytest.raises(InvalidParams, match="cap"):
-            ProtocolParams(k=4, m=1, l=1, q=q)
-    assert ProtocolParams(k=4, m=1, l=1, q=MAX_MODULUS - 1).q == SESSION_PRIME
+            ProtocolParams(k=4, m=1, q=q)
+    assert ProtocolParams(k=4, m=1, q=MAX_MODULUS - 1).q == SESSION_PRIME
 
 
 def test_params_field_built_once():
@@ -339,8 +350,18 @@ def test_rounds_exhausted():
 
 def test_demand_out_of_range():
     params, db, server, client = make_session()
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams, match="demand index 13"):
         client.build_query(13)
+
+
+@pytest.mark.parametrize("index", [0, 13, -1])
+def test_database_message_index_in_range(index):
+    db = counting_database()
+    with pytest.raises(InvalidParams, match="outside"):
+        db.message(index)
+    with pytest.raises(InvalidParams, match="outside"):
+        SideInformation.from_database(db, [2, index])
+    assert db.message(1) == (1,) and db.message(12) == (12,)
 
 
 def test_side_size_must_match():

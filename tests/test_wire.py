@@ -1,12 +1,14 @@
 """Frame and payload codecs: pinned layouts, roundtrips, and rejection paths."""
 
 import io
+import tracemalloc
 
 import pytest
 
 from opir import (
     Database,
     DecodeError,
+    InvalidParams,
     MalformedQuery,
     ParamMismatch,
     PartitionQuery,
@@ -230,7 +232,7 @@ def test_hello_roundtrip_without_points():
     again = decode_hello(encode_hello(hello))
     assert again == hello
     assert not again.has_points
-    assert again.params() == ProtocolParams(k=12, m=2, l=2, q=17, symbols=1)
+    assert again.params() == ProtocolParams(k=12, m=2, q=17, symbols=1)
 
 
 def test_hello_roundtrip_with_points():
@@ -248,6 +250,53 @@ def test_hello_wildcards_cannot_build_params():
     assert decode_hello(encode_hello(hello)) == hello
     with pytest.raises(DecodeError, match="unspecified"):
         hello.params()
+
+
+def test_hello_l_must_match_k_and_m():
+    with pytest.raises(InvalidParams, match=r"K must equal \(M\+1\)\*2\^l"):
+        Hello(k=12, m=2, l=1, q=17, symbols=1).params()
+    with pytest.raises(InvalidParams, match="power of two"):
+        Hello(k=12, m=3, l=2, q=17, symbols=1).params()
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParams):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_hello_l_is_never_an_exponent():
+    """A huge l read from a HELLO is compared with the derived one, never
+    raised to as a power of two."""
+    hello = Hello(k=12, m=2, l=2**24, q=17, symbols=1)
+    data = encode_frame(FRAME_HELLO, encode_hello(hello))
+    assert len(data) == 31
+    assert _peak_bytes(hello.params) < 1 << 20
+    assert _peak_bytes(lambda: transcript_from_bytes(data)) < 1 << 20
+
+
+def test_hello_session_returns_params_and_points():
+    params = ProtocolParams.create(4, 1, q=11)
+    hello = Hello.for_params(params, (1, 2, 3, 4), (7, 8))
+    assert hello.session() == (params, (1, 2, 3, 4), (7, 8))
+
+
+def test_hello_session_needs_the_coding_points():
+    params = ProtocolParams.create(4, 1, q=11)
+    for hello in (
+        Hello.for_params(params),
+        Hello.for_params(params, (1, 2, 3, 4), None),
+        Hello.for_params(params, None, (7, 8)),
+    ):
+        with pytest.raises(DecodeError, match="missing the coding points"):
+            hello.session()
+    for xs, ys in [((1, 2, 3), (7, 8)), ((1, 2, 3, 4), (7, 8, 9)), ((1, 2, 3, 4, 5), (7,))]:
+        with pytest.raises(DecodeError, match="point counts"):
+            Hello.for_params(params, xs, ys).session()
 
 
 def test_hello_decode_rejections():
