@@ -18,7 +18,7 @@ import socket
 import socketserver
 from dataclasses import dataclass
 
-from .cauchy import CauchyMatrix, build_cauchy
+from .cauchy import build_cauchy
 from .errors import DecodeError, InvalidParams, MalformedQuery, OpirError, ParamMismatch
 from .protocol import (
     Client,
@@ -86,7 +86,7 @@ class SessionConfig:
 
 
 class OpirTCPServer(socketserver.ThreadingTCPServer):
-    """One protocol session per connection; database and matrix shared read-only."""
+    """One session per connection; database and session_cauchy matrix shared read-only."""
 
     allow_reuse_address = True
     daemon_threads = True
@@ -96,11 +96,10 @@ class OpirTCPServer(socketserver.ThreadingTCPServer):
         address: tuple[str, int],
         database: Database,
         params: ProtocolParams,
-        cauchy: CauchyMatrix | None = None,
     ):
         self.database = database
         self.params = params
-        self.cauchy = cauchy if cauchy is not None else session_cauchy(params)
+        self.cauchy = session_cauchy(params)
         # Fail before accepting connections, not inside a handler thread.
         ProtocolServer(database, params, self.cauchy)
         super().__init__(address, _SessionHandler)
@@ -172,18 +171,17 @@ class _SessionHandler(socketserver.StreamRequestHandler):
 def create_server(
     database: Database,
     params: ProtocolParams,
-    cauchy: CauchyMatrix | None = None,
     host: str = "127.0.0.1",
     port: int = 0,
 ) -> OpirTCPServer:
     """Bind a server (port 0 picks a free one); caller runs serve_forever."""
-    return OpirTCPServer((host, port), database, params, cauchy)
+    return OpirTCPServer((host, port), database, params)
 
 
 def server_from_config(config: SessionConfig, listen: tuple[str, int]) -> OpirTCPServer:
     """Load the database, then check and bind; caller runs serve_forever."""
     database = wire.read_database(config.database_path)
-    return create_server(database, config.params(), None, *listen)
+    return create_server(database, config.params(), *listen)
 
 
 class RemoteSession:

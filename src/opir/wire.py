@@ -300,8 +300,9 @@ class Hello:
     def session(self) -> tuple[ProtocolParams, tuple[int, ...], tuple[int, ...]]:
         """(params, x points, y points) of a server's HELLO or a transcript header."""
         params = self.params()
-        if self.x_points is None or self.y_points is None:
+        if not self.has_points:
             raise DecodeError("hello is missing the coding points")
+        assert self.x_points is not None and self.y_points is not None
         if len(self.x_points) != params.k or len(self.y_points) != params.m * params.l + 1:
             raise DecodeError("coding point counts do not match parameters")
         return params, self.x_points, self.y_points
