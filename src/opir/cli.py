@@ -132,7 +132,8 @@ def cmd_client(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     database = read_database(args.db)
     side = SideInformation.from_database(database, args.side)
-    # The server refuses a session whose shape differs from the local copy.
+    # Both ends refuse a session whose shape differs from the local copy,
+    # the client before it builds the coding matrix the server's HELLO names.
     expect = {"k": database.k, "q": database.q, "symbols": database.symbols}
     result = run_remote_session(args.connect, side, args.demands, seed=seed, expect=expect)
     _print_params(result.transcript.params)

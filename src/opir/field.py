@@ -10,9 +10,12 @@ A message is a row of S residues on which scalar coefficients act
 componentwise; no extension-field multiplication is ever needed or provided.
 To combine whole messages at once, `pack_row` lays a row out as one Python
 int with a 128-bit slot per symbol, so sum_j c_j·m_j over packed rows is one
-big-int multiply-add per message, and `unpack_row` reduces each slot mod q
-once at the end.  The slot bound that makes this exact is stated next to
-`pack_row`.
+big-int multiply-add per message.  `reduce_packed` then takes every slot
+mod q with fifteen whole-int operations, without a loop over the
+symbols, and `split_row` reads the reduced slots out.  `solve_linear_system`
+takes and returns packed rows, so a caller can keep its data packed from
+one solve to the next.  The slot bounds that make this exact are stated
+next to `pack_row`.
 """
 
 from __future__ import annotations
@@ -135,17 +138,25 @@ class FieldMatrix:
 
 # Packed rows.  Symbol i of a row sits in bits [128·i, 128·i + 128) of one
 # int.  Every packed input holds canonical residues < q < 2^31 (MAX_MODULUS)
-# and combine_packed reduces every coefficient into [0, q) before it
+# and packed_sum reduces every coefficient into [0, q) before it
 # multiplies, so each product is < 2^62 and no slot ever goes negative; a
 # subtraction of c·m is a multiply by (q - c).  No combination has more than
 # 65535 terms, because ProtocolParams caps K (and so every block and decode
 # system) at 65535, so a slot holds < 2^62 · 2^16 = 2^78 and never carries
-# into the next one.
+# into the next one.  solve_linear_system combines rows that may themselves
+# be such combinations, which stays below 2^16 · 2^31 · 2^78 = 2^125;
+# reduce_packed is exact for any slot below 2^126.
 _SLOT_BYTES = 16
 
 # array("Q") words are in native byte order while the packed int is read and
 # written little-endian, so a big-endian host byteswaps the words.
 _BIG_ENDIAN = sys.byteorder == "big"
+
+# A packed int written in native byte order and read as 64-bit words holds
+# each slot's low word at even positions from the front on a little-endian
+# host, and at odd positions counted from the back, slot 0 last, on a
+# big-endian one.
+_LOW_WORDS = slice(None, None, -2 if _BIG_ENDIAN else 2)
 
 
 def pack_row(row: Sequence[int]) -> int:
@@ -157,22 +168,68 @@ def pack_row(row: Sequence[int]) -> int:
     return int.from_bytes(words, "little")
 
 
+def split_row(value: int, symbols: int) -> list[int]:
+    """The slots of a packed row whose slots are residues: pack_row's inverse."""
+    data = value.to_bytes(_SLOT_BYTES * symbols, sys.byteorder)
+    return memoryview(data).cast("Q")[_LOW_WORDS].tolist()
+
+
+# Each mask repeats a per-slot constant `symbols` times (1 MB at 65535
+# symbols), and a peer chooses the symbol count and q, so the constants of
+# only four (symbols, q) pairs are kept.
+@functools.lru_cache(maxsize=4)
+def _reduction_constants(symbols: int, q: int) -> tuple[int, ...]:
+    """reduce_packed's masks (2^62 - 1, 2^64 - 1 and 2^(65 - b) - 1 in every
+    slot, b = q.bit_length()) and scalars (2^64 mod q, 2^62 mod q, the
+    quotient shift k = 63 + b and multiplier ceil(2^k / q))."""
+    shift = 63 + q.bit_length()
+    masks = (
+        int.from_bytes(((1 << bits) - 1).to_bytes(_SLOT_BYTES, "little") * symbols, "little")
+        for bits in (62, 64, 128 - shift)
+    )
+    return (*masks, (1 << 64) % q, (1 << 62) % q, shift, -(-(1 << shift) // q))
+
+
+def reduce_packed(value: int, symbols: int, q: int) -> int:
+    """`value` with each of its `symbols` slots reduced into [0, q).
+
+    Exact for every slot below 2^126 and every prime q < 2^31, with a fixed
+    number of whole-int operations and no loop over the symbols:
+
+    - fold at 64 bits: x = lo + hi·(2^64 mod q) < 2^64 + 2^62·(q - 1),
+      so x >> 62 <= q + 2;
+    - fold at 62 bits: y < 2^62 + (q + 2)·(q - 1) < 2^63;
+    - exact quotient (division by an invariant integer): with
+      b = q.bit_length(), k = 63 + b and mu = ceil(2^k / q) <= 2^64,
+      y·mu / 2^k exceeds y/q by y·(q·mu - 2^k)/(q·2^k) < y/2^k < 1/q, so
+      its floor is floor(y/q) < 2^(65 - b), and y·mu < 2^127.
+
+    Every intermediate slot stays below 2^128, so no step carries or
+    borrows across slots.
+    """
+    low62, low64, low_quotient, wrap64, wrap62, shift, mu = _reduction_constants(symbols, q)
+    x = (value & low64) + (value >> 64 & low64) * wrap64
+    y = (x & low62) + (x >> 62 & low64) * wrap62
+    return y - (y * mu >> shift & low_quotient) * q
+
+
 def unpack_row(value: int, symbols: int, q: int) -> list[int]:
     """The `symbols` residues mod q of a packed combination (see pack_row)."""
-    words = array("Q", value.to_bytes(_SLOT_BYTES * symbols, "little"))
-    if _BIG_ENDIAN:
-        words.byteswap()
-    wrap = (1 << 64) % q
-    return [(lo + hi * wrap) % q for lo, hi in zip(words[::2], words[1::2])]
+    return split_row(reduce_packed(value, symbols, q), symbols)
 
 
-def combine_packed(coeffs: Sequence[int], packed: Sequence[int], symbols: int, q: int) -> list[int]:
-    """The residues of sum_j coeffs[j]·packed[j] mod q, for rows packed by pack_row.
+def packed_sum(coeffs: Sequence[int], packed: Sequence[int], q: int) -> int:
+    """sum_j coeffs[j]·packed[j] over packed rows, left unreduced.
 
     Any integer coefficient is accepted; each is reduced into [0, q) first,
     so a negative one subtracts without a slot going negative.
     """
-    return unpack_row(sum(c % q * p for c, p in zip(coeffs, packed)), symbols, q)
+    return sum(c % q * p for c, p in zip(coeffs, packed))
+
+
+def combine_packed(coeffs: Sequence[int], packed: Sequence[int], symbols: int, q: int) -> list[int]:
+    """The residues of sum_j coeffs[j]·packed[j] mod q, for rows packed by pack_row."""
+    return unpack_row(packed_sum(coeffs, packed, q), symbols, q)
 
 
 def _gauss_jordan(matrix: FieldMatrix) -> tuple[list[list[int]], list[int]]:
@@ -213,32 +270,34 @@ def _gauss_jordan(matrix: FieldMatrix) -> tuple[list[list[int]], list[int]]:
     return cells, pivots
 
 
-def solve_linear_system(matrix: FieldMatrix, rhs: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Solve A·X = B exactly over the matrix's field.
+def solve_linear_system(matrix: FieldMatrix, rhs: Sequence[int], symbols: int) -> list[int]:
+    """Solve A·X = B exactly over the matrix's field, on packed rows.
 
-    `rhs` is a block B of n rows of S canonical residues each (S right-hand
-    sides side by side), and X comes back as n rows of S residues.  Raises
-    :class:`SingularMatrix` when A is not invertible.
+    `rhs` is a block B of n packed rows of `symbols` slots each (S
+    right-hand sides side by side, see pack_row); a row may be an unreduced
+    combination of canonical rows, within the slot bound stated there.  X
+    comes back as n packed rows with every slot reduced into [0, q).
+    Raises :class:`SingularMatrix` when A is not invertible.
 
     One _gauss_jordan pass gives A^-1: with every column pivoting, row
     pivots[c] ends as row c of A^-1, with its entries in pivot order.  Each
     row of X is then one packed combination of the rows of B, which reduces
-    the entries of A^-1 as it combines them.
+    the entries of A^-1 as it combines them, and one reduce_packed.
     """
     if matrix.rows != matrix.cols:
         raise ValueError("solve requires a square matrix")
     if len(rhs) != matrix.rows:
         raise ValueError("right-hand side length does not match matrix")
+    limit = 1 << 8 * _SLOT_BYTES * symbols
+    if not all(0 <= row < limit for row in rhs):
+        raise ValueError(f"right-hand side rows must be packed rows of {symbols} symbols")
     q = matrix.field.q
     n = matrix.rows
-    symbols = len(rhs[0]) if rhs else 0
-    if any(len(row) != symbols for row in rhs):
-        raise ValueError("ragged rows in right-hand side")
     cells, pivots = _gauss_jordan(matrix)
     if len(pivots) < n:
         raise SingularMatrix(f"matrix has rank < {n}")
-    packed = [pack_row(rhs[p]) for p in pivots]
-    return [combine_packed(cells[p], packed, symbols, q) for p in pivots]
+    packed = [rhs[p] for p in pivots]
+    return [reduce_packed(packed_sum(cells[p], packed, q), symbols, q) for p in pivots]
 
 
 def matrix_rank(matrix: FieldMatrix) -> int:

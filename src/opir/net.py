@@ -133,13 +133,12 @@ class _SessionHandler(socketserver.StreamRequestHandler):
         if frame_type != wire.FRAME_HELLO:
             self._send_error(ParamMismatch("expected a hello frame first"))
             return False
-        hello = wire.decode_hello(payload)
         params = self.server.params
-        for name in ("k", "m", "l", "q", "symbols"):
-            value, mine = getattr(hello, name), getattr(params, name)
-            if value and value != mine:
-                self._send_error(ParamMismatch(f"{name}={value} requested, server has {mine}"))
-                return False
+        try:
+            wire.decode_hello(payload).require(params)
+        except ParamMismatch as exc:
+            self._send_error(exc)
+            return False
         reply = wire.Hello.for_params(
             params, self.server.cauchy.x_points, self.server.cauchy.y_points
         )
@@ -203,7 +202,11 @@ class RemoteSession:
             frame_type, payload = self._read()
             if frame_type != wire.FRAME_HELLO:
                 raise DecodeError("server did not answer the hello")
-            self.params, x_points, y_points = wire.decode_hello(payload).session()
+            reply = wire.decode_hello(payload)
+            # The server names K and M, and build_cauchy's cost grows with
+            # K·M, so a shape other than the expected one is refused first.
+            hello.require(reply)
+            self.params, x_points, y_points = reply.session()
             p = self.params
             cauchy = build_cauchy(p.k, p.m, p.l, p.q, x_points, y_points)
             self.client = Client(self.params, side, cauchy, seed=seed)

@@ -62,7 +62,9 @@ from .field import (
     is_prime,
     next_prime,
     pack_row,
+    packed_sum,
     solve_linear_system,
+    split_row,
 )
 
 Block = tuple[int, ...]
@@ -459,9 +461,10 @@ class Client:
         self.cauchy = cauchy
         self.rng = random.Random(seed)
         self.known: dict[int, Message] = side.as_dict()
-        # Packed copies of known messages, made by _packed_known when a
-        # subtraction first needs them: the last round's block is never packed.
-        self._packed: dict[int, int] = {}
+        # Every known message as a canonical packed row (field.pack_row): the
+        # side information is packed here, and a recovered message is kept
+        # as the solver returned it, so no message is packed twice.
+        self._packed: dict[int, int] = {i: pack_row(msg) for i, msg in side.values}
         # The known block the next round merges with the demand's block.
         self.merged_chain: frozenset[int] = side.indices
         self._queries: list[PartitionQuery] = []
@@ -551,25 +554,16 @@ class Client:
         self._pending_demand = None
         return recovered
 
-    def _packed_known(self, indices: list[int]) -> list[int]:
-        """Packed copies of known messages, each packed on first use."""
-        for i in indices:
-            if i not in self._packed:
-                self._packed[i] = pack_row(self.known[i])
-        return [self._packed[i] for i in indices]
-
     def _decode_merge_round(
         self, query: PartitionQuery, answer: RoundAnswer, demand: int
     ) -> dict[int, Message]:
         params = self.params
-        field = params.field
-        q = field.q
         target = self._previous(query.round_no).block_containing(demand)
         unknowns = list(target)
         target_set = set(target)
 
         rows: list[list[int]] = []
-        rhs: list[list[int]] = []
+        rhs: list[int] = []
 
         # History packets fully supported inside the target block need no
         # subtraction: their support is disjoint from everything known.
@@ -581,23 +575,24 @@ class Client:
                 if not set(block) <= target_set:
                     continue
                 for ci, col in enumerate(columns):
-                    packet = past_a.packets[bi * len(columns) + ci]
                     rows.append(
                         [self.cauchy.coeff(u, col) if u in block else 0 for u in unknowns]
                     )
-                    rhs.append(list(packet))
+                    rhs.append(pack_row(past_a.packets[bi * len(columns) + ci]))
 
         # Current round: the merged block is target + chain; subtract the
         # chain contributions (all known) to restrict support to the target.
+        # The difference stays an unreduced packed sum: the solver reduces
+        # once, after it combines.
         current = query.block_containing(demand)
         bi = query.block_index(current)
         columns = round_column_indices(params.m, params.l, query.round_no)
         known = sorted(self.merged_chain)
-        known_packed = self._packed_known(known)
+        known_packed = [self._packed[i] for i in known]
         for ci, col in enumerate(columns):
             packet = pack_row(answer.packets[bi * len(columns) + ci])
             coeffs = [1] + [-self.cauchy.coeff(idx, col) for idx in known]
-            rhs.append(combine_packed(coeffs, [packet] + known_packed, params.symbols, q))
+            rhs.append(packed_sum(coeffs, [packet] + known_packed, params.q))
             rows.append([self.cauchy.coeff(u, col) for u in unknowns])
 
         if len(rows) != len(unknowns):
@@ -605,12 +600,13 @@ class Client:
                 f"assembled {len(rows)} equations for {len(unknowns)} unknowns"
             )
         try:
-            solution = solve_linear_system(FieldMatrix(field, rows), rhs)
+            solution = solve_linear_system(FieldMatrix(params.field, rows), rhs, params.symbols)
         except SingularMatrix as exc:
             raise SingularSystem(
                 "decode system is singular; coding matrix property violated"
             ) from exc
-        return {u: tuple(solution[i]) for i, u in enumerate(unknowns)}
+        self._packed.update(zip(unknowns, solution))
+        return {u: tuple(split_row(row, params.symbols)) for u, row in zip(unknowns, solution)}
 
 
 class Server:

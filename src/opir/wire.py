@@ -286,6 +286,18 @@ class Hello:
     def has_points(self) -> bool:
         return self.x_points is not None and self.y_points is not None
 
+    def require(self, offer: Hello | ProtocolParams) -> None:
+        """ParamMismatch unless `offer` has every parameter this HELLO names.
+
+        A zero field names nothing.  The server checks a client's request
+        against its parameters, and the client checks the server's reply
+        against its own request before it builds anything from the reply.
+        """
+        for name in ("k", "m", "l", "q", "symbols"):
+            value, offered = getattr(self, name), getattr(offer, name)
+            if value and value != offered:
+                raise ParamMismatch(f"{name}={value} requested, server has {offered}")
+
     def params(self) -> ProtocolParams:
         """The parameters a fully specified HELLO names; its l must be the one K and M imply."""
         if 0 in (self.k, self.m, self.l, self.q, self.symbols):

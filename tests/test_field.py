@@ -13,7 +13,7 @@ from opir import (
     next_prime,
     solve_linear_system,
 )
-from opir.field import combine_packed, pack_row, unpack_row
+from opir.field import combine_packed, pack_row, reduce_packed, unpack_row
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +106,10 @@ def cramer_2x2(q, rows, col):
     return [(d * col[0] - b * col[1]) * inv % q, (a * col[1] - c * col[0]) * inv % q]
 
 
+def packed(block):
+    return [pack_row(row) for row in block]
+
+
 def test_solve_matches_brute_force_f5():
     """Exhaust every 2x2 system over F_5 against trying all 25 vectors.
 
@@ -113,7 +117,10 @@ def test_solve_matches_brute_force_f5():
     result must be that column's brute-force solution, for one-column
     blocks and for a two-column one.  Random blocks of 1,
     3 and 256 columns at q = 17 and q = 2^31 - 1 are checked the same way
-    against Cramer's rule, singular matrices included.
+    against Cramer's rule, singular matrices included; there each
+    right-hand row comes in as an unreduced packed sum, as the client's
+    chain subtraction leaves it.  Solutions are compared as packed rows, so
+    every slot must come back reduced.
     """
     field = PrimeField(5)
     block = [[1, 2], [0, 3]]
@@ -122,23 +129,26 @@ def test_solve_matches_brute_force_f5():
         matrix = FieldMatrix(field, rows)
         for rhs in ([1, 0], [2, 3]):
             expected = brute_force_solutions(field, rows, rhs)
-            column = [[v] for v in rhs]
+            column = packed([v] for v in rhs)
             if len(expected) == 1:
-                assert solve_linear_system(matrix, column) == [[v] for v in expected[0]]
+                assert solve_linear_system(matrix, column, 1) == packed([v] for v in expected[0])
             else:
                 with pytest.raises(SingularMatrix):
-                    solve_linear_system(matrix, column)
+                    solve_linear_system(matrix, column, 1)
         columns = [brute_force_solutions(field, rows, col) for col in zip(*block)]
         if all(len(sols) == 1 for sols in columns):
-            solved = solve_linear_system(matrix, block)
-            assert [list(col) for col in zip(*solved)] == [sols[0] for sols in columns]
+            solved = solve_linear_system(matrix, packed(block), 2)
+            assert solved == packed(zip(*(sols[0] for sols in columns)))
         else:
             with pytest.raises(SingularMatrix):
-                solve_linear_system(matrix, block)
+                solve_linear_system(matrix, packed(block), 2)
     rng = random.Random(5)
     for q in (17, 2**31 - 1):
         field = PrimeField(q)
         for symbols in (1, 3, 256):
+            # q·(q-1) in every slot, 65534 times: a multiple of q that keeps
+            # each right-hand slot below the 2^78 bound of a packed sum
+            padding = 65534 * q * pack_row([q - 1] * symbols)
             for trial in range(8):
                 a, b, c, d = (rng.randrange(q) for _ in range(4))
                 # the first system of each size is singular: row 2 = 2 * row 1
@@ -147,34 +157,67 @@ def test_solve_matches_brute_force_f5():
                     [rng.choice((0, q - 1, rng.randrange(q))) for _ in range(symbols)]
                     for _ in range(2)
                 ]
+                rhs = [row + padding for row in packed(block)]
                 columns = [cramer_2x2(q, rows, col) for col in zip(*block)]
                 matrix = FieldMatrix(field, rows)
                 if columns[0] is None:
                     with pytest.raises(SingularMatrix):
-                        solve_linear_system(matrix, block)
+                        solve_linear_system(matrix, rhs, symbols)
                 else:
-                    solved = solve_linear_system(matrix, block)
-                    assert [list(col) for col in zip(*solved)] == columns
+                    solved = solve_linear_system(matrix, rhs, symbols)
+                    assert solved == packed(zip(*columns))
 
 
 def test_solve_known_3x3():
     # x=2, y=3, z=5 over F_17
     field = PrimeField(17)
     matrix = FieldMatrix(field, [[1, 1, 1], [2, 1, 0], [0, 3, 2]])
-    rhs = [[10], [7], [2]]
-    assert solve_linear_system(matrix, rhs) == [[2], [3], [5]]
+    rhs = [pack_row([10]), pack_row([7]), pack_row([2])]
+    assert solve_linear_system(matrix, rhs, 1) == [2, 3, 5]
 
 
 def test_solve_rejects_non_square():
     field = PrimeField(5)
     with pytest.raises(ValueError):
-        solve_linear_system(FieldMatrix(field, [[1, 2]]), [[1]])
+        solve_linear_system(FieldMatrix(field, [[1, 2]]), [pack_row([1])], 1)
 
 
 def test_solve_rejects_ragged_block():
+    """A right-hand row with more slots than `symbols`, or a negative one."""
     field = PrimeField(5)
+    matrix = FieldMatrix(field, [[1, 0], [0, 1]])
     with pytest.raises(ValueError):
-        solve_linear_system(FieldMatrix(field, [[1, 0], [0, 1]]), [[1, 2], [3]])
+        solve_linear_system(matrix, [pack_row([1, 2]), pack_row([3])], 1)
+    with pytest.raises(ValueError):
+        solve_linear_system(matrix, [pack_row([1]), -1], 1)
+
+
+@pytest.mark.parametrize("symbols", [1, 2, 256])
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 65521, 2**31 - 1])
+def test_reduce_packed_matches_mod(q, symbols):
+    """Every slot comes back as slot % q, compared as packed rows so a slot
+    left at or above q, or above 2^64, shows.  Slots run from 0 to 2^126 - 1,
+    past the 2^78 bound of a packed sum and the 2^125 of a solver
+    combination; half the random ones are moved to residue q - 1, where a
+    quotient too large by a fraction of 1/q would round up.  Rounding the
+    quotient multiplier down instead of up fails this test, and so does
+    leaving out the fold at 62 bits."""
+    rng = random.Random(q * symbols)
+    edges = [
+        0, q - 1, q, 2 * q - 1, 2**62, 2**64 - 1, 2**64, 2**78 - 1,
+        65535 * (q - 1) ** 2, 2**125, 2**126 - 1,
+    ]
+    randoms = [rng.randrange(2**78) for _ in range(20)] + [
+        rng.randrange(q, 2**126 - q) for _ in range(20)
+    ]
+    slots = edges + randoms + [v - v % q + q - 1 for v in randoms]
+    for trial in range(len(slots)):
+        # each edge value in every slot position, then random mixtures
+        row = [slots[(trial + j) % len(slots)] for j in range(symbols)]
+        if trial % 2:
+            rng.shuffle(row)
+        value = sum(v << 128 * j for j, v in enumerate(row))
+        assert reduce_packed(value, symbols, q) == pack_row([v % q for v in row]), row
 
 
 def test_combine_rows_reduces_to_residues():

@@ -24,7 +24,7 @@ from opir import (
     run_session,
     server_from_config,
 )
-from opir import wire
+from opir import net, wire
 from conftest import GOLDEN_SEED, counting_database
 
 
@@ -181,13 +181,9 @@ def test_param_mismatch_raised_locally(golden_server):
         RemoteSession(address, side, expect={"symbols": 2})
 
 
-def test_client_refuses_server_hello_with_huge_l():
-    """A server HELLO whose l is not the one K and M imply is InvalidParams,
-    decided without raising 2 to that l."""
-    reply = wire.Hello(
-        k=12, m=2, l=2**24, q=17, symbols=1,
-        x_points=tuple(range(20, 32)), y_points=tuple(range(5)),
-    )
+def _refuse_hello_from_fake_server(reply, side, expect=None):
+    """Connect a RemoteSession to a server that answers every HELLO with
+    `reply`; returns the exception the constructor raised."""
     listener = socket.create_server(("127.0.0.1", 0))
 
     def fake_server():
@@ -200,12 +196,44 @@ def test_client_refuses_server_hello_with_huge_l():
     thread = threading.Thread(target=fake_server, daemon=True)
     thread.start()
     try:
-        side = SideInformation.from_database(counting_database(), [2, 3])
-        with pytest.raises(InvalidParams, match="K must equal"):
-            RemoteSession(listener.getsockname(), side)
+        with pytest.raises(Exception) as info:
+            RemoteSession(listener.getsockname(), side, expect=expect)
+        return info.value
     finally:
         thread.join(timeout=5)
         listener.close()
+
+
+def test_client_refuses_server_hello_with_huge_l():
+    """A server HELLO whose l is not the one K and M imply is InvalidParams,
+    decided without raising 2 to that l."""
+    reply = wire.Hello(
+        k=12, m=2, l=2**24, q=17, symbols=1,
+        x_points=tuple(range(20, 32)), y_points=tuple(range(5)),
+    )
+    side = SideInformation.from_database(counting_database(), [2, 3])
+    exc = _refuse_hello_from_fake_server(reply, side)
+    assert isinstance(exc, InvalidParams)
+    assert "K must equal" in str(exc)
+
+
+def test_client_refuses_unexpected_server_shape_before_building(monkeypatch):
+    """A client that expects K=16, M=3 refuses a valid K=2048, M=1023 HELLO
+    with matching points as ParamMismatch, without building its 2048 x 1024
+    coding matrix."""
+    builds = []
+    monkeypatch.setattr(net, "build_cauchy", lambda *args: builds.append(args))
+    q = 2**31 - 1
+    reply = wire.Hello(
+        k=2048, m=1023, l=1, q=q, symbols=1,
+        x_points=tuple(range(1, 2049)), y_points=tuple(range(3000, 4024)),
+    )
+    database = Database.random(16, 1, q, random.Random(1))
+    side = SideInformation.from_database(database, [1, 2, 3])
+    exc = _refuse_hello_from_fake_server(reply, side, expect={"k": 16, "m": 3})
+    assert isinstance(exc, ParamMismatch)
+    assert str(exc) == "k=16 requested, server has 2048"
+    assert builds == []
 
 
 def test_matching_expectations_are_accepted(golden_server):

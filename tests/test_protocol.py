@@ -19,10 +19,11 @@ from opir import (
     Server,
     SideInformation,
     build_cauchy,
+    next_prime,
     run_session,
     validate_query,
 )
-from opir.field import MAX_MODULUS
+from opir.field import MAX_MODULUS, pack_row
 from opir.protocol import derive_l
 from conftest import GOLDEN_ROUND1_BLOCKS, GOLDEN_SEED, GRID, counting_database, random_session
 
@@ -277,6 +278,32 @@ def test_multi_symbol_messages(k, m, symbols):
             assert len(value) == symbols
             assert value == db.message(idx)
     assert set(side).union(*result.recovered) == set(range(1, k + 1))
+
+
+@pytest.mark.parametrize("symbols", [1, 3])
+def test_client_keeps_every_known_message_packed_and_canonical(symbols):
+    """After every round, on the default and the smallest field, the
+    client's packed cache holds exactly its known messages, each as
+    pack_row of its residues.  The solver's slot bound rests on every kept
+    row being canonical."""
+    for k, m in GRID:
+        for q in (None, next_prime(k + m * derive_l(k, m) + 1)):
+            for seed in range(4):
+                params = ProtocolParams.create(k, m, q=q, symbols=symbols)
+                rng = random.Random(seed)
+                database = Database.random(k, symbols, params.q, rng)
+                side = SideInformation.from_database(
+                    database, sorted(rng.sample(range(1, k + 1), m))
+                )
+                server = Server(database, params)
+                client = Client(params, side, server.cauchy, seed=seed)
+                for _ in range(params.max_rounds):
+                    demand = rng.choice([i for i in range(1, k + 1) if i not in client.known])
+                    client.decode_answer(server.answer(client.build_query(demand)))
+                    assert client._packed == {
+                        i: pack_row(value) for i, value in client.known.items()
+                    }
+                assert len(client.known) == k
 
 
 def test_deterministic_transcripts():
