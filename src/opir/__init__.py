@@ -12,27 +12,21 @@ TCP transport), cli (command line).
 """
 
 from .audit import (
-    Hypothesis,
-    PosteriorTable,
     capacity,
-    capacity_table,
     enumerate_hypotheses,
     measured_rate,
     posterior,
     rank_profile,
 )
 from .cauchy import (
-    CauchyMatrix,
     all_merge_systems_invertible,
     build_cauchy,
-    canonical_points,
     round_column_indices,
 )
 from .errors import (
     AnswerMismatch,
     DecodeError,
     DemandKnown,
-    DivisionByZero,
     FieldTooSmall,
     InconsistentTranscript,
     InvalidParams,
@@ -45,92 +39,54 @@ from .errors import (
     SingularMatrix,
     SingularSystem,
 )
-from .field import (
-    FieldMatrix,
-    PrimeField,
-    is_prime,
-    matrix_rank,
-    next_prime,
-    solve_linear_system,
-)
-from .net import (
-    RemoteSession,
-    SessionConfig,
-    create_server,
-    run_remote_session,
-    server_from_config,
-)
+from .field import is_prime, matrix_rank
+from .net import create_server, run_remote_session
 from .protocol import (
-    SESSION_PRIME,
     Client,
     Database,
     PartitionQuery,
     ProtocolParams,
-    RoundAnswer,
     Server,
-    SessionResult,
     SideInformation,
-    Transcript,
-    TranscriptRound,
     run_session,
-    session_cauchy,
-    validate_query,
 )
 
 __version__ = "0.1.0"
 
+# The names the README documents and the acceptance tests import, plus
+# every exception class; everything else is imported from its module.
 __all__ = [
-    "SESSION_PRIME",
     "AnswerMismatch",
-    "CauchyMatrix",
     "Client",
     "Database",
     "DecodeError",
     "DemandKnown",
-    "DivisionByZero",
-    "FieldMatrix",
     "FieldTooSmall",
-    "Hypothesis",
     "InconsistentTranscript",
     "InvalidParams",
     "MalformedQuery",
     "OpirError",
     "ParamMismatch",
     "PartitionQuery",
-    "PosteriorTable",
-    "PrimeField",
     "ProtocolOrder",
     "ProtocolParams",
-    "RemoteSession",
-    "RoundAnswer",
     "RoundOutOfRange",
     "RoundsExhausted",
     "Server",
-    "SessionConfig",
-    "SessionResult",
     "SideInformation",
     "SingularMatrix",
     "SingularSystem",
-    "Transcript",
-    "TranscriptRound",
     "all_merge_systems_invertible",
     "build_cauchy",
-    "canonical_points",
     "capacity",
-    "capacity_table",
     "create_server",
     "enumerate_hypotheses",
     "is_prime",
     "matrix_rank",
     "measured_rate",
-    "next_prime",
     "posterior",
     "rank_profile",
     "round_column_indices",
     "run_remote_session",
     "run_session",
-    "server_from_config",
-    "session_cauchy",
-    "solve_linear_system",
-    "validate_query",
 ]

@@ -30,10 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cauchy import round_column_indices
+from .cauchy import derive_l, round_column_indices
 from .errors import InconsistentTranscript, RoundOutOfRange
 from .field import FieldMatrix, matrix_rank
-from .protocol import PartitionQuery, Transcript, derive_l
+from .protocol import PartitionQuery, Transcript
 
 
 @dataclass(frozen=True)
@@ -236,7 +236,6 @@ def rank_profile(transcript: Transcript) -> tuple[tuple[int, int], ...]:
     blocks partition [1..K]; InconsistentTranscript when they do not.
     """
     params = transcript.params
-    field = params.field
     cauchy = transcript.cauchy()
     indices = list(range(1, params.k + 1))
     profile = []
@@ -248,6 +247,6 @@ def rank_profile(transcript: Transcript) -> tuple[tuple[int, int], ...]:
         rank = 0
         for block in blocks:
             rows = [[cauchy.coeff(u, c) for u in block] for c in columns]
-            rank += matrix_rank(FieldMatrix(field, rows))
+            rank += matrix_rank(FieldMatrix(params.q, rows))
         profile.append((i, rank))
     return tuple(profile)

@@ -15,6 +15,10 @@ residue-sum criterion it checks.
 Round 1 uses column 1 alone; round i >= 2 uses the M-column block
 (i-2)M+2 .. (i-1)M+1.  Successive rounds therefore draw on disjoint columns,
 and the l+1 possible rounds together consume exactly the Ml+1 columns.
+
+A CauchyMatrix stores M, its points and its entries, nothing else: K is
+the number of x-points, q is the entries' modulus, and l is derive_l(K, M),
+so none of them can disagree with the matrix they describe.
 """
 
 from __future__ import annotations
@@ -23,23 +27,25 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import FieldTooSmall, InvalidParams, RoundOutOfRange
-from .field import FieldMatrix, PrimeField
+from .field import FieldMatrix, check_modulus
+
+
+def derive_l(k: int, m: int) -> int:
+    """The l with K = (M+1)*2^l; InvalidParams unless K/(M+1) is a power of two >= 2."""
+    ratio = k // (m + 1) if m >= 1 and k % (m + 1) == 0 else 0
+    if ratio < 2 or ratio & (ratio - 1):
+        raise InvalidParams(f"K/(M+1) must be a power of two >= 2: K={k}, M={m}")
+    return ratio.bit_length() - 1
 
 
 @dataclass(frozen=True)
 class CauchyMatrix:
     """The K x (M*l + 1) coding matrix together with its generating points."""
 
-    k: int
     m: int
-    l: int
     x_points: tuple[int, ...]
     y_points: tuple[int, ...]
     matrix: FieldMatrix
-
-    @property
-    def field(self) -> PrimeField:
-        return self.matrix.field
 
     def coeff(self, index: int, column: int) -> int:
         """Entry for message `index` and coding column `column`, both 1-based."""
@@ -68,10 +74,12 @@ def build_cauchy(
 ) -> CauchyMatrix:
     """Build the K x (M*l + 1) coding matrix over F_q.
 
-    When the point sets are omitted, the canonical sets from
-    :func:`canonical_points` are used.  Callers may supply their own, for
-    instance points read from a transcript or a server's HELLO, as long as
-    all K + Ml + 1 points are distinct; InvalidParams otherwise.
+    l must be derive_l(k, m): it stays a parameter so that callers name the
+    shape they expect, and any other l is InvalidParams.  When the point
+    sets are omitted, the canonical sets from :func:`canonical_points` are
+    used.  Callers may supply their own, for instance points read from a
+    transcript or a server's HELLO, as long as all K + Ml + 1 points are
+    distinct; InvalidParams otherwise.
 
     All K(Ml+1) entries cost one field inversion (Montgomery's batch
     inversion): a forward pass keeps the prefix products of the differences
@@ -80,10 +88,14 @@ def build_cauchy(
     zero difference would zero the whole product and make every entry
     wrong, not just its own, so the distinctness check runs first.
     """
+    want = derive_l(k, m)
+    if l != want:
+        raise InvalidParams(f"K={k}, M={m} imply l={want}, got l={l}")
+    # pow(·, -1, q) below raises ValueError on a composite q, so check first.
+    check_modulus(q)
     cols = m * l + 1
     if q < k + cols:
         raise FieldTooSmall(f"need q >= {k + cols} for K={k}, M={m}, l={l}; got q={q}")
-    field = PrimeField(q)
     if x_points is None and y_points is None:
         x_points, y_points = canonical_points(q, k, m, l)
     elif x_points is None or y_points is None:
@@ -101,17 +113,14 @@ def build_cauchy(
     for d in diffs:
         running = running * d % q
         prefix.append(running)
-    inverse = field.inv(running)
+    inverse = pow(running, -1, q)
     flat = [0] * len(diffs)
     for n in range(len(diffs) - 1, 0, -1):
         flat[n] = inverse * prefix[n - 1] % q
         inverse = inverse * diffs[n] % q
     flat[0] = inverse
     entries = [flat[i : i + cols] for i in range(0, len(flat), cols)]
-    return CauchyMatrix(
-        k=k, m=m, l=l, x_points=x_points, y_points=y_points,
-        matrix=FieldMatrix(field, entries),
-    )
+    return CauchyMatrix(m, x_points, y_points, FieldMatrix(q, entries))
 
 
 def round_column_indices(m: int, l: int, round_no: int) -> tuple[int, ...]:
@@ -157,22 +166,22 @@ def all_merge_systems_invertible(cauchy: CauchyMatrix) -> bool:
     e.g. K=8, M=1 has a merged block whose residue sum is identically zero
     over the integers.  Safe defaults therefore use searched point sets.
     """
-    if cauchy.l < 2:
-        return True
-    q = cauchy.field.q
     xs = cauchy.x_points
     ys = cauchy.y_points
     m = cauchy.m
+    if derive_l(len(xs), m) < 2:
+        return True
+    q = cauchy.matrix.q
     size = m + 1
     # per-index numerator prod_{j>=2}(x_i - y_j) is block-independent
     wcache = []
-    for i in range(cauchy.k):
+    for i in range(len(xs)):
         xi = xs[i]
         w = 1
         for j in range(1, 2 * m + 1):
             w = w * (xi - ys[j]) % q
         wcache.append(w)
-    for union in itertools.combinations(range(cauchy.k), 2 * size):
+    for union in itertools.combinations(range(len(xs)), 2 * size):
         dens = {}
         for i in union:
             xi = xs[i]

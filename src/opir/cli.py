@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import secrets
 import sys
 from fractions import Fraction
 
@@ -37,8 +38,8 @@ def _int_list(text: str) -> list[int]:
 
 def _address(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
-    if not sep or not port.isdigit():
-        raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {text!r}")
+    if not sep or not port.isdigit() or int(port) > 0xFFFF:
+        raise argparse.ArgumentTypeError(f"expected HOST:PORT, port 0..65535, got {text!r}")
     return (host or "127.0.0.1", int(port))
 
 
@@ -51,7 +52,9 @@ def _resolve_seed(value: int | None) -> int:
             return int(env)
         except ValueError:
             raise OpirError(f"OPIR_SEED must be an integer, got {env!r}")
-    return random.SystemRandom().randrange(2**32)
+    # 256 bits, so the seed cannot be searched for; it is printed, so the
+    # run still replays from --seed.
+    return secrets.randbits(256)
 
 
 def _derived_rng(seed: int, stream: str) -> random.Random:

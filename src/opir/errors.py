@@ -5,10 +5,6 @@ class OpirError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DivisionByZero(OpirError, ZeroDivisionError):
-    """Inversion or division by the zero element."""
-
-
 class SingularMatrix(OpirError):
     """A square system has no unique solution (rank-deficient matrix)."""
 

@@ -1,10 +1,12 @@
 """Exact arithmetic over prime fields, plus the dense linear algebra built on it.
 
-Everything in this module is integer math: field elements are canonical
-residues in [0, q), matrices are row-major grids of residues, and the solver
-and the rank routine share one Gauss-Jordan elimination mod q.  No floating
-point is used anywhere, so every result is exact and identical across
-platforms.
+A field F_q is named by its modulus alone: q is a plain int that
+`check_modulus` accepts, and an element is a canonical residue in [0, q).  An
+inverse is `pow(a, -1, q)`; nothing here inverts zero, since elimination
+inverts only nonzero pivots.  Matrices are row-major grids of residues,
+and the solver and the rank routine share one Gauss-Jordan elimination
+mod q.  No floating point is used anywhere, so every result is exact and
+identical across platforms.
 
 A message is a row of S residues on which scalar coefficients act
 componentwise; no extension-field multiplication is ever needed or provided.
@@ -25,7 +27,7 @@ import sys
 from array import array
 from collections.abc import Sequence
 
-from .errors import DivisionByZero, SingularMatrix
+from .errors import InvalidParams, SingularMatrix
 
 # Keeping q below 2^31 means every product of two residues fits in a native
 # 64-bit integer; desk-scale parameters never get anywhere near this.
@@ -34,11 +36,11 @@ MAX_MODULUS = 1 << 31
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-# Every ProtocolParams, PrimeField and build_cauchy checks its modulus, and a
-# session or audit makes several of them for one q, so each modulus is tested
-# once per process.  The memo is bounded: a peer that names a new q in every
-# HELLO only evicts older entries.  typed=True keeps 17.0 and True apart
-# from 17 and 1.
+# check_modulus runs for every ProtocolParams, Database, FieldMatrix and
+# build_cauchy, and a session or audit makes many of them for one q, so each
+# modulus is tested once per process.  The memo is bounded: a peer that
+# names a new q in every HELLO only evicts older entries.  typed=True keeps
+# 17.0 and True apart from 17 and 1.
 @functools.lru_cache(maxsize=256, typed=True)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; exact for all n < 3.3e24."""
@@ -72,43 +74,27 @@ def next_prime(n: int) -> int:
     return c
 
 
-class PrimeField:
-    """The prime field F_q.
-
-    Arithmetic methods take and return canonical residues (plain ints in
-    [0, q)).
-    """
-
-    __slots__ = ("q",)
-
-    def __init__(self, q: int):
-        if not isinstance(q, int) or not is_prime(q):
-            raise ValueError(f"field modulus must be prime, got {q!r}")
-        if q >= MAX_MODULUS:
-            raise ValueError(f"field modulus {q} exceeds the 2^31 cap")
-        self.q = q
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.q})"
-
-    def inv(self, a: int) -> int:
-        a %= self.q
-        if a == 0:
-            raise DivisionByZero("zero has no multiplicative inverse")
-        return pow(a, -1, self.q)
+def check_modulus(q: int) -> None:
+    """InvalidParams unless q is an int that is prime and below MAX_MODULUS (2^31)."""
+    if not isinstance(q, int):
+        raise InvalidParams(f"field modulus must be an integer, got {q!r}")
+    if q >= MAX_MODULUS:
+        raise InvalidParams(f"q={q} exceeds the field cap 2^31")
+    if not is_prime(q):
+        raise InvalidParams(f"q={q} is not prime")
 
 
 class FieldMatrix:
-    """Dense row-major matrix of canonical residues over one field.
+    """Dense row-major matrix of canonical residues over F_q.
 
     Row and column indices are 0-based; this is generic linear algebra, not
     the 1-based message-index convention used by the protocol layer.
     """
 
-    __slots__ = ("field", "rows", "cols", "_data")
+    __slots__ = ("q", "rows", "cols", "_data")
 
-    def __init__(self, field: PrimeField, data: Sequence[Sequence[int]]):
-        q = field.q
+    def __init__(self, q: int, data: Sequence[Sequence[int]]):
+        check_modulus(q)
         rows = [tuple(v % q for v in row) for row in data]
         if rows:
             width = len(rows[0])
@@ -116,7 +102,7 @@ class FieldMatrix:
                 raise ValueError("ragged rows in matrix data")
         else:
             width = 0
-        self.field = field
+        self.q = q
         self.rows = len(rows)
         self.cols = width
         self._data = tuple(rows)
@@ -128,12 +114,10 @@ class FieldMatrix:
         return self._data[row]
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "FieldMatrix":
-        return FieldMatrix(
-            self.field, [[self._data[r][c] for c in col_idx] for r in row_idx]
-        )
+        return FieldMatrix(self.q, [[self._data[r][c] for c in col_idx] for r in row_idx])
 
     def __repr__(self) -> str:
-        return f"FieldMatrix({self.rows}x{self.cols} over F_{self.field.q})"
+        return f"FieldMatrix({self.rows}x{self.cols} over F_{self.q})"
 
 
 # Packed rows.  Symbol i of a row sits in bits [128·i, 128·i + 128) of one
@@ -246,8 +230,7 @@ def _gauss_jordan(matrix: FieldMatrix) -> tuple[list[list[int]], list[int]]:
     reduced mod q at each step: any other row update adds less than q^2 per
     entry, so a reader reduces each cell mod q.
     """
-    field = matrix.field
-    q = field.q
+    q = matrix.q
     cells = [list(matrix.row(r)) for r in range(matrix.rows)]
     free = list(range(matrix.rows))
     pivots: list[int] = []
@@ -259,7 +242,7 @@ def _gauss_jordan(matrix: FieldMatrix) -> tuple[list[list[int]], list[int]]:
             continue
         free.remove(p)
         pivots.append(p)
-        inv = field.inv(cells[p][col])
+        inv = pow(cells[p][col], -1, q)
         cells[p][col] = 1
         cells[p] = [v * inv % q for v in cells[p]]
         for r in range(matrix.rows):
@@ -271,7 +254,7 @@ def _gauss_jordan(matrix: FieldMatrix) -> tuple[list[list[int]], list[int]]:
 
 
 def solve_linear_system(matrix: FieldMatrix, rhs: Sequence[int], symbols: int) -> list[int]:
-    """Solve A·X = B exactly over the matrix's field, on packed rows.
+    """Solve A·X = B exactly over F_q, on packed rows.
 
     `rhs` is a block B of n packed rows of `symbols` slots each (S
     right-hand sides side by side, see pack_row); a row may be an unreduced
@@ -291,7 +274,7 @@ def solve_linear_system(matrix: FieldMatrix, rhs: Sequence[int], symbols: int) -
     limit = 1 << 8 * _SLOT_BYTES * symbols
     if not all(0 <= row < limit for row in rhs):
         raise ValueError(f"right-hand side rows must be packed rows of {symbols} symbols")
-    q = matrix.field.q
+    q = matrix.q
     n = matrix.rows
     cells, pivots = _gauss_jordan(matrix)
     if len(pivots) < n:

@@ -27,11 +27,13 @@ from .protocol import (
     SessionResult,
     SideInformation,
     Transcript,
-    TranscriptRound,
     Server as ProtocolServer,
     session_cauchy,
 )
 from . import wire
+
+# Seconds a RemoteSession waits to connect, and then for each read from the server.
+CLIENT_TIMEOUT = 10.0
 
 
 def _is_int(value) -> bool:
@@ -192,9 +194,8 @@ class RemoteSession:
         side: SideInformation,
         seed: int | None = None,
         expect: dict[str, int] | None = None,
-        timeout: float = 10.0,
     ):
-        self._sock = socket.create_connection(address, timeout=timeout)
+        self._sock = socket.create_connection(address, timeout=CLIENT_TIMEOUT)
         self._file = self._sock.makefile("rwb")
         try:
             hello = wire.Hello(**(expect or {}))
@@ -210,7 +211,6 @@ class RemoteSession:
             p = self.params
             cauchy = build_cauchy(p.k, p.m, p.l, p.q, x_points, y_points)
             self.client = Client(self.params, side, cauchy, seed=seed)
-            self._rounds: list[TranscriptRound] = []
         except BaseException:
             self.close()
             raise
@@ -233,18 +233,10 @@ class RemoteSession:
         frame_type, payload = self._read()
         if frame_type != wire.FRAME_ANSWER:
             raise DecodeError("server did not answer the query")
-        answer = wire.decode_answer(payload, self.params.q)
-        recovered = self.client.decode_answer(answer)
-        self._rounds.append(TranscriptRound(query, answer))
-        return recovered
+        return self.client.decode_answer(wire.decode_answer(payload, self.params.q))
 
     def transcript(self) -> Transcript:
-        return Transcript(
-            params=self.params,
-            cauchy_x=self.client.cauchy.x_points,
-            cauchy_y=self.client.cauchy.y_points,
-            rounds=tuple(self._rounds),
-        )
+        return self.client.transcript()
 
     def close(self) -> None:
         try:

@@ -41,6 +41,7 @@ from .cauchy import (
     CauchyMatrix,
     all_merge_systems_invertible,
     build_cauchy,
+    derive_l,
     round_column_indices,
 )
 from .errors import (
@@ -55,11 +56,9 @@ from .errors import (
     SingularSystem,
 )
 from .field import (
-    MAX_MODULUS,
     FieldMatrix,
-    PrimeField,
+    check_modulus,
     combine_packed,
-    is_prime,
     next_prime,
     pack_row,
     packed_sum,
@@ -104,27 +103,19 @@ _session_cauchy_cache: dict[tuple[int, int, int, int], CauchyMatrix] = {}
 
 
 def _check_coding_matrix(cauchy: CauchyMatrix, params: "ProtocolParams") -> None:
-    """InvalidParams unless the coding matrix has the parameters' K, M, l and q."""
-    have = (cauchy.k, cauchy.m, cauchy.l, cauchy.field.q)
-    want = (params.k, params.m, params.l, params.q)
+    """InvalidParams unless the coding matrix has the parameters' K, M and q (l follows)."""
+    have = (len(cauchy.x_points), cauchy.m, cauchy.matrix.q)
+    want = (params.k, params.m, params.q)
     if have != want:
         raise InvalidParams(
-            "coding matrix has K={}, M={}, l={}, q={}; parameters want"
-            " K={}, M={}, l={}, q={}".format(*have, *want)
+            "coding matrix has K={}, M={}, q={}; parameters want"
+            " K={}, M={}, q={}".format(*have, *want)
         )
 
 
 def _canonical(row, q: int) -> bool:
     """True when every symbol of a row is a residue in [0, q); min/max run at C speed."""
     return not row or (0 <= min(row) and max(row) < q)
-
-
-def derive_l(k: int, m: int) -> int:
-    """The l with K = (M+1)*2^l; InvalidParams unless K/(M+1) is a power of two >= 2."""
-    ratio = k // (m + 1) if m >= 1 and k % (m + 1) == 0 else 0
-    if ratio < 2 or ratio & (ratio - 1):
-        raise InvalidParams(f"K/(M+1) must be a power of two >= 2: K={k}, M={m}")
-    return ratio.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -149,10 +140,7 @@ class ProtocolParams:
             raise InvalidParams(
                 f"K and symbols must be at most 65535, got K={self.k}, symbols={self.symbols}"
             )
-        if self.q >= MAX_MODULUS:
-            raise InvalidParams(f"q={self.q} exceeds the field cap 2^31")
-        if not is_prime(self.q):
-            raise InvalidParams(f"q={self.q} is not prime")
+        check_modulus(self.q)
         if self.q < self.k + self.m * l + 1:
             raise InvalidParams(
                 f"need q >= K + M*l + 1 = {self.k + self.m * l + 1}, got q={self.q}"
@@ -178,10 +166,6 @@ class ProtocolParams:
     def l(self) -> int:
         """Rounds after the first: K = (M+1)*2^l."""
         return derive_l(self.k, self.m)
-
-    @cached_property
-    def field(self) -> PrimeField:
-        return PrimeField(self.q)
 
     @property
     def n1(self) -> int:
@@ -261,8 +245,7 @@ class Database:
     def __post_init__(self) -> None:
         if not self.messages:
             raise InvalidParams("database must hold at least one message")
-        if self.q >= MAX_MODULUS or not is_prime(self.q):
-            raise InvalidParams(f"q={self.q} must be a prime below the field cap 2^31")
+        check_modulus(self.q)
         width = len(self.messages[0])
         if width < 1:
             raise InvalidParams("messages need at least one symbol")
@@ -467,17 +450,19 @@ class Client:
         self._packed: dict[int, int] = {i: pack_row(msg) for i, msg in side.values}
         # The known block the next round merges with the demand's block.
         self.merged_chain: frozenset[int] = side.indices
-        self._queries: list[PartitionQuery] = []
-        self._answers: list[RoundAnswer] = []
-        self._pending_demand: int | None = None
+        # The decoded rounds are the session's transcript; a query sent but
+        # not yet decoded waits beside them with its demand.
+        self._rounds: list[TranscriptRound] = []
+        self._pending: tuple[PartitionQuery, int] | None = None
 
-    @property
-    def rounds_completed(self) -> int:
-        return len(self._answers)
-
-    @property
-    def has_pending_query(self) -> bool:
-        return len(self._queries) > len(self._answers)
+    def transcript(self) -> Transcript:
+        """What the server has seen of this session: its coding points and the decoded rounds."""
+        return Transcript(
+            params=self.params,
+            cauchy_x=self.cauchy.x_points,
+            cauchy_y=self.cauchy.y_points,
+            rounds=tuple(self._rounds),
+        )
 
     def build_query(self, demand: int) -> PartitionQuery:
         """Build the next round's query for the given demand index.
@@ -486,9 +471,9 @@ class Client:
         singleton at round 1); the other previous blocks are grouped at
         random, M+1 singletons at round 1 and two blocks after.
         """
-        if self.has_pending_query:
+        if self._pending is not None:
             raise ProtocolOrder("previous query has not been answered and decoded")
-        round_no = self.rounds_completed + 1
+        round_no = len(self._rounds) + 1
         if round_no > self.params.max_rounds:
             raise RoundsExhausted(
                 f"all {self.params.max_rounds} rounds used; every message is known"
@@ -498,14 +483,13 @@ class Client:
         if demand in self.known:
             raise DemandKnown(f"message {demand} is already known")
         query = self._build_merge_round(round_no, demand)
-        self._queries.append(query)
-        self._pending_demand = demand
+        self._pending = (query, demand)
         return query
 
     def _previous(self, round_no: int) -> PartitionQuery:
         """The partition round round_no merges: singletons 1..K before round 1."""
         if round_no > 1:
-            return self._queries[round_no - 2]
+            return self._rounds[round_no - 2].query
         return PartitionQuery(0, tuple((i,) for i in range(1, self.params.k + 1)))
 
     def _build_merge_round(self, round_no: int, demand: int) -> PartitionQuery:
@@ -528,9 +512,9 @@ class Client:
         (the demand alone at round 1) by solving a square system assembled
         from the entire history.
         """
-        if not self.has_pending_query:
+        if self._pending is None:
             raise ProtocolOrder("no outstanding query to decode an answer for")
-        query = self._queries[-1]
+        query, demand = self._pending
         round_no = query.round_no
         if answer.round_no != round_no:
             raise AnswerMismatch(
@@ -545,13 +529,11 @@ class Client:
             raise AnswerMismatch("packet symbol count does not match parameters")
         if not all(_canonical(p, self.params.q) for p in answer.packets):
             raise AnswerMismatch("packet symbols must be residues mod q")
-        demand = self._pending_demand
-        assert demand is not None
         recovered = self._decode_merge_round(query, answer, demand)
         self.merged_chain = frozenset(query.block_containing(demand))
         self.known.update(recovered)
-        self._answers.append(answer)
-        self._pending_demand = None
+        self._rounds.append(TranscriptRound(query, answer))
+        self._pending = None
         return recovered
 
     def _decode_merge_round(
@@ -567,18 +549,16 @@ class Client:
 
         # History packets fully supported inside the target block need no
         # subtraction: their support is disjoint from everything known.
-        for r in range(1, query.round_no):
-            past_q = self._queries[r - 1]
-            past_a = self._answers[r - 1]
+        for r, past in enumerate(self._rounds, start=1):
             columns = round_column_indices(params.m, params.l, r)
-            for bi, block in enumerate(past_q.blocks):
+            for bi, block in enumerate(past.query.blocks):
                 if not set(block) <= target_set:
                     continue
                 for ci, col in enumerate(columns):
                     rows.append(
                         [self.cauchy.coeff(u, col) if u in block else 0 for u in unknowns]
                     )
-                    rhs.append(pack_row(past_a.packets[bi * len(columns) + ci]))
+                    rhs.append(pack_row(past.answer.packets[bi * len(columns) + ci]))
 
         # Current round: the merged block is target + chain; subtract the
         # chain contributions (all known) to restrict support to the target.
@@ -600,7 +580,7 @@ class Client:
                 f"assembled {len(rows)} equations for {len(unknowns)} unknowns"
             )
         try:
-            solution = solve_linear_system(FieldMatrix(params.field, rows), rhs, params.symbols)
+            solution = solve_linear_system(FieldMatrix(params.q, rows), rhs, params.symbols)
         except SingularMatrix as exc:
             raise SingularSystem(
                 "decode system is singular; coding matrix property violated"
@@ -678,7 +658,6 @@ def run_session(
     side_indices,
     demands,
     seed: int | None = None,
-    cauchy: CauchyMatrix | None = None,
 ) -> SessionResult:
     """Drive a full in-process session: one build/answer/decode per demand.
 
@@ -686,19 +665,9 @@ def run_session(
     simulations the client would already hold them).
     """
     side = SideInformation.from_database(database, side_indices)
-    server = Server(database, params, cauchy)
+    server = Server(database, params)
     client = Client(params, side, server.cauchy, seed=seed)
-    rounds: list[TranscriptRound] = []
-    recovered: list[dict[int, Message]] = []
-    for demand in demands:
-        query = client.build_query(demand)
-        answer = server.answer(query)
-        recovered.append(client.decode_answer(answer))
-        rounds.append(TranscriptRound(query, answer))
-    transcript = Transcript(
-        params=params,
-        cauchy_x=server.cauchy.x_points,
-        cauchy_y=server.cauchy.y_points,
-        rounds=tuple(rounds),
+    recovered = tuple(
+        client.decode_answer(server.answer(client.build_query(demand))) for demand in demands
     )
-    return SessionResult(transcript=transcript, recovered=tuple(recovered))
+    return SessionResult(transcript=client.transcript(), recovered=recovered)

@@ -13,7 +13,7 @@ Payloads:
 * HELLO: k | m | l | q | symbols (4B each, 0 = unspecified) | flags (1B);
   if flags bit 0 is set: x-point count (2B), x points (4B each), y-point
   count (2B), y points (4B each).  A fully specified l must be the one with
-  K = (M+1)*2^l.
+  K = (M+1)*2^l, and a coding point read from a HELLO must be below q.
 * ERROR: code (1B) | reason length (2B) | UTF-8 reason.
 * BYE: empty.
 
@@ -317,6 +317,9 @@ class Hello:
         assert self.x_points is not None and self.y_points is not None
         if len(self.x_points) != params.k or len(self.y_points) != params.m * params.l + 1:
             raise DecodeError("coding point counts do not match parameters")
+        # A point at or above q would reach build_cauchy reduced, so the same
+        # session would have two encodings.
+        _check_residues(self.x_points + self.y_points, params.q, "coding point")
         return params, self.x_points, self.y_points
 
 

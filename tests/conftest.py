@@ -4,17 +4,8 @@ import random
 
 import pytest
 
-from opir import (
-    Client,
-    Database,
-    ProtocolParams,
-    Server,
-    SessionResult,
-    SideInformation,
-    Transcript,
-    TranscriptRound,
-    run_session,
-)
+from opir import Client, Database, ProtocolParams, Server, SideInformation, run_session
+from opir.protocol import SessionResult
 
 # Every (K, M) pair exercised by the acceptance suite; l is implied.
 GRID = [(4, 1), (8, 1), (8, 3), (12, 2), (16, 3)]
@@ -84,20 +75,10 @@ def random_session(
     total = params.max_rounds if rounds is None else rounds
     demands: list[int] = []
     recovered = []
-    transcript_rounds = []
     for _ in range(total):
         unknown = [i for i in range(1, k + 1) if i not in client.known]
         demand = rng.choice(unknown)
         demands.append(demand)
-        query = client.build_query(demand)
-        answer = server.answer(query)
-        recovered.append(client.decode_answer(answer))
-        transcript_rounds.append(TranscriptRound(query, answer))
-    transcript = Transcript(
-        params=params,
-        cauchy_x=server.cauchy.x_points,
-        cauchy_y=server.cauchy.y_points,
-        rounds=tuple(transcript_rounds),
-    )
-    result = SessionResult(transcript=transcript, recovered=tuple(recovered))
+        recovered.append(client.decode_answer(server.answer(client.build_query(demand))))
+    result = SessionResult(transcript=client.transcript(), recovered=tuple(recovered))
     return params, database, side_indices, demands, result

@@ -9,18 +9,13 @@ import pytest
 from opir import audit, field, protocol
 from opir.wire import transcript_from_bytes, transcript_to_bytes
 from opir import (
-    SESSION_PRIME,
     Database,
     InconsistentTranscript,
     InvalidParams,
     PartitionQuery,
     ProtocolParams,
-    RoundAnswer,
     RoundOutOfRange,
-    Transcript,
-    TranscriptRound,
     capacity,
-    capacity_table,
     enumerate_hypotheses,
     matrix_rank,
     measured_rate,
@@ -28,6 +23,8 @@ from opir import (
     rank_profile,
     run_session,
 )
+from opir.audit import capacity_table
+from opir.protocol import SESSION_PRIME, RoundAnswer, Transcript, TranscriptRound
 from conftest import GRID, counting_database, random_session
 
 
@@ -356,8 +353,8 @@ def test_rank_profile_builds_coding_matrix_once(golden, monkeypatch):
 
 
 def test_audit_tests_primality_once_per_modulus():
-    """Decoding and auditing a transcript makes several ProtocolParams,
-    PrimeField and build_cauchy calls for one q; Miller-Rabin runs once."""
+    """Decoding and auditing a transcript checks one q in several
+    ProtocolParams, FieldMatrix and build_cauchy calls; Miller-Rabin runs once."""
     _, _, _, _, result = random_session(16, 1, seed=5)
     data = transcript_to_bytes(result.transcript)
     field.is_prime.cache_clear()
@@ -388,7 +385,7 @@ def k_wide_round_matrix(transcript, round_no):
             rows.append(
                 [cauchy.coeff(u, col) if u in block else 0 for u in range(1, params.k + 1)]
             )
-    return field.FieldMatrix(params.field, rows)
+    return field.FieldMatrix(params.q, rows)
 
 
 def k_wide_rank_profile(transcript):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -6,21 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opir import (
-    SESSION_PRIME,
-    FieldMatrix,
     FieldTooSmall,
     InvalidParams,
-    PrimeField,
     ProtocolParams,
     RoundOutOfRange,
     all_merge_systems_invertible,
     build_cauchy,
-    canonical_points,
     matrix_rank,
-    next_prime,
     round_column_indices,
-    session_cauchy,
 )
+from opir import cauchy as cauchy_module
+from opir.cauchy import canonical_points
+from opir.field import FieldMatrix, next_prime
+from opir.protocol import SESSION_PRIME, session_cauchy
 from conftest import GOLDEN_MATRIX
 
 
@@ -79,6 +78,20 @@ def test_rejects_bad_points():
         build_cauchy(4, 1, 1, q=11, x_points=(1, 2, 3, 4))
 
 
+def test_build_refuses_other_l_and_composite_modulus():
+    """l is derived from K and M, so any other l is refused; a composite q
+    is InvalidParams from check_modulus, before pow(·, -1, q) could raise
+    ValueError.  Neither is a CauchyMatrix field: K, q and l derive."""
+    for l in (0, 1, 3):
+        with pytest.raises(InvalidParams):
+            build_cauchy(12, 2, l, q=17)
+    for q in (15, 21, 25):
+        with pytest.raises(InvalidParams):
+            build_cauchy(4, 1, 1, q=q)
+    cauchy = build_cauchy(12, 2, 2, q=17)
+    assert [f.name for f in dataclasses.fields(cauchy)] == ["m", "x_points", "y_points", "matrix"]
+
+
 def test_round_column_indices():
     # l=2, M=2: five columns split 1 / 2,3 / 4,5
     assert round_column_indices(2, 2, 1) == (1,)
@@ -120,8 +133,13 @@ def test_build_makes_one_inversion(monkeypatch):
     """Every entry comes out of one batch inversion, and bad points are
     refused before it: a zero difference would corrupt every entry."""
     calls = []
-    real = PrimeField.inv
-    monkeypatch.setattr(PrimeField, "inv", lambda self, a: calls.append(a) or real(self, a))
+
+    def counting_pow(base, exp, mod=None):
+        if exp == -1:
+            calls.append(base)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(cauchy_module, "pow", counting_pow, raising=False)
     points = session_cauchy(ProtocolParams.create(32, 1))
     q = SESSION_PRIME
     calls.clear()
@@ -164,7 +182,7 @@ def merge_oracle_invertible(cauchy, left, right):
         rows.append([cauchy.coeff(u, 1) if u in blk else 0 for u in union])
     for col in range(2, 2 * cauchy.m + 2):
         rows.append([cauchy.coeff(u, col) for u in union])
-    return matrix_rank(FieldMatrix(cauchy.field, rows)) == len(union)
+    return matrix_rank(FieldMatrix(cauchy.matrix.q, rows)) == len(union)
 
 
 def all_splits(k, m):
@@ -225,7 +243,7 @@ def test_session_matrices_certified_for_grid():
     """Every three-round grid shape ships a fully decode-safe default matrix."""
     for k, m in [(8, 1), (12, 2), (16, 3)]:
         cauchy = session_cauchy(ProtocolParams.create(k, m))
-        assert cauchy.field.q == SESSION_PRIME
+        assert cauchy.matrix.q == SESSION_PRIME
         assert all_merge_systems_invertible(cauchy)
 
 

@@ -4,6 +4,8 @@ import contextlib
 import dataclasses
 import json
 import random
+import re
+import secrets
 import socket
 import subprocess
 import sys
@@ -12,6 +14,7 @@ import time
 import pytest
 
 from opir import Database, PartitionQuery, ProtocolParams, run_session, wire
+from opir import cli
 from opir.cli import main
 from opir.wire import read_database, transcript_from_bytes, transcript_to_bytes, write_database
 from conftest import GOLDEN_SEED, counting_database
@@ -346,6 +349,24 @@ def test_usage_errors_exit_2():
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("port", ["65536", "99999"])
+@pytest.mark.parametrize("command", ["serve", "client"])
+def test_port_outside_range_is_usage_error(command, port, capsys):
+    """A port above 65535 would overflow in bind, or be wrapped modulo
+    65536 by getaddrinfo and reach another port, so it is a usage error."""
+    address = f"127.0.0.1:{port}"
+    if command == "serve":
+        argv = ["serve", "--config", "x.json", "--listen", address]
+    else:
+        argv = ["client", "--connect", address, "--side", "2,3", "--demands", "1", "--db", "x"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "0..65535" in capsys.readouterr().err
+    assert cli._address("127.0.0.1:65535") == ("127.0.0.1", 65535)
+    assert cli._address(":0") == ("127.0.0.1", 0)
+
+
 def test_client_connection_refused(tmp_path, capsys):
     db_path = tmp_path / "db.bin"
     write_database(counting_database(), str(db_path))
@@ -427,6 +448,31 @@ def test_serve_client_end_to_end(tmp_path, capsys):
 
         assert run_cli("audit", "--transcript", str(transcript_path)) == 0
         assert "PASS" in capsys.readouterr().out
+
+
+def test_unseeded_client_draws_256_bits_and_replays(tmp_path, monkeypatch, capsys):
+    """With no --seed and no OPIR_SEED the seed is 256 bits from secrets, too
+    many to search; it is printed, and passing it back replays the run."""
+    monkeypatch.delenv("OPIR_SEED", raising=False)
+    asked = []
+    randbits = secrets.randbits
+    monkeypatch.setattr(cli.secrets, "randbits", lambda bits: asked.append(bits) or randbits(bits))
+    db_path = tmp_path / "db.bin"
+    write_database(counting_database(), str(db_path))
+    first, replay = tmp_path / "first.bin", tmp_path / "replay.bin"
+    with serving(tmp_path, counting_database()) as port:
+        # Two rounds, so that every partition leaves demand 4 unknown after
+        # round 1 and every round-2 system is a Cauchy submatrix.
+        argv = [
+            "client", "--connect", f"127.0.0.1:{port}", "--side", "2,3",
+            "--demands", "1,4", "--db", str(db_path),
+        ]
+        assert run_cli(*argv, "--transcript-out", str(first)) == 0
+        assert asked == [256]
+        seed = re.search(r"^seed: (\d+)$", capsys.readouterr().out, re.M).group(1)
+        assert run_cli(*argv, "--seed", seed, "--transcript-out", str(replay)) == 0
+        assert asked == [256]
+    assert first.read_bytes() == replay.read_bytes()
 
 
 def test_client_fails_on_values_not_in_its_database(tmp_path, capsys):

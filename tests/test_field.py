@@ -3,17 +3,17 @@ import random
 
 import pytest
 
-from opir import (
-    DivisionByZero,
+from opir import InvalidParams, SingularMatrix, is_prime, matrix_rank
+from opir.field import (
     FieldMatrix,
-    PrimeField,
-    SingularMatrix,
-    is_prime,
-    matrix_rank,
+    check_modulus,
+    combine_packed,
     next_prime,
+    pack_row,
+    reduce_packed,
     solve_linear_system,
+    unpack_row,
 )
-from opir.field import combine_packed, pack_row, reduce_packed, unpack_row
 
 
 # ---------------------------------------------------------------------------
@@ -50,46 +50,28 @@ def test_next_prime():
 # ---------------------------------------------------------------------------
 
 def test_field_rejects_bad_modulus():
-    for bad in (0, 1, 4, 15, 2**31 + 11):
-        with pytest.raises(ValueError):
-            PrimeField(bad)
-
-
-def test_inverse_exhaustive():
-    """Every nonzero element times its inverse is 1, for several fields."""
-    for q in (2, 3, 5, 17, 101):
-        field = PrimeField(q)
-        for a in range(1, q):
-            assert a * field.inv(a) % q == 1
-
-
-def test_inverse_matches_brute_force():
-    field = PrimeField(17)
-    for a in range(1, 17):
-        brute = next(b for b in range(17) if a * b % 17 == 1)
-        assert field.inv(a) == brute
-
-
-def test_inverse_of_zero():
-    field = PrimeField(17)
-    with pytest.raises(DivisionByZero):
-        field.inv(0)
-    # callers that only know about the stdlib hierarchy still catch it
-    with pytest.raises(ZeroDivisionError):
-        field.inv(17)
+    """check_modulus is the one modulus check: an int, prime, below 2^31."""
+    for bad in (0, 1, 4, 15, 561, 2**31, 4294967291, -7, 17.0, "17", None, True):
+        with pytest.raises(InvalidParams):
+            check_modulus(bad)
+    for good in (2, 3, 17, 65521, 2**31 - 1):
+        check_modulus(good)
+    # a matrix over a composite modulus is refused the same way
+    with pytest.raises(InvalidParams):
+        FieldMatrix(15, [[1, 2], [3, 4]])
 
 
 # ---------------------------------------------------------------------------
 # linear algebra
 # ---------------------------------------------------------------------------
 
-def brute_force_solutions(field, rows, rhs):
+def brute_force_solutions(q, rows, rhs):
     """All solution vectors of a small system, by trying every vector."""
     n = len(rows[0])
     out = []
-    for cand in itertools.product(range(field.q), repeat=n):
+    for cand in itertools.product(range(q), repeat=n):
         if all(
-            sum(r * c for r, c in zip(row, cand)) % field.q == b
+            sum(r * c for r, c in zip(row, cand)) % q == b
             for row, b in zip(rows, rhs)
         ):
             out.append(list(cand))
@@ -122,20 +104,20 @@ def test_solve_matches_brute_force_f5():
     chain subtraction leaves it.  Solutions are compared as packed rows, so
     every slot must come back reduced.
     """
-    field = PrimeField(5)
+    q = 5
     block = [[1, 2], [0, 3]]
     for a, b, c, d in itertools.product(range(5), repeat=4):
         rows = [[a, b], [c, d]]
-        matrix = FieldMatrix(field, rows)
+        matrix = FieldMatrix(q, rows)
         for rhs in ([1, 0], [2, 3]):
-            expected = brute_force_solutions(field, rows, rhs)
+            expected = brute_force_solutions(q, rows, rhs)
             column = packed([v] for v in rhs)
             if len(expected) == 1:
                 assert solve_linear_system(matrix, column, 1) == packed([v] for v in expected[0])
             else:
                 with pytest.raises(SingularMatrix):
                     solve_linear_system(matrix, column, 1)
-        columns = [brute_force_solutions(field, rows, col) for col in zip(*block)]
+        columns = [brute_force_solutions(q, rows, col) for col in zip(*block)]
         if all(len(sols) == 1 for sols in columns):
             solved = solve_linear_system(matrix, packed(block), 2)
             assert solved == packed(zip(*(sols[0] for sols in columns)))
@@ -144,7 +126,6 @@ def test_solve_matches_brute_force_f5():
                 solve_linear_system(matrix, packed(block), 2)
     rng = random.Random(5)
     for q in (17, 2**31 - 1):
-        field = PrimeField(q)
         for symbols in (1, 3, 256):
             # q·(q-1) in every slot, 65534 times: a multiple of q that keeps
             # each right-hand slot below the 2^78 bound of a packed sum
@@ -159,7 +140,7 @@ def test_solve_matches_brute_force_f5():
                 ]
                 rhs = [row + padding for row in packed(block)]
                 columns = [cramer_2x2(q, rows, col) for col in zip(*block)]
-                matrix = FieldMatrix(field, rows)
+                matrix = FieldMatrix(q, rows)
                 if columns[0] is None:
                     with pytest.raises(SingularMatrix):
                         solve_linear_system(matrix, rhs, symbols)
@@ -170,22 +151,19 @@ def test_solve_matches_brute_force_f5():
 
 def test_solve_known_3x3():
     # x=2, y=3, z=5 over F_17
-    field = PrimeField(17)
-    matrix = FieldMatrix(field, [[1, 1, 1], [2, 1, 0], [0, 3, 2]])
+    matrix = FieldMatrix(17, [[1, 1, 1], [2, 1, 0], [0, 3, 2]])
     rhs = [pack_row([10]), pack_row([7]), pack_row([2])]
     assert solve_linear_system(matrix, rhs, 1) == [2, 3, 5]
 
 
 def test_solve_rejects_non_square():
-    field = PrimeField(5)
     with pytest.raises(ValueError):
-        solve_linear_system(FieldMatrix(field, [[1, 2]]), [pack_row([1])], 1)
+        solve_linear_system(FieldMatrix(5, [[1, 2]]), [pack_row([1])], 1)
 
 
 def test_solve_rejects_ragged_block():
     """A right-hand row with more slots than `symbols`, or a negative one."""
-    field = PrimeField(5)
-    matrix = FieldMatrix(field, [[1, 0], [0, 1]])
+    matrix = FieldMatrix(5, [[1, 0], [0, 1]])
     with pytest.raises(ValueError):
         solve_linear_system(matrix, [pack_row([1, 2]), pack_row([3])], 1)
     with pytest.raises(ValueError):
@@ -243,61 +221,60 @@ def test_combine_rows_worst_case_slot(symbols):
     assert result == [expected] * symbols
 
 
-def span_size_rank(field, rows):
+def span_size_rank(q, rows):
     """Independent rank oracle: rank = log_q of the row span's size."""
     span = {tuple([0] * len(rows[0]))}
     for row in rows:
         new = set(span)
-        for scale in range(1, field.q):
-            scaled = [scale * r % field.q for r in row]
+        for scale in range(1, q):
+            scaled = [scale * r % q for r in row]
             for vec in span:
-                new.add(tuple((v + s) % field.q for v, s in zip(vec, scaled)))
+                new.add(tuple((v + s) % q for v, s in zip(vec, scaled)))
         span = new
         while True:
             grown = set(span)
             for u in span:
                 for v in span:
-                    grown.add(tuple((a + b) % field.q for a, b in zip(u, v)))
+                    grown.add(tuple((a + b) % q for a, b in zip(u, v)))
             if grown == span:
                 break
             span = grown
     size = len(span)
     rank = 0
-    while field.q**rank < size:
+    while q**rank < size:
         rank += 1
-    assert field.q**rank == size
+    assert q**rank == size
     return rank
 
 
 def test_rank_matches_span_oracle_f2():
-    field = PrimeField(2)
+    q = 2
     for bits in range(2**9):
         rows = [[(bits >> (3 * i + j)) & 1 for j in range(3)] for i in range(3)]
-        assert matrix_rank(FieldMatrix(field, rows)) == span_size_rank(field, rows)
+        assert matrix_rank(FieldMatrix(q, rows)) == span_size_rank(q, rows)
 
 
 def test_rank_matches_span_oracle_f3():
-    field = PrimeField(3)
+    q = 3
     rng = random.Random(9)
     for _ in range(200):
         rows = [[rng.randrange(3) for _ in range(3)] for _ in range(2)]
-        assert matrix_rank(FieldMatrix(field, rows)) == span_size_rank(field, rows)
+        assert matrix_rank(FieldMatrix(q, rows)) == span_size_rank(q, rows)
 
 
 def test_matrix_helpers():
-    field = PrimeField(7)
-    eye = FieldMatrix(field, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    q = 7
+    eye = FieldMatrix(q, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert matrix_rank(eye) == 3
-    assert matrix_rank(FieldMatrix(field, [[0] * 4] * 2)) == 0
-    m = FieldMatrix(field, [[1, 2, 3], [4, 5, 6]])
+    assert matrix_rank(FieldMatrix(q, [[0] * 4] * 2)) == 0
+    m = FieldMatrix(q, [[1, 2, 3], [4, 5, 6]])
     assert m.row(1) == (4, 5, 6)
     assert m.submatrix([1], [0, 2]).row(0) == (4, 6)
     assert m.at(0, 1) == 2
 
 
-def row_echelon_rank(field, rows):
+def row_echelon_rank(q, rows):
     """Reference rank: row echelon form with row swaps and eager reduction."""
-    q = field.q
     rows = [list(r) for r in rows]
     cols = len(rows[0]) if rows else 0
     rank = 0
@@ -306,7 +283,7 @@ def row_echelon_rank(field, rows):
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = field.inv(rows[rank][col])
+        inv = pow(rows[rank][col], -1, q)
         rows[rank] = [v * inv % q for v in rows[rank]]
         for r in range(rank + 1, len(rows)):
             if rows[r][col]:
@@ -323,7 +300,6 @@ def test_rank_matches_row_echelon_reference(q):
     """The Gauss-Jordan rank against row echelon form on random matrices of
     0..7 rows by 0..7 columns, many with rows forced to be combinations of
     earlier ones."""
-    field = PrimeField(q)
     rng = random.Random(q)
     for _ in range(300):
         n_rows, n_cols = rng.randrange(8), rng.randrange(8)
@@ -335,5 +311,5 @@ def test_rank_matches_row_echelon_reference(q):
                 rows.append([v % q for v in combo])
             else:
                 rows.append([rng.randrange(q) for _ in range(n_cols)])
-        matrix = FieldMatrix(field, rows)
-        assert matrix_rank(matrix) == row_echelon_rank(field, rows), rows
+        matrix = FieldMatrix(q, rows)
+        assert matrix_rank(matrix) == row_echelon_rank(q, rows), rows

@@ -11,19 +11,19 @@ import pytest
 
 from opir import (
     Database,
+    DecodeError,
     InvalidParams,
     ParamMismatch,
     PartitionQuery,
     ProtocolParams,
-    RemoteSession,
     RoundsExhausted,
-    SessionConfig,
     SideInformation,
     create_server,
     run_remote_session,
     run_session,
-    server_from_config,
 )
+from opir.cauchy import canonical_points
+from opir.net import RemoteSession, SessionConfig, server_from_config
 from opir import net, wire
 from conftest import GOLDEN_SEED, counting_database
 
@@ -233,6 +233,22 @@ def test_client_refuses_unexpected_server_shape_before_building(monkeypatch):
     exc = _refuse_hello_from_fake_server(reply, side, expect={"k": 16, "m": 3})
     assert isinstance(exc, ParamMismatch)
     assert str(exc) == "k=16 requested, server has 2048"
+    assert builds == []
+
+
+def test_client_refuses_non_canonical_coding_points(monkeypatch):
+    """A server HELLO with x_1 = 22 at q = 17 (the canonical x_1 is 5) is a
+    DecodeError before any matrix is built, so a client's saved transcript
+    can only hold the points the server sent."""
+    builds = []
+    monkeypatch.setattr(net, "build_cauchy", lambda *args: builds.append(args))
+    xs, ys = canonical_points(17, 12, 2, 2)
+    assert xs[0] == 5
+    reply = wire.Hello(k=12, m=2, l=2, q=17, symbols=1, x_points=(22,) + xs[1:], y_points=ys)
+    side = SideInformation.from_database(counting_database(), [2, 3])
+    exc = _refuse_hello_from_fake_server(reply, side)
+    assert isinstance(exc, DecodeError)
+    assert "coding point" in str(exc)
     assert builds == []
 
 

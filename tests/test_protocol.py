@@ -4,7 +4,6 @@ import random
 import pytest
 
 from opir import (
-    SESSION_PRIME,
     AnswerMismatch,
     Client,
     Database,
@@ -14,17 +13,15 @@ from opir import (
     PartitionQuery,
     ProtocolOrder,
     ProtocolParams,
-    RoundAnswer,
     RoundsExhausted,
     Server,
     SideInformation,
     build_cauchy,
-    next_prime,
     run_session,
-    validate_query,
 )
-from opir.field import MAX_MODULUS, pack_row
-from opir.protocol import derive_l
+from opir.cauchy import derive_l
+from opir.field import MAX_MODULUS, next_prime, pack_row
+from opir.protocol import SESSION_PRIME, RoundAnswer, TranscriptRound, validate_query
 from conftest import GOLDEN_ROUND1_BLOCKS, GOLDEN_SEED, GRID, counting_database, random_session
 
 
@@ -89,12 +86,6 @@ def test_params_reject_modulus_above_field_cap():
         with pytest.raises(InvalidParams, match="cap"):
             ProtocolParams(k=4, m=1, q=q)
     assert ProtocolParams(k=4, m=1, q=MAX_MODULUS - 1).q == SESSION_PRIME
-
-
-def test_params_field_built_once():
-    params = ProtocolParams.create(12, 2)
-    assert params.field is params.field
-    assert params.field.q == params.q
 
 
 def test_round_shape_helpers():
@@ -366,6 +357,25 @@ def test_decode_without_query_is_order_violation():
         client.decode_answer(RoundAnswer(1, ((0,),) * 4))
 
 
+def test_client_transcript_is_its_decoded_rounds():
+    """A round joins the client's transcript when it decodes, not when its
+    query is sent; a refused answer leaves the query pending."""
+    params, db, server, client = make_session(seed=3)
+    assert client.transcript().rounds == ()
+    query = client.build_query(1)
+    answer = server.answer(query)
+    assert client.transcript().rounds == ()
+    with pytest.raises(AnswerMismatch):
+        client.decode_answer(RoundAnswer(1, answer.packets[:-1]))
+    assert client.transcript().rounds == ()
+    client.decode_answer(answer)
+    transcript = client.transcript()
+    assert transcript.rounds == (TranscriptRound(query, answer),)
+    cauchy = server.cauchy
+    assert transcript.params == params
+    assert (transcript.cauchy_x, transcript.cauchy_y) == (cauchy.x_points, cauchy.y_points)
+
+
 def test_rounds_exhausted():
     params, db, server, client = make_session(seed=GOLDEN_SEED)
     for demand in (1, 4, 7):
@@ -414,8 +424,7 @@ def test_side_values_must_be_residues(bad):
 
 def test_answer_round_mismatch():
     params, db, server, client = make_session()
-    client.build_query(1)
-    answer = server.answer(PartitionQuery.of(1, client._queries[-1].blocks))
+    answer = server.answer(client.build_query(1))
     with pytest.raises(AnswerMismatch):
         client.decode_answer(RoundAnswer(2, answer.packets))
 

@@ -1,5 +1,6 @@
 """Frame and payload codecs: pinned layouts, roundtrips, and rejection paths."""
 
+import dataclasses
 import io
 import tracemalloc
 
@@ -14,10 +15,10 @@ from opir import (
     PartitionQuery,
     ProtocolOrder,
     ProtocolParams,
-    RoundAnswer,
     RoundsExhausted,
     run_session,
 )
+from opir.protocol import RoundAnswer
 from opir import wire
 from opir.wire import (
     ERR_INTERNAL,
@@ -417,6 +418,21 @@ def test_transcript_point_counts_must_match(golden):
     data = encode_frame(FRAME_HELLO, encode_hello(hello))
     with pytest.raises(DecodeError, match="point counts"):
         transcript_from_bytes(data)
+
+
+def test_transcript_points_must_be_canonical(golden):
+    """x_1 = 22 at q = 17 would build the same matrix as x_1 = 5, so one
+    session would have two encodings; a point at or above q is refused."""
+    params, _, result = golden
+    t = result.transcript
+    assert t.cauchy_x[0] == 5
+    for xs, ys in [((22,) + t.cauchy_x[1:], t.cauchy_y), (t.cauchy_x, t.cauchy_y[:-1] + (17,))]:
+        hello = Hello.for_params(params, xs, ys)
+        with pytest.raises(DecodeError, match="coding point"):
+            hello.session()
+        data = transcript_to_bytes(dataclasses.replace(t, cauchy_x=xs, cauchy_y=ys))
+        with pytest.raises(DecodeError, match="coding point"):
+            transcript_from_bytes(data)
 
 
 def _frames(transcript):
