@@ -233,8 +233,11 @@ def rank_profile(transcript: Transcript) -> tuple[tuple[int, int], ...]:
     """(round, rank of that round's packet coefficients) for every round.
 
     The rank is summed block by block, which is exact only because the
-    blocks partition [1..K]; InconsistentTranscript when they do not.
+    blocks partition [1..K]; InconsistentTranscript when they do not, and
+    for the transcripts posterior refuses: no rounds, or rounds numbered
+    other than 1, 2, ...
     """
+    _check_contiguous(transcript)
     params = transcript.params
     cauchy = transcript.cauchy()
     indices = list(range(1, params.k + 1))

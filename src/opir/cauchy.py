@@ -18,7 +18,9 @@ and the l+1 possible rounds together consume exactly the Ml+1 columns.
 
 A CauchyMatrix stores M, its points and its entries, nothing else: K is
 the number of x-points, q is the entries' modulus, and l is derive_l(K, M),
-so none of them can disagree with the matrix they describe.
+so none of them can disagree with the matrix they describe.  The one
+field-size rule, q >= K + Ml + 1, is check_field_size, which ProtocolParams
+and build_cauchy both call.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import FieldTooSmall, InvalidParams, RoundOutOfRange
-from .field import FieldMatrix, check_modulus
+from .field import FieldMatrix, check_modulus, is_canonical
 
 
 def derive_l(k: int, m: int) -> int:
@@ -36,6 +38,12 @@ def derive_l(k: int, m: int) -> int:
     if ratio < 2 or ratio & (ratio - 1):
         raise InvalidParams(f"K/(M+1) must be a power of two >= 2: K={k}, M={m}")
     return ratio.bit_length() - 1
+
+
+def check_field_size(k: int, m: int, l: int, q: int) -> None:
+    """FieldTooSmall unless q >= K + M*l + 1, the number of distinct coding points."""
+    if q < k + m * l + 1:
+        raise FieldTooSmall(f"need q >= {k + m * l + 1} for K={k}, M={m}, l={l}; got q={q}")
 
 
 @dataclass(frozen=True)
@@ -79,7 +87,7 @@ def build_cauchy(
     sets are omitted, the canonical sets from :func:`canonical_points` are
     used.  Callers may supply their own, for instance points read from a
     transcript or a server's HELLO, as long as all K + Ml + 1 points are
-    distinct; InvalidParams otherwise.
+    distinct residues in [0, q) (never reduced mod q); InvalidParams otherwise.
 
     All K(Ml+1) entries cost one field inversion (Montgomery's batch
     inversion): a forward pass keeps the prefix products of the differences
@@ -93,16 +101,16 @@ def build_cauchy(
         raise InvalidParams(f"K={k}, M={m} imply l={want}, got l={l}")
     # pow(·, -1, q) below raises ValueError on a composite q, so check first.
     check_modulus(q)
+    check_field_size(k, m, l, q)
     cols = m * l + 1
-    if q < k + cols:
-        raise FieldTooSmall(f"need q >= {k + cols} for K={k}, M={m}, l={l}; got q={q}")
     if x_points is None and y_points is None:
         x_points, y_points = canonical_points(q, k, m, l)
     elif x_points is None or y_points is None:
         raise InvalidParams("supply both point sets or neither")
     else:
-        x_points = tuple(v % q for v in x_points)
-        y_points = tuple(v % q for v in y_points)
+        x_points, y_points = tuple(x_points), tuple(y_points)
+        if not is_canonical(x_points + y_points, q):
+            raise InvalidParams(f"coding points must be residues in [0, {q})")
     if len(x_points) != k or len(y_points) != cols:
         raise InvalidParams(f"need {k} x-points and {cols} y-points")
     if len(set(x_points) | set(y_points)) != k + cols:

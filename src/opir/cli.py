@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .audit import capacity, capacity_table, measured_rate, posterior, rank_profile
 from .errors import OpirError
-from .net import SessionConfig, run_remote_session, server_from_config
+from .net import create_server, read_config, run_remote_session
 from .protocol import Database, ProtocolParams, SessionResult, SideInformation, run_session
 from .wire import read_database, transcript_from_bytes, transcript_to_bytes, write_database
 
@@ -119,9 +119,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    config = SessionConfig.from_file(args.config)
+    params, database_path = read_config(args.config)
     try:
-        with server_from_config(config, args.listen) as server:
+        with create_server(read_database(database_path), params, *args.listen) as server:
             # Announce only once bound, with the port picked when --listen asks for 0.
             host, port = server.server_address[:2]
             print(f"serving on {host}:{port}", flush=True)
@@ -137,7 +137,8 @@ def cmd_client(args: argparse.Namespace) -> int:
     side = SideInformation.from_database(database, args.side)
     # Both ends refuse a session whose shape differs from the local copy,
     # the client before it builds the coding matrix the server's HELLO names.
-    expect = {"k": database.k, "q": database.q, "symbols": database.symbols}
+    # The side information already fixes M and the symbol count.
+    expect = {"k": database.k, "q": database.q}
     result = run_remote_session(args.connect, side, args.demands, seed=seed, expect=expect)
     _print_params(result.transcript.params)
     print(f"seed: {seed}")

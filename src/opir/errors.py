@@ -9,16 +9,16 @@ class SingularMatrix(OpirError):
     """A square system has no unique solution (rank-deficient matrix)."""
 
 
-class FieldTooSmall(OpirError):
-    """The field modulus cannot accommodate the requested point sets."""
-
-
 class RoundOutOfRange(OpirError):
     """A round index beyond the column budget of the coding matrix."""
 
 
 class InvalidParams(OpirError):
     """Parameters violate the protocol's standing assumptions."""
+
+
+class FieldTooSmall(InvalidParams):
+    """The field modulus cannot accommodate the requested point sets."""
 
 
 class DemandKnown(OpirError):

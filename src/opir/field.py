@@ -1,7 +1,9 @@
 """Exact arithmetic over prime fields, plus the dense linear algebra built on it.
 
 A field F_q is named by its modulus alone: q is a plain int that
-`check_modulus` accepts, and an element is a canonical residue in [0, q).  An
+`check_modulus` accepts, and an element is a canonical residue in [0, q),
+which `is_canonical` decides for every caller that takes residues from
+outside (a database, side information, a packet, a coding point).  An
 inverse is `pow(a, -1, q)`; nothing here inverts zero, since elimination
 inverts only nonzero pivots.  Matrices are row-major grids of residues,
 and the solver and the rank routine share one Gauss-Jordan elimination
@@ -82,6 +84,11 @@ def check_modulus(q: int) -> None:
         raise InvalidParams(f"q={q} exceeds the field cap 2^31")
     if not is_prime(q):
         raise InvalidParams(f"q={q} is not prime")
+
+
+def is_canonical(values: Sequence[int], q: int) -> bool:
+    """True when every value is a residue in [0, q); min/max run at C speed."""
+    return not values or (0 <= min(values) and max(values) < q)
 
 
 class FieldMatrix:

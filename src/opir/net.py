@@ -1,11 +1,14 @@
 """TCP transport: a threaded server and a socket client for the protocol.
 
 Connection lifecycle: the client sends a HELLO naming the parameters it
-expects (zeros mean "whatever you have"); the server checks them against
-its own, replies with a fully specified HELLO including the coding points,
-and then answers QUERY frames in order until BYE or an error.  Violations
-are reported as ERROR frames carrying a reason code, after which the
-server closes the session.
+expects (zeros mean "whatever you have"; by default a RemoteSession names
+the M and symbol count of its side information); the server checks them against its own,
+replies with a fully specified HELLO including the coding points, and then
+answers QUERY frames in order until BYE or an error.  Violations are
+reported as ERROR frames carrying a reason code, after which the server
+closes the session.  A frame whose header claims more than the largest
+legal client frame (wire.max_client_payload) closes it unread.  A server's
+shape is its ProtocolParams, which read_config reads from a JSON file.
 
 The server never learns anything beyond the queries; side information and
 demands live only in the client process.
@@ -16,7 +19,6 @@ from __future__ import annotations
 import json
 import socket
 import socketserver
-from dataclasses import dataclass
 
 from .cauchy import build_cauchy
 from .errors import DecodeError, InvalidParams, MalformedQuery, OpirError, ParamMismatch
@@ -36,55 +38,32 @@ from . import wire
 CLIENT_TIMEOUT = 10.0
 
 
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, which is an int subclass.
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-@dataclass(frozen=True)
-class SessionConfig:
-    """Server-side configuration: parameters plus where the data lives.
+def read_config(path: str) -> tuple[ProtocolParams, str]:
+    """A server config file's parameters and database path.
 
     The coding points are never configured: the server uses session_cauchy.
     """
-
-    k: int
-    m: int
-    database_path: str
-    q: int | None = None
-    symbols: int = 1
-
-    @classmethod
-    def from_file(cls, path: str) -> "SessionConfig":
-        with open(path) as fh:
-            try:
-                raw = json.load(fh)
-            except ValueError as exc:  # bad JSON or bad UTF-8
-                raise InvalidParams(f"config {path} is not valid JSON: {exc}") from None
-        if not isinstance(raw, dict):
-            raise InvalidParams(f"config {path} must hold a JSON object")
-        known = {"k", "m", "q", "symbols", "database"}
-        unknown = set(raw) - known
-        if unknown:
-            raise InvalidParams(f"unknown config keys: {sorted(unknown)}")
-        for key in ("k", "m", "database"):
-            if key not in raw:
-                raise InvalidParams(f"config is missing required key '{key}'")
-        for key in ("k", "m", "symbols", "q"):
-            if key in raw and not _is_int(raw[key]):
-                raise InvalidParams(f"config key '{key}' must be an integer")
-        if not isinstance(raw["database"], str):
-            raise InvalidParams("config key 'database' must be a string")
-        return cls(
-            k=raw["k"],
-            m=raw["m"],
-            database_path=raw["database"],
-            q=raw.get("q"),
-            symbols=raw.get("symbols", 1),
-        )
-
-    def params(self) -> ProtocolParams:
-        return ProtocolParams.create(self.k, self.m, q=self.q, symbols=self.symbols)
+    with open(path) as fh:
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise InvalidParams(f"config {path} is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise InvalidParams(f"config {path} must hold a JSON object")
+    unknown = set(raw) - {"k", "m", "q", "symbols", "database"}
+    if unknown:
+        raise InvalidParams(f"unknown config keys: {sorted(unknown)}")
+    for key in ("k", "m", "database"):
+        if key not in raw:
+            raise InvalidParams(f"config is missing required key '{key}'")
+    for key in ("k", "m", "symbols", "q"):
+        # JSON true/false load as bool, an int subclass that type() tells apart.
+        if key in raw and type(raw[key]) is not int:
+            raise InvalidParams(f"config key '{key}' must be an integer")
+    if not isinstance(raw["database"], str):
+        raise InvalidParams("config key 'database' must be a string")
+    q, symbols = raw.get("q"), raw.get("symbols", 1)
+    return ProtocolParams.create(raw["k"], raw["m"], q=q, symbols=symbols), raw["database"]
 
 
 class OpirTCPServer(socketserver.ThreadingTCPServer):
@@ -102,6 +81,8 @@ class OpirTCPServer(socketserver.ThreadingTCPServer):
         self.database = database
         self.params = params
         self.cauchy = session_cauchy(params)
+        # A peer's frame may not claim more than a legal client frame holds.
+        self.frame_limit = wire.max_client_payload(params)
         # Fail before accepting connections, not inside a handler thread.
         ProtocolServer(database, params, self.cauchy)
         super().__init__(address, _SessionHandler)
@@ -131,7 +112,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
             pass
 
     def _hello(self) -> bool:
-        frame_type, payload = wire.read_frame(self.rfile)
+        frame_type, payload = wire.read_frame(self.rfile, self.server.frame_limit)
         if frame_type != wire.FRAME_HELLO:
             self._send_error(ParamMismatch("expected a hello frame first"))
             return False
@@ -150,7 +131,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
     def _serve_rounds(self) -> None:
         session = ProtocolServer(self.server.database, self.server.params, self.server.cauchy)
         while True:
-            frame_type, payload = wire.read_frame(self.rfile)
+            frame_type, payload = wire.read_frame(self.rfile, self.server.frame_limit)
             if frame_type == wire.FRAME_BYE:
                 return
             if frame_type != wire.FRAME_QUERY:
@@ -179,12 +160,6 @@ def create_server(
     return OpirTCPServer((host, port), database, params)
 
 
-def server_from_config(config: SessionConfig, listen: tuple[str, int]) -> OpirTCPServer:
-    """Load the database, then check and bind; caller runs serve_forever."""
-    database = wire.read_database(config.database_path)
-    return create_server(database, config.params(), *listen)
-
-
 class RemoteSession:
     """Client half of one TCP session; raises the server's errors locally."""
 
@@ -198,14 +173,17 @@ class RemoteSession:
         self._sock = socket.create_connection(address, timeout=CLIENT_TIMEOUT)
         self._file = self._sock.makefile("rwb")
         try:
-            hello = wire.Hello(**(expect or {}))
+            # The side information fixes M and the symbol count, so the
+            # HELLO names them too; keys in `expect` override them.
+            symbols = len(side.values[0][1]) if side.values else 0
+            hello = wire.Hello(**{"m": len(side.values), "symbols": symbols, **(expect or {})})
             self._write(wire.FRAME_HELLO, wire.encode_hello(hello))
             frame_type, payload = self._read()
             if frame_type != wire.FRAME_HELLO:
                 raise DecodeError("server did not answer the hello")
             reply = wire.decode_hello(payload)
             # The server names K and M, and build_cauchy's cost grows with
-            # K·M, so a shape other than the expected one is refused first.
+            # K·M, so a shape other than the requested one is refused first.
             hello.require(reply)
             self.params, x_points, y_points = reply.session()
             p = self.params

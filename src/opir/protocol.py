@@ -35,12 +35,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
+from functools import cache, cached_property
 
 from .cauchy import (
     CauchyMatrix,
     all_merge_systems_invertible,
     build_cauchy,
+    check_field_size,
     derive_l,
     round_column_indices,
 )
@@ -59,6 +60,7 @@ from .field import (
     FieldMatrix,
     check_modulus,
     combine_packed,
+    is_canonical,
     next_prime,
     pack_row,
     packed_sum,
@@ -77,7 +79,7 @@ Message = tuple[int, ...]
 SESSION_PRIME = 2147483647  # 2^31 - 1
 
 # Point sets certified decode-safe at SESSION_PRIME (see session_cauchy).
-# Each was found by the deterministic search in _search_safe_points and is
+# Each was found by the deterministic search in _certified_cauchy and is
 # re-verified against the exhaustive check by the test suite.
 _SAFE_POINTS: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {
     (8, 1): (
@@ -99,8 +101,6 @@ _SAFE_POINTS: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {
     ),
 }
 
-_session_cauchy_cache: dict[tuple[int, int, int, int], CauchyMatrix] = {}
-
 
 def _check_coding_matrix(cauchy: CauchyMatrix, params: "ProtocolParams") -> None:
     """InvalidParams unless the coding matrix has the parameters' K, M and q (l follows)."""
@@ -111,11 +111,6 @@ def _check_coding_matrix(cauchy: CauchyMatrix, params: "ProtocolParams") -> None
             "coding matrix has K={}, M={}, q={}; parameters want"
             " K={}, M={}, q={}".format(*have, *want)
         )
-
-
-def _canonical(row, q: int) -> bool:
-    """True when every symbol of a row is a residue in [0, q); min/max run at C speed."""
-    return not row or (0 <= min(row) and max(row) < q)
 
 
 @dataclass(frozen=True)
@@ -141,10 +136,7 @@ class ProtocolParams:
                 f"K and symbols must be at most 65535, got K={self.k}, symbols={self.symbols}"
             )
         check_modulus(self.q)
-        if self.q < self.k + self.m * l + 1:
-            raise InvalidParams(
-                f"need q >= K + M*l + 1 = {self.k + self.m * l + 1}, got q={self.q}"
-            )
+        check_field_size(self.k, self.m, l, self.q)
 
     @classmethod
     def create(cls, k: int, m: int, q: int | None = None, symbols: int = 1) -> "ProtocolParams":
@@ -189,13 +181,18 @@ class ProtocolParams:
         return self.block_count(round_no) * self.m
 
 
-def _search_safe_points(k: int, m: int, l: int, q: int) -> CauchyMatrix:
-    """Deterministically search point sets until the exhaustive check passes.
+@cache
+def _certified_cauchy(k: int, m: int) -> CauchyMatrix:
+    """The decode-safe matrix at SESSION_PRIME: pinned points, else the
+    first point set of a deterministic search that passes the exhaustive check.
 
-    At q = SESSION_PRIME a random point set fails for some merged block with
-    probability well under a percent, so the first attempt almost always
-    wins; the attempt cap only guards against hopelessly small fields.
+    A random point set fails for some merged block with probability well
+    under a percent, so the first attempt almost always wins; the attempt
+    cap only guards against hopelessly small fields.
     """
+    l, q = derive_l(k, m), SESSION_PRIME
+    if (k, m) in _SAFE_POINTS:
+        return build_cauchy(k, m, l, q, *_SAFE_POINTS[k, m])
     for attempt in range(64):
         rng = random.Random(f"cauchy-points:{k}:{m}:{l}:{q}:{attempt}")
         pts = rng.sample(range(q), k + m * l + 1)
@@ -221,18 +218,7 @@ def session_cauchy(params: ProtocolParams) -> CauchyMatrix:
     """
     if params.l < 2 or params.q != SESSION_PRIME:
         return build_cauchy(params.k, params.m, params.l, params.q)
-    key = (params.k, params.m, params.l, params.q)
-    cached = _session_cauchy_cache.get(key)
-    if cached is None:
-        pinned = _SAFE_POINTS.get((params.k, params.m))
-        if pinned is not None:
-            cached = build_cauchy(
-                params.k, params.m, params.l, params.q, pinned[0], pinned[1]
-            )
-        else:
-            cached = _search_safe_points(params.k, params.m, params.l, params.q)
-        _session_cauchy_cache[key] = cached
-    return cached
+    return _certified_cauchy(params.k, params.m)
 
 
 @dataclass(frozen=True)
@@ -252,7 +238,7 @@ class Database:
         for msg in self.messages:
             if len(msg) != width:
                 raise InvalidParams("all messages must have the same symbol count")
-            if not _canonical(msg, self.q):
+            if not is_canonical(msg, self.q):
                 raise InvalidParams("message symbols must be canonical residues mod q")
 
     @classmethod
@@ -286,28 +272,17 @@ class Database:
 
 @dataclass(frozen=True)
 class SideInformation:
-    """The client's initial M known messages; the server never sees this."""
+    """The client's initial M known messages by index; the server never sees this."""
 
-    indices: frozenset[int]
     values: tuple[tuple[int, Message], ...]
 
     @classmethod
     def from_values(cls, values: dict[int, Message]) -> "SideInformation":
-        return cls(
-            indices=frozenset(values),
-            values=tuple(sorted(values.items())),
-        )
+        return cls(tuple(sorted(values.items())))
 
     @classmethod
     def from_database(cls, database: Database, indices) -> "SideInformation":
         return cls.from_values({i: database.message(i) for i in indices})
-
-    def as_dict(self) -> dict[int, Message]:
-        return dict(self.values)
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
 
 
 @dataclass(frozen=True)
@@ -430,26 +405,26 @@ class Client:
         cauchy: CauchyMatrix,
         seed: int | None = None,
     ):
-        if side.size != params.m:
+        # What the client knows is its chain, the block the next round merges
+        # with the demand's: each round adds the block it decodes to both.
+        self.known: dict[int, Message] = dict(side.values)
+        if len(self.known) != params.m:
             raise InvalidParams(f"side information must hold M={params.m} messages")
-        if not all(1 <= i <= params.k for i in side.indices):
+        if not all(1 <= i <= params.k for i in self.known):
             raise InvalidParams("side-information indices out of range")
         _check_coding_matrix(cauchy, params)
-        for _, msg in side.values:
+        for msg in self.known.values():
             if len(msg) != params.symbols:
                 raise InvalidParams("side-information messages have wrong symbol count")
-            if not _canonical(msg, params.q):
+            if not is_canonical(msg, params.q):
                 raise InvalidParams("side-information symbols must be residues mod q")
         self.params = params
         self.cauchy = cauchy
         self.rng = random.Random(seed)
-        self.known: dict[int, Message] = side.as_dict()
         # Every known message as a canonical packed row (field.pack_row): the
         # side information is packed here, and a recovered message is kept
         # as the solver returned it, so no message is packed twice.
-        self._packed: dict[int, int] = {i: pack_row(msg) for i, msg in side.values}
-        # The known block the next round merges with the demand's block.
-        self.merged_chain: frozenset[int] = side.indices
+        self._packed: dict[int, int] = {i: pack_row(msg) for i, msg in self.known.items()}
         # The decoded rounds are the session's transcript; a query sent but
         # not yet decoded waits beside them with its demand.
         self._rounds: list[TranscriptRound] = []
@@ -494,7 +469,7 @@ class Client:
 
     def _build_merge_round(self, round_no: int, demand: int) -> PartitionQuery:
         prev = self._previous(round_no)
-        merged_set = self.merged_chain.union(prev.block_containing(demand))
+        merged_set = set(self.known).union(prev.block_containing(demand))
         # A previous block lies wholly inside the merged block or outside it.
         rest = [b for b in prev.blocks if b[0] not in merged_set]
         self.rng.shuffle(rest)
@@ -527,10 +502,9 @@ class Client:
             )
         if any(len(p) != self.params.symbols for p in answer.packets):
             raise AnswerMismatch("packet symbol count does not match parameters")
-        if not all(_canonical(p, self.params.q) for p in answer.packets):
+        if not all(is_canonical(p, self.params.q) for p in answer.packets):
             raise AnswerMismatch("packet symbols must be residues mod q")
         recovered = self._decode_merge_round(query, answer, demand)
-        self.merged_chain = frozenset(query.block_containing(demand))
         self.known.update(recovered)
         self._rounds.append(TranscriptRound(query, answer))
         self._pending = None
@@ -560,14 +534,14 @@ class Client:
                     )
                     rhs.append(pack_row(past.answer.packets[bi * len(columns) + ci]))
 
-        # Current round: the merged block is target + chain; subtract the
-        # chain contributions (all known) to restrict support to the target.
-        # The difference stays an unreduced packed sum: the solver reduces
-        # once, after it combines.
+        # Current round: the merged block is target + chain, and the chain
+        # is everything known before this round; subtract its contributions
+        # to restrict support to the target.  The difference stays an
+        # unreduced packed sum: the solver reduces once, after it combines.
         current = query.block_containing(demand)
         bi = query.block_index(current)
         columns = round_column_indices(params.m, params.l, query.round_no)
-        known = sorted(self.merged_chain)
+        known = sorted(self.known)
         known_packed = [self._packed[i] for i in known]
         for ci, col in enumerate(columns):
             packet = pack_row(answer.packets[bi * len(columns) + ci])
@@ -593,7 +567,7 @@ class Server:
     """The answering side: holds the database, validates queries, codes packets.
 
     Deliberately holds no demand- or side-information-derived state; its
-    whole view of the client is the received queries.
+    whole view of the client is the last query it accepted.
     """
 
     def __init__(
@@ -615,17 +589,16 @@ class Server:
         self.database = database
         self.params = params
         self.cauchy = cauchy
-        self._queries: list[PartitionQuery] = []
+        self._prev: PartitionQuery | None = None
 
     def answer(self, query: PartitionQuery) -> RoundAnswer:
         """Validate a query and return its coded packets."""
-        expected = len(self._queries) + 1
+        expected = self._prev.round_no + 1 if self._prev else 1
         if query.round_no != expected:
             raise ProtocolOrder(
                 f"got round-{query.round_no} query, expected round {expected}"
             )
-        prev = self._queries[-1] if self._queries else None
-        validate_query(self.params, query, prev)
+        validate_query(self.params, query, self._prev)
         q = self.params.q
         symbols = self.params.symbols
         packed = self.database.packed
@@ -636,7 +609,7 @@ class Server:
             for col in columns:
                 coeffs = [self.cauchy.coeff(idx, col) for idx in block]
                 packets.append(tuple(combine_packed(coeffs, messages, symbols, q)))
-        self._queries.append(query)
+        self._prev = query
         return RoundAnswer(query.round_no, tuple(packets))
 
 

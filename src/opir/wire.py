@@ -38,6 +38,7 @@ from .errors import (
     ProtocolOrder,
     RoundsExhausted,
 )
+from .field import is_canonical
 from .protocol import (
     Database,
     PartitionQuery,
@@ -122,10 +123,20 @@ def decode_frame(data: bytes, offset: int = 0) -> tuple[int, bytes, int]:
     return frame_type, data[start : start + length], start + length
 
 
-def read_frame(reader) -> tuple[int, bytes]:
-    """Read one frame from a file-like object (blocking, exact reads)."""
+def read_frame(reader, limit: int | None = None) -> tuple[int, bytes]:
+    """Read one frame from a file-like object (blocking, exact reads); a
+    header claiming a payload over `limit` is a DecodeError before it is read."""
     frame_type, length = _parse_header(_read_exact(reader, HEADER.size, "frame header"))
+    if limit is not None and length > limit:
+        raise DecodeError(f"frame payload of {length} bytes exceeds the limit of {limit}")
     return frame_type, _read_exact(reader, length, "frame payload")
+
+
+def max_client_payload(params: ProtocolParams) -> int:
+    """The longest legal client payload: a HELLO with coding points, 25 +
+    4(K + Ml + 1) bytes, or a round-1 QUERY, 4 + 2K/(M+1) + 2K bytes."""
+    hello = 25 + 4 * (params.k + params.m * params.l + 1)
+    return max(hello, 4 + 2 * params.n1 + 2 * params.k)
 
 
 def _read_exact(reader, n: int, what: str) -> bytes:
@@ -187,7 +198,7 @@ class _Cursor:
 
 
 def _check_residues(values: tuple[int, ...], q: int, what: str) -> None:
-    if values and max(values) >= q:
+    if not is_canonical(values, q):
         raise DecodeError(f"{what} element not a canonical residue mod {q}")
 
 
@@ -317,8 +328,8 @@ class Hello:
         assert self.x_points is not None and self.y_points is not None
         if len(self.x_points) != params.k or len(self.y_points) != params.m * params.l + 1:
             raise DecodeError("coding point counts do not match parameters")
-        # A point at or above q would reach build_cauchy reduced, so the same
-        # session would have two encodings.
+        # build_cauchy refuses such a point too; bytes that hold one are a
+        # DecodeError before any matrix is built.
         _check_residues(self.x_points + self.y_points, params.q, "coding point")
         return params, self.x_points, self.y_points
 

@@ -442,6 +442,22 @@ def test_rank_profile_matches_k_wide_reference_on_odd_blocks(k, m, q):
     assert saw_small_block
 
 
+def test_rank_profile_refuses_what_posterior_refuses(golden):
+    """Rounds numbered other than 1, 2, ... and a transcript with no rounds
+    are InconsistentTranscript for rank_profile as for posterior."""
+    _, _, result = golden
+    rounds = result.transcript.rounds
+    second = dataclasses.replace(
+        rounds[1], query=dataclasses.replace(rounds[1].query, round_no=3)
+    )
+    for bad in ((rounds[0], second), ()):
+        transcript = dataclasses.replace(result.transcript, rounds=bad)
+        with pytest.raises(InconsistentTranscript):
+            posterior(transcript)
+        with pytest.raises(InconsistentTranscript):
+            rank_profile(transcript)
+
+
 @pytest.mark.parametrize(
     "blocks",
     [

@@ -19,7 +19,7 @@ from opir import (
 from opir import cauchy as cauchy_module
 from opir.cauchy import canonical_points
 from opir.field import FieldMatrix, next_prime
-from opir.protocol import SESSION_PRIME, session_cauchy
+from opir.protocol import SESSION_PRIME, Transcript, session_cauchy
 from conftest import GOLDEN_MATRIX
 
 
@@ -57,8 +57,12 @@ def test_entry_definition(golden_cauchy):
 
 
 def test_field_too_small():
-    with pytest.raises(FieldTooSmall):
-        build_cauchy(12, 2, 2, q=13)
+    """One rule and one class for q < K + Ml + 1, from the parameters and
+    from the matrix alike; FieldTooSmall is an InvalidParams."""
+    for make in (lambda: build_cauchy(12, 2, 2, q=13), lambda: ProtocolParams(12, 2, 13)):
+        with pytest.raises(FieldTooSmall, match="need q >= 17 for K=12, M=2, l=2; got q=13"):
+            make()
+    assert issubclass(FieldTooSmall, InvalidParams)
 
 
 def test_rejects_bad_points():
@@ -76,6 +80,20 @@ def test_rejects_bad_points():
         build_cauchy(4, 1, 1, q=11, x_points=(1, 2, 3), y_points=(5, 6))
     with pytest.raises(InvalidParams):
         build_cauchy(4, 1, 1, q=11, x_points=(1, 2, 3, 4))
+
+
+@pytest.mark.parametrize("x1", [22, -12])
+def test_points_are_never_reduced(x1):
+    """A supplied point outside [0, q) is refused, not read as its residue
+    (both 22 and -12 are 5 mod 17, the canonical x_1), so a transcript built
+    in the library audits with the points its own bytes hold."""
+    xs, ys = canonical_points(17, 12, 2, 2)
+    assert xs[0] == 5
+    with pytest.raises(InvalidParams, match=r"residues in \[0, 17\)"):
+        build_cauchy(12, 2, 2, 17, (x1,) + xs[1:], ys)
+    transcript = Transcript(ProtocolParams(12, 2, 17), (x1,) + xs[1:], ys, ())
+    with pytest.raises(InvalidParams):
+        transcript.cauchy()
 
 
 def test_build_refuses_other_l_and_composite_modulus():

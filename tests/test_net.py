@@ -1,6 +1,5 @@
 """TCP transport: loopback equivalence, error frames, session lifecycle."""
 
-import dataclasses
 import json
 import random
 import socket
@@ -23,7 +22,7 @@ from opir import (
     run_session,
 )
 from opir.cauchy import canonical_points
-from opir.net import RemoteSession, SessionConfig, server_from_config
+from opir.net import RemoteSession, read_config
 from opir import net, wire
 from conftest import GOLDEN_SEED, counting_database
 
@@ -236,6 +235,26 @@ def test_client_refuses_unexpected_server_shape_before_building(monkeypatch):
     assert builds == []
 
 
+def test_client_hello_names_the_shape_of_its_side_information(monkeypatch):
+    """Without `expect`, a client holding M=2 one-symbol messages asks for
+    M=2 and one symbol, so a valid K=2048, M=1023 HELLO with matching points
+    is ParamMismatch before its 2048 x 1024 coding matrix is built."""
+    builds = []
+    monkeypatch.setattr(net, "build_cauchy", lambda *args: builds.append(args))
+    reply = wire.Hello(
+        k=2048, m=1023, l=1, q=2**31 - 1, symbols=1,
+        x_points=tuple(range(1, 2049)), y_points=tuple(range(3000, 4024)),
+    )
+    side = SideInformation.from_database(counting_database(), [2, 3])
+    exc = _refuse_hello_from_fake_server(reply, side)
+    assert isinstance(exc, ParamMismatch)
+    assert str(exc) == "m=2 requested, server has 1023"
+    assert builds == []
+    # keys in `expect` override the ones the side information fixes
+    exc = _refuse_hello_from_fake_server(reply, side, expect={"m": 1023, "symbols": 2})
+    assert str(exc) == "symbols=2 requested, server has 1"
+
+
 def test_client_refuses_non_canonical_coding_points(monkeypatch):
     """A server HELLO with x_1 = 22 at q = 17 (the canonical x_1 is 5) is a
     DecodeError before any matrix is built, so a client's saved transcript
@@ -348,6 +367,20 @@ def test_non_query_frame_mid_session_is_rejected(golden_server):
         sock.close()
 
 
+def test_oversized_frame_header_closes_the_connection(golden_server):
+    """A QUERY header that claims 2^31 bytes ends the session before any of
+    the payload is read: the server closes the socket instead of waiting."""
+    address, _ = golden_server
+    sock, f, _ = _raw_hello(address)
+    try:
+        sock.settimeout(2.0)
+        f.write(wire.HEADER.pack(wire.MAGIC, wire.VERSION, wire.FRAME_QUERY, 2**31))
+        f.flush()
+        assert f.read(1) == b""
+    finally:
+        sock.close()
+
+
 def test_bye_closes_the_connection(golden_server):
     address, _ = golden_server
     sock, f, _ = _raw_hello(address)
@@ -370,29 +403,27 @@ def test_session_config_from_file(tmp_path):
     config_path.write_text(
         json.dumps({"k": 12, "m": 2, "q": 17, "database": str(db_path)})
     )
-    config = SessionConfig.from_file(str(config_path))
-    assert config.params() == ProtocolParams.create(12, 2, q=17)
-    assert config.database_path == str(db_path)
+    assert read_config(str(config_path)) == (ProtocolParams.create(12, 2, q=17), str(db_path))
 
 
 def test_session_config_rejects_bad_files(tmp_path):
     path = tmp_path / "server.json"
     path.write_text(json.dumps({"k": 12, "m": 2, "database": "x", "bogus": 1}))
     with pytest.raises(InvalidParams, match="bogus"):
-        SessionConfig.from_file(str(path))
+        read_config(str(path))
     path.write_text(json.dumps({"k": 12, "m": 2}))
     with pytest.raises(InvalidParams, match="database"):
-        SessionConfig.from_file(str(path))
+        read_config(str(path))
     path.write_text('{"k": 12, "m": 2,')
     with pytest.raises(InvalidParams, match="not valid JSON"):
-        SessionConfig.from_file(str(path))
+        read_config(str(path))
     path.write_bytes(b"\xff\xfe{}")
     with pytest.raises(InvalidParams, match="not valid JSON"):
-        SessionConfig.from_file(str(path))
+        read_config(str(path))
     for top in ("[12, 2]", '"k"', "null"):
         path.write_text(top)
         with pytest.raises(InvalidParams, match="JSON object"):
-            SessionConfig.from_file(str(path))
+            read_config(str(path))
     # wrongly typed values, which used to escape as TypeError tracebacks
     good = {"k": 12, "m": 2, "q": 17, "database": "db.bin"}
     for key, value in [
@@ -401,17 +432,12 @@ def test_session_config_rejects_bad_files(tmp_path):
     ]:
         path.write_text(json.dumps({**good, key: value}))
         with pytest.raises(InvalidParams, match=key):
-            SessionConfig.from_file(str(path))
+            read_config(str(path))
     # coding points are not configurable, even as well-typed lists
     for key in ("x_points", "y_points"):
         path.write_text(json.dumps({**good, key: [1, 2, 3]}))
         with pytest.raises(InvalidParams, match=f"unknown config keys: \\['{key}'\\]"):
-            SessionConfig.from_file(str(path))
-
-
-def test_session_config_fields():
-    names = [f.name for f in dataclasses.fields(SessionConfig)]
-    assert names == ["k", "m", "database_path", "q", "symbols"]
+            read_config(str(path))
 
 
 @pytest.mark.parametrize("entry", ["create_server", "server_from_config"])
@@ -433,6 +459,8 @@ def test_server_refuses_mismatched_database(tmp_path, monkeypatch, entry, field)
     else:
         db_path = tmp_path / "db.bin"
         wire.write_database(database, str(db_path))
-        config = SessionConfig(k=12, m=2, q=17, database_path=str(db_path))
+        config_path = tmp_path / "server.json"
+        config_path.write_text(json.dumps({"k": 12, "m": 2, "q": 17, "database": str(db_path)}))
+        params, database_path = read_config(str(config_path))
         with pytest.raises(InvalidParams):
-            server_from_config(config, ("127.0.0.1", 0))
+            create_server(wire.read_database(database_path), params)

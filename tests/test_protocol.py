@@ -120,10 +120,8 @@ def test_database_validation():
 
 def test_side_information_from_database():
     db = counting_database()
-    side = SideInformation.from_database(db, [2, 3])
-    assert side.indices == {2, 3}
-    assert side.as_dict() == {2: (2,), 3: (3,)}
-    assert side.size == 2
+    side = SideInformation.from_database(db, [3, 2])
+    assert side.values == ((2, (2,)), (3, (3,)))
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +314,8 @@ def test_chain_invariant():
         demands.append(demand)
         query = client.build_query(demand)
         client.decode_answer(server.answer(query))
-        chain = client.merged_chain
-        assert chain == frozenset(query.block_containing(demand))
-        assert set(chain) <= set(client.known)
+        # the chain the next round merges is exactly what the client knows
+        assert set(client.known) == set(query.block_containing(demand))
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +508,8 @@ def test_server_holds_no_client_secrets():
     params, db, server, client = make_session(seed=1)
     client.decode_answer(server.answer(client.build_query(1)))
     fields = set(vars(server))
-    assert fields == {"database", "params", "cauchy", "_queries"}
+    assert fields == {"database", "params", "cauchy", "_prev"}
+    assert server._prev == client.transcript().rounds[-1].query
 
 
 @pytest.mark.parametrize(

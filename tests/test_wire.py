@@ -47,13 +47,14 @@ from opir.wire import (
     encode_query,
     error_code_for,
     exception_for,
+    max_client_payload,
     read_database,
     read_frame,
     transcript_from_bytes,
     transcript_to_bytes,
     write_database,
 )
-from conftest import GOLDEN_SEED, counting_database, random_session
+from conftest import GOLDEN_SEED, GRID, counting_database, random_session
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +119,28 @@ def test_read_frame_truncated_payload():
     data = encode_frame(FRAME_QUERY, b"xy")
     with pytest.raises(DecodeError, match="closed mid-frame payload"):
         read_frame(io.BytesIO(data[:-1]))
+
+
+def test_read_frame_limit():
+    """A payload longer than the limit is refused from its header alone."""
+    data = encode_frame(FRAME_QUERY, b"xyz")
+    assert read_frame(io.BytesIO(data), limit=3) == (FRAME_QUERY, b"xyz")
+    stream = io.BytesIO(data)
+    with pytest.raises(DecodeError, match="exceeds the limit of 2"):
+        read_frame(stream, limit=2)
+    assert stream.tell() == HEADER.size
+
+
+def test_max_client_payload_fits_the_largest_client_frames():
+    """The limit is exactly the larger of a HELLO with points and a round-1
+    query, and every query of a session fits under it."""
+    for k, m in GRID:
+        params, _, _, _, result = random_session(k, m, seed=k + m)
+        transcript = result.transcript
+        hello = Hello.for_params(params, transcript.cauchy_x, transcript.cauchy_y)
+        queries = [len(encode_query(r.query)) for r in transcript.rounds]
+        assert max(queries) == queries[0]
+        assert max_client_payload(params) == max(len(encode_hello(hello)), queries[0])
 
 
 def test_frame_readers_share_header_checks(monkeypatch):
