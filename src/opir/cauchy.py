@@ -26,6 +26,7 @@ and build_cauchy both call.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import FieldTooSmall, InvalidParams, RoundOutOfRange
@@ -72,6 +73,28 @@ def canonical_points(q: int, k: int, m: int, l: int) -> tuple[tuple[int, ...], t
     return x, y
 
 
+def _batch_inverse(values: list[int], q: int) -> list[int]:
+    """1/v mod q for every nonzero v, with one field inversion (Montgomery's trick).
+
+    A forward pass keeps the prefix products, their product is inverted
+    once, and a backward pass peels one value off at a time.  A single zero
+    would zero the product and make every result wrong, not just its own,
+    so callers rule zeros out first.
+    """
+    prefix = []
+    running = 1
+    for v in values:
+        running = running * v % q
+        prefix.append(running)
+    inverse = pow(running, -1, q)
+    out = [0] * len(values)
+    for n in range(len(values) - 1, 0, -1):
+        out[n] = inverse * prefix[n - 1] % q
+        inverse = inverse * values[n] % q
+    out[0] = inverse
+    return out
+
+
 def build_cauchy(
     k: int,
     m: int,
@@ -89,12 +112,9 @@ def build_cauchy(
     transcript or a server's HELLO, as long as all K + Ml + 1 points are
     distinct residues in [0, q) (never reduced mod q); InvalidParams otherwise.
 
-    All K(Ml+1) entries cost one field inversion (Montgomery's batch
-    inversion): a forward pass keeps the prefix products of the differences
-    x_i - y_j, their product is inverted once, and a backward pass peels
-    one difference off at a time, leaving 1/(x_i - y_j) for each.  A single
-    zero difference would zero the whole product and make every entry
-    wrong, not just its own, so the distinctness check runs first.
+    All K(Ml+1) entries cost one field inversion (_batch_inverse).  A single
+    zero difference would make every entry wrong, not just its own, so the
+    distinctness check runs first.
     """
     want = derive_l(k, m)
     if l != want:
@@ -115,18 +135,7 @@ def build_cauchy(
         raise InvalidParams(f"need {k} x-points and {cols} y-points")
     if len(set(x_points) | set(y_points)) != k + cols:
         raise InvalidParams("x and y points must be pairwise distinct and disjoint")
-    diffs = [x - y for x in x_points for y in y_points]
-    prefix = []
-    running = 1
-    for d in diffs:
-        running = running * d % q
-        prefix.append(running)
-    inverse = pow(running, -1, q)
-    flat = [0] * len(diffs)
-    for n in range(len(diffs) - 1, 0, -1):
-        flat[n] = inverse * prefix[n - 1] % q
-        inverse = inverse * diffs[n] % q
-    flat[0] = inverse
+    flat = _batch_inverse([x - y for x in x_points for y in y_points], q)
     entries = [flat[i : i + cols] for i in range(0, len(flat), cols)]
     return CauchyMatrix(m, x_points, y_points, FieldMatrix(q, entries))
 
@@ -146,68 +155,76 @@ def round_column_indices(m: int, l: int, round_no: int) -> tuple[int, ...]:
 def all_merge_systems_invertible(cauchy: CauchyMatrix) -> bool:
     """Whether every possible round-3 decode system for this matrix is solvable.
 
-    Exhausts all unions of two disjoint (M+1)-blocks, i.e. every block a
-    third round could be asked to decode regardless of side information,
-    demands, or random choices.  For l <= 2 this covers all rounds (round-2
-    systems are genuine Cauchy submatrices, hence always invertible); for
-    deeper schedules the rounds past 3 are not enumerated here.
+    Covers every block a third round could be asked to decode, that is every
+    union of two disjoint (M+1)-blocks, regardless of side information,
+    demands or random choices.  For l <= 2 this covers all rounds (round-2
+    systems are genuine Cauchy submatrices, hence always invertible); the
+    systems of rounds 4 and later are not checked.
 
-    The system for a merged block left | right (1-based, disjoint, each of
-    size M+1) has 2(M+1) unknowns and rows: the round-1 column restricted
-    to each half, plus the full columns 2..2M+1 over the union.
-    Row-reducing the two masked rows against the unmasked Cauchy columns
-    shows the system is invertible iff
+    The system for a merged block with halves A | B has 2(M+1) unknowns and
+    rows: the round-1 column restricted to each half, plus the full columns
+    2..2M+1 over the union U.  Row-reducing the two masked rows against the
+    unmasked Cauchy columns shows it is invertible iff the residue sum
 
-        sum over i in left of
-            prod_{j=2..2M+1} (x_i - y_j) / prod_{k in union, k != i} (x_i - x_k)
+        sum over i in A of w_i / prod_{k in U, k != i} (x_i - x_k),
+        w_i = prod_{j=2..2M+1} (x_i - y_j),
 
-    is nonzero: the products are the residues of a rational function whose
-    poles are the union's x-points, and the masked row escapes the span of
-    the Cauchy columns exactly when the residues over one half do not cancel.
-    The condition is symmetric in the two halves because all residues sum
-    to zero, so each split is tested once, with the union's first index on
-    the left.  The sum is taken over a common denominator: numerator i times
-    the denominators of the half's other indices.  Numerators depend only on
-    i and denominators only on i and the union, so both are computed once.
+    is nonzero: the terms are the residues of w(z) / prod_{k in U}(z - x_k),
+    whose residues over all of U sum to zero, so the test is symmetric in
+    the halves.  Write A = H and B = R + {c, d} with |R| = M - 1, and let
+
+        G_R(z) = sum over i in H of
+            w_i / (prod_{k in H+R, k != i} (x_i - x_k) * (x_i - z)).
+
+    The partial fraction 1/((x_i - x_c)(x_i - x_d)) =
+    (1/(x_i - x_c) - 1/(x_i - x_d)) / (x_c - x_d) turns the residue sum into
+    (G_R(x_c) - G_R(x_d)) / (x_c - x_d).  So the matrix is safe iff, for
+    every H and R, the values G_R(x_c) are pairwise distinct over the c
+    outside H + R.  Each split is visited once: H holds the union's first
+    index and R the M - 1 first indices of the other half, so R and c range
+    above min H and c above max R.  The same partial fraction with x_r
+    builds G_{R+r} from G_R, one subtraction and product per c:
+
+        G_{R+r}(x_c) = (G_R(x_r) - G_R(x_c)) / (x_r - x_c).
+
+    One batch inversion gives every 1/(x_i - x_k), and each c costs one set
+    insertion instead of a loop over the pairs it completes.
 
     The canonical equally-spaced points fail this check for every prime:
     e.g. K=8, M=1 has a merged block whose residue sum is identically zero
     over the integers.  Safe defaults therefore use searched point sets.
     """
-    xs = cauchy.x_points
-    ys = cauchy.y_points
-    m = cauchy.m
-    if derive_l(len(xs), m) < 2:
+    xs, ys, m = cauchy.x_points, cauchy.y_points, cauchy.m
+    k = len(xs)
+    if derive_l(k, m) < 2:
         return True
     q = cauchy.matrix.q
-    size = m + 1
-    # per-index numerator prod_{j>=2}(x_i - y_j) is block-independent
-    wcache = []
-    for i in range(len(xs)):
-        xi = xs[i]
-        w = 1
-        for j in range(1, 2 * m + 1):
-            w = w * (xi - ys[j]) % q
-        wcache.append(w)
-    for union in itertools.combinations(range(len(xs)), 2 * size):
-        dens = {}
-        for i in union:
-            xi = xs[i]
-            den = 1
-            for other in union:
-                if other != i:
-                    den = den * (xi - xs[other]) % q
-            dens[i] = den
-        first = union[0]
-        for extra in itertools.combinations(union[1:], m):
-            half = (first,) + extra
-            total = 0
-            for i in half:
-                term = wcache[i]
-                for j in half:
-                    if j != i:
-                        term = term * dens[j] % q
-                total = (total + term) % q
-            if total == 0:
-                return False
+    pairs = list(itertools.combinations(range(k), 2))
+    inv = [[0] * k for _ in range(k)]  # inv[i][j] = 1/(x_i - x_j)
+    for (i, j), d in zip(pairs, _batch_inverse([xs[i] - xs[j] for i, j in pairs], q)):
+        inv[i][j], inv[j][i] = d, q - d
+    w = [math.prod(x - y for y in ys[1 : 2 * m + 1]) % q for x in xs]
+    for half in itertools.combinations(range(k), m + 1):
+        others = [c for c in range(half[0] + 1, k) if c not in half]
+        terms = []
+        for i in half:
+            row = inv[i]
+            gamma = w[i]
+            for j in half:
+                if j != i:
+                    gamma = gamma * row[j] % q
+            terms.append([gamma * row[c] for c in others])
+        # (points, G_R at each point) for every R chosen so far
+        level = [(others, [sum(column) % q for column in zip(*terms)])]
+        for _ in range(m - 1):
+            deeper = []
+            for points, values in level:
+                for pos in range(len(points) - 2):
+                    row, g_r, later = inv[points[pos]], values[pos], points[pos + 1 :]
+                    deeper.append(
+                        (later, [(g_r - g) * row[c] % q for g, c in zip(values[pos + 1 :], later)])
+                    )
+            level = deeper
+        if any(len(set(values)) < len(values) for _, values in level):
+            return False
     return True

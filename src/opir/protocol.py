@@ -75,12 +75,12 @@ Message = tuple[int, ...]
 # equally-spaced points admit merged blocks whose round-3 decode system is
 # singular -- for some shapes identically in the integers, so no prime
 # rescues them.  Sessions therefore default to a large field and searched
-# point sets that pass all_merge_systems_invertible exhaustively.
+# point sets that pass all_merge_systems_invertible on every merged block.
 SESSION_PRIME = 2147483647  # 2^31 - 1
 
 # Point sets certified decode-safe at SESSION_PRIME (see session_cauchy).
 # Each was found by the deterministic search in _certified_cauchy and is
-# re-verified against the exhaustive check by the test suite.
+# re-verified by the test suite against a split-by-split enumeration.
 _SAFE_POINTS: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {
     (8, 1): (
         (690072302, 1567055383, 1680381238, 1121585757,
@@ -183,8 +183,8 @@ class ProtocolParams:
 
 @cache
 def _certified_cauchy(k: int, m: int) -> CauchyMatrix:
-    """The decode-safe matrix at SESSION_PRIME: pinned points, else the
-    first point set of a deterministic search that passes the exhaustive check.
+    """The decode-safe matrix at SESSION_PRIME: pinned points, else the first
+    point set of a deterministic search that all_merge_systems_invertible passes.
 
     A random point set fails for some merged block with probability well
     under a percent, so the first attempt almost always wins; the attempt

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -19,7 +20,7 @@ from opir import (
 from opir import cauchy as cauchy_module
 from opir.cauchy import canonical_points
 from opir.field import FieldMatrix, next_prime
-from opir.protocol import SESSION_PRIME, Transcript, session_cauchy
+from opir.protocol import _SAFE_POINTS, SESSION_PRIME, Transcript, session_cauchy
 from conftest import GOLDEN_MATRIX
 
 
@@ -211,6 +212,53 @@ def all_splits(k, m):
             yield left, right
 
 
+def reference_all_merge_systems_invertible(cauchy):
+    """The residue-sum check, union by union and split by split.
+
+    Exhausts all unions of two disjoint (M+1)-blocks and tests each split
+    once, with the union's first index on the left: the sum over the left
+    half of w_i / prod_{k in union, k != i}(x_i - x_k), taken over a common
+    denominator.  This is the enumeration the library ran before its
+    collision search, kept as the reference the search must agree with.
+    """
+    xs = cauchy.x_points
+    ys = cauchy.y_points
+    m = cauchy.m
+    if cauchy_module.derive_l(len(xs), m) < 2:
+        return True
+    q = cauchy.matrix.q
+    size = m + 1
+    wcache = []
+    for i in range(len(xs)):
+        xi = xs[i]
+        w = 1
+        for j in range(1, 2 * m + 1):
+            w = w * (xi - ys[j]) % q
+        wcache.append(w)
+    for union in itertools.combinations(range(len(xs)), 2 * size):
+        dens = {}
+        for i in union:
+            xi = xs[i]
+            den = 1
+            for other in union:
+                if other != i:
+                    den = den * (xi - xs[other]) % q
+            dens[i] = den
+        first = union[0]
+        for extra in itertools.combinations(union[1:], m):
+            half = (first,) + extra
+            total = 0
+            for i in half:
+                term = wcache[i]
+                for j in half:
+                    if j != i:
+                        term = term * dens[j] % q
+                total = (total + term) % q
+            if total == 0:
+                return False
+    return True
+
+
 def test_merge_invertibility_formula_matches_elimination():
     """The residue-sum check agrees with Gauss elimination of every split.
 
@@ -282,3 +330,100 @@ def test_session_cauchy_policy():
 def test_l1_schedules_trivially_certified():
     assert all_merge_systems_invertible(build_cauchy(4, 1, 1, q=7))
     assert all_merge_systems_invertible(build_cauchy(8, 3, 1, q=13))
+
+
+def test_collision_search_matches_reference_enumeration():
+    """The collision search and the split-by-split enumeration agree.
+
+    Seeded random point sets for M = 1, 2 and 3 at fields where both
+    verdicts occur (a set passes with probability about exp(-splits / q)),
+    plus the pinned SESSION_PRIME sets, which must pass.  At K=16, M=3 a
+    random set passes only for q near 10^6, where the enumeration takes
+    seconds, so its passing case is the pinned set.
+    """
+    rng = random.Random(13)
+    verdicts = {1: set(), 2: set(), 3: set()}
+    cases = [(8, 1, 101, 40), (8, 1, 1009, 40), (16, 1, 10007, 20),
+             (12, 2, 10007, 30), (12, 2, 30011, 10), (16, 3, 211, 10)]
+    for k, m, q, count in cases:
+        l = cauchy_module.derive_l(k, m)
+        for _ in range(count):
+            points = rng.sample(range(q), k + m * l + 1)
+            cauchy = build_cauchy(k, m, l, q, tuple(points[:k]), tuple(points[k:]))
+            expected = reference_all_merge_systems_invertible(cauchy)
+            assert all_merge_systems_invertible(cauchy) == expected, (k, m, q, points)
+            verdicts[m].add(expected)
+    for (k, m), points in _SAFE_POINTS.items():
+        cauchy = build_cauchy(k, m, cauchy_module.derive_l(k, m), SESSION_PRIME, *points)
+        assert reference_all_merge_systems_invertible(cauchy)
+        assert all_merge_systems_invertible(cauchy)
+        verdicts[m].add(True)
+    assert verdicts == {1: {False, True}, 2: {False, True}, 3: {False, True}}
+
+
+def _plant_singular_split(xs, ys, left, right, q):
+    """Move y_2 so that the split left | right (1-based) is singular, or None.
+
+    Each term of the residue sum over the left half is (x_i - y_2) a_i, so
+    the sum vanishes at y_2 = sum(x_i a_i) / sum(a_i).
+    """
+    union = left + right
+    weights = []
+    for i in left:
+        xi = xs[i - 1]
+        num = 1
+        for y in ys[2 : len(union) - 1]:  # y_3 .. y_{2M+1}
+            num = num * (xi - y) % q
+        den = 1
+        for other in union:
+            if other != i:
+                den = den * (xi - xs[other - 1]) % q
+        weights.append((xi, num * pow(den, -1, q) % q))
+    total = sum(a for _, a in weights) % q
+    if total == 0:
+        return None
+    y2 = sum(x * a for x, a in weights) * pow(total, -1, q) % q
+    if y2 in xs or y2 in ys:
+        return None
+    return ys[:1] + (y2,) + ys[2:]
+
+
+@pytest.mark.parametrize("k,m,count", [(8, 1, None), (12, 2, 60), (16, 3, 2)])
+def test_collision_search_finds_a_planted_singular_split(k, m, count):
+    """A pinned set with one split made singular is refused, whichever split.
+
+    At K=8, M=1 every one of the 210 splits is planted in turn, so a split
+    the search skipped would pass; larger shapes plant a seeded sample.
+    Elimination confirms that the planted split really is singular.
+    """
+    xs, ys = _SAFE_POINTS[k, m]
+    l, q = cauchy_module.derive_l(k, m), SESSION_PRIME
+    splits = list(all_splits(k, m))
+    if count is not None:
+        splits = random.Random(k).sample(splits, count)
+    planted = 0
+    for left, right in splits:
+        moved = _plant_singular_split(xs, ys, left, right, q)
+        if moved is None:
+            continue
+        cauchy = build_cauchy(k, m, l, q, xs, moved)
+        assert not merge_oracle_invertible(cauchy, left, right)
+        assert not all_merge_systems_invertible(cauchy), (left, right)
+        planted += 1
+    assert planted >= 0.9 * len(splits)
+
+
+def test_searched_points_are_unchanged():
+    """Unpinned shapes take the first searched set the certifier passes; these
+    hashes of the points (taken before the collision search replaced the
+    enumeration) show the same attempt still wins."""
+    expected = {
+        (16, 1): "e37e99315f39bf007dcfdad8447a4950d9d9cf49da58646c7f16ff6d0e50d96d",
+        (32, 1): "fbefdb93dc3c277bb6791940ba5f921b09492bf3c0fd19bdc034c5f7a6b57360",
+        (24, 2): "cbb000d575b215242cbf24d2464e38ea299ec6469e9317f5906aaad75c88e9c5",
+    }
+    for (k, m), digest in expected.items():
+        assert (k, m) not in _SAFE_POINTS
+        cauchy = session_cauchy(ProtocolParams.create(k, m))
+        points = repr((cauchy.x_points, cauchy.y_points)).encode()
+        assert hashlib.sha256(points).hexdigest() == digest, (k, m)

@@ -17,7 +17,8 @@ from opir import Database, PartitionQuery, ProtocolParams, run_session, wire
 from opir import cli
 from opir.cli import main
 from opir.wire import read_database, transcript_from_bytes, transcript_to_bytes, write_database
-from conftest import GOLDEN_SEED, counting_database
+from opir.protocol import _SAFE_POINTS, SESSION_PRIME, session_cauchy
+from conftest import GOLDEN_SEED, counting_database, random_session
 
 
 def run_cli(*argv):
@@ -389,14 +390,16 @@ def test_client_connection_refused(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 @contextlib.contextmanager
-def serving(tmp_path, database):
-    """An `opir serve` process for a K=12, M=2, q=17 database; yields its port."""
+def serving(tmp_path, database, **config):
+    """An `opir serve` process for the database; yields its port.
+
+    The config is K=12, M=2, q=17 unless keyword arguments replace it.
+    """
     db_path = tmp_path / "served.bin"
     write_database(database, str(db_path))
     config_path = tmp_path / "server.json"
-    config_path.write_text(
-        json.dumps({"k": 12, "m": 2, "q": 17, "database": str(db_path)})
-    )
+    config = config or {"k": 12, "m": 2, "q": 17}
+    config_path.write_text(json.dumps({**config, "database": str(db_path)}))
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "opir.cli",
@@ -448,6 +451,39 @@ def test_serve_client_end_to_end(tmp_path, capsys):
 
         assert run_cli("audit", "--transcript", str(transcript_path)) == 0
         assert "PASS" in capsys.readouterr().out
+
+
+def test_serve_certifies_an_unpinned_default_field_shape(tmp_path, capsys):
+    """`opir serve` at K=32, M=1 with no q searches and certifies its coding
+    points at start-up (no pinned set exists for that shape); a five-round
+    session then reaches capacity, audits PASS and carries session_cauchy's
+    points in its HELLO."""
+    params, database, side, demands, local = random_session(32, 1, seed=5)
+    assert (params.k, params.m, params.q, params.l) == (32, 1, SESSION_PRIME, 4)
+    assert (32, 1) not in _SAFE_POINTS
+    db_path = tmp_path / "db.bin"
+    write_database(database, str(db_path))
+    transcript_path = tmp_path / "remote.bin"
+    with serving(tmp_path, database, k=32, m=1) as port:
+        code = run_cli(
+            "client",
+            "--connect", f"127.0.0.1:{port}",
+            "--side", ",".join(map(str, side)),
+            "--demands", ",".join(map(str, demands)),
+            "--seed", "5",
+            "--db", str(db_path),
+            "--transcript-out", str(transcript_path),
+        )
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "all rounds at capacity" in out
+    data = transcript_path.read_bytes()
+    assert data == transcript_to_bytes(local.transcript)
+    transcript = transcript_from_bytes(data)
+    cauchy = session_cauchy(params)
+    assert (transcript.cauchy_x, transcript.cauchy_y) == (cauchy.x_points, cauchy.y_points)
+    assert run_cli("audit", "--transcript", str(transcript_path)) == 0
+    assert capsys.readouterr().out.rstrip().endswith("PASS")
 
 
 def test_unseeded_client_draws_256_bits_and_replays(tmp_path, monkeypatch, capsys):
