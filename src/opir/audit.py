@@ -33,7 +33,7 @@ from fractions import Fraction
 from .cauchy import derive_l, round_column_indices
 from .errors import InconsistentTranscript, RoundOutOfRange
 from .field import FieldMatrix, matrix_rank
-from .protocol import PartitionQuery, Transcript
+from .protocol import PartitionQuery, Transcript, is_merge
 
 
 @dataclass(frozen=True)
@@ -65,12 +65,20 @@ class PosteriorTable:
         return all(p == target for row in self.rows for p in row)
 
 
-def _check_contiguous(transcript: Transcript) -> None:
+def _check_rounds(transcript: Transcript) -> None:
+    """InconsistentTranscript unless the rounds are numbered 1, 2, ... and
+    every block index lies in [1..K]."""
     if not transcript.rounds:
         raise InconsistentTranscript("transcript has no rounds")
+    k = transcript.params.k
     for j, rnd in enumerate(transcript.rounds, start=1):
         if rnd.query.round_no != j:
             raise InconsistentTranscript(f"transcript rounds not contiguous at position {j}")
+        outside = [u for block in rnd.query.blocks for u in block if not 1 <= u <= k]
+        if outside:
+            raise InconsistentTranscript(
+                f"round {j} does not partition [1..{k}]: index {outside[0]} lies outside it"
+            )
 
 
 def enumerate_hypotheses(transcript: Transcript) -> tuple[Hypothesis, ...]:
@@ -86,7 +94,7 @@ def enumerate_hypotheses(transcript: Transcript) -> tuple[Hypothesis, ...]:
     This is the brute-force reference for posterior: its size is
     K * prod 2^(i-2)(M+1), so it is for tests on small shapes.
     """
-    _check_contiguous(transcript)
+    _check_rounds(transcript)
 
     # state: (side, demands, chain block as frozenset)
     states: list[tuple[frozenset[int], tuple[int, ...], frozenset[int]]] = []
@@ -141,11 +149,7 @@ def _chain_links(
     """
     prev_sets = {frozenset(b) for b in prev.blocks}
     blocks = [frozenset(b) for b in query.blocks]
-    malformed = []
-    for d, block in enumerate(blocks):
-        inside = [p for p in prev_sets if p <= block]
-        if len(inside) != 2 or inside[0] | inside[1] != block:
-            malformed.append(d)
+    malformed = [d for d, block in enumerate(blocks) if not is_merge(block, prev_sets)]
     links: list[tuple[int, frozenset[int]] | None] = []
     for chain in map(frozenset, prev.blocks):
         merged = [d for d, b in enumerate(blocks) if chain <= b]
@@ -164,7 +168,7 @@ def posterior(transcript: Transcript) -> PosteriorTable:
     backward pass counts their completions; a round-i demand in the other
     half of a chain's merge counts prefixes times completions.
     """
-    _check_contiguous(transcript)
+    _check_rounds(transcript)
     k = transcript.params.k
     queries = [rnd.query for rnd in transcript.rounds]
     links = [_chain_links(prev, query) for prev, query in zip(queries, queries[1:])]
@@ -226,7 +230,7 @@ def measured_rate(transcript: Transcript, round_no: int) -> Fraction:
     """Achieved rate at a round: one message per packet downloaded."""
     if not 1 <= round_no <= len(transcript.rounds):
         raise ValueError(f"transcript has no round {round_no}")
-    return Fraction(1, transcript.rounds[round_no - 1].download_cost)
+    return Fraction(1, len(transcript.rounds[round_no - 1].answer.packets))
 
 
 def rank_profile(transcript: Transcript) -> tuple[tuple[int, int], ...]:
@@ -234,10 +238,10 @@ def rank_profile(transcript: Transcript) -> tuple[tuple[int, int], ...]:
 
     The rank is summed block by block, which is exact only because the
     blocks partition [1..K]; InconsistentTranscript when they do not, and
-    for the transcripts posterior refuses: no rounds, or rounds numbered
-    other than 1, 2, ...
+    for the transcripts posterior refuses: no rounds, rounds numbered other
+    than 1, 2, ..., or an index outside [1..K].
     """
-    _check_contiguous(transcript)
+    _check_rounds(transcript)
     params = transcript.params
     cauchy = transcript.cauchy()
     indices = list(range(1, params.k + 1))

@@ -4,11 +4,13 @@ Connection lifecycle: the client sends a HELLO naming the parameters it
 expects (zeros mean "whatever you have"; by default a RemoteSession names
 the M and symbol count of its side information); the server checks them against its own,
 replies with a fully specified HELLO including the coding points, and then
-answers QUERY frames in order until BYE or an error.  Violations are
-reported as ERROR frames carrying a reason code, after which the server
-closes the session.  A frame whose header claims more than the largest
-legal client frame (wire.max_client_payload) closes it unread.  A server's
-shape is its ProtocolParams, which read_config reads from a JSON file.
+answers QUERY frames in order until BYE or an error.  Every failure is
+raised inside the session and handled in one place: a garbage or truncated
+frame, one claiming more than wire.max_client_payload, or an undecodable
+HELLO closes the session unanswered; any other refusal is sent as one ERROR
+frame with its reason code before the close; a socket error, or a read or
+write that waits longer than SERVER_TIMEOUT, just closes.  A server's shape is
+its ProtocolParams, which read_config reads from a JSON file.
 
 The server never learns anything beyond the queries; side information and
 demands live only in the client process.
@@ -36,6 +38,8 @@ from . import wire
 
 # Seconds a RemoteSession waits to connect, and then for each read from the server.
 CLIENT_TIMEOUT = 10.0
+# Seconds a server session waits for each read or write before it closes.
+SERVER_TIMEOUT = 30.0
 
 
 def read_config(path: str) -> tuple[ProtocolParams, str]:
@@ -90,64 +94,47 @@ class OpirTCPServer(socketserver.ThreadingTCPServer):
 
 class _SessionHandler(socketserver.StreamRequestHandler):
     server: OpirTCPServer
+    # setup() puts this on the socket: a read or write that waits longer
+    # raises TimeoutError, an OSError, so a stalled peer frees its thread.
+    timeout = SERVER_TIMEOUT
 
     def handle(self) -> None:
         try:
-            if not self._hello():
-                return
-            self._serve_rounds()
-        except (DecodeError, ConnectionError, OSError):
-            # Peer vanished or sent garbage mid-frame; nothing to clean up.
-            return
+            try:
+                self._session()
+            except DecodeError:
+                return  # a bad, oversized or truncated frame: close unanswered
+            except OpirError as exc:
+                reply = wire.encode_error(wire.error_code_for(exc), str(exc))
+                self._send(wire.FRAME_ERROR, reply)
+        except OSError:
+            return  # the peer vanished or stalled past the timeout
 
     def _send(self, frame_type: int, payload: bytes = b"") -> None:
         self.wfile.write(wire.encode_frame(frame_type, payload))
         self.wfile.flush()
 
-    def _send_error(self, exc: Exception) -> None:
-        code = wire.error_code_for(exc)
-        try:
-            self._send(wire.FRAME_ERROR, wire.encode_error(code, str(exc)))
-        except (ConnectionError, OSError):
-            pass
-
-    def _hello(self) -> bool:
-        frame_type, payload = wire.read_frame(self.rfile, self.server.frame_limit)
+    def _session(self) -> None:
+        """HELLO, then QUERY frames until BYE; any refusal raises."""
+        params, cauchy, limit = self.server.params, self.server.cauchy, self.server.frame_limit
+        frame_type, payload = wire.read_frame(self.rfile, limit)
         if frame_type != wire.FRAME_HELLO:
-            self._send_error(ParamMismatch("expected a hello frame first"))
-            return False
-        params = self.server.params
-        try:
-            wire.decode_hello(payload).require(params)
-        except ParamMismatch as exc:
-            self._send_error(exc)
-            return False
-        reply = wire.Hello.for_params(
-            params, self.server.cauchy.x_points, self.server.cauchy.y_points
-        )
+            raise ParamMismatch("expected a hello frame first")
+        wire.decode_hello(payload).require(params)
+        reply = wire.Hello.for_params(params, cauchy.x_points, cauchy.y_points)
         self._send(wire.FRAME_HELLO, wire.encode_hello(reply))
-        return True
-
-    def _serve_rounds(self) -> None:
-        session = ProtocolServer(self.server.database, self.server.params, self.server.cauchy)
+        session = ProtocolServer(self.server.database, params, cauchy)
         while True:
-            frame_type, payload = wire.read_frame(self.rfile, self.server.frame_limit)
+            frame_type, payload = wire.read_frame(self.rfile, limit)
             if frame_type == wire.FRAME_BYE:
                 return
             if frame_type != wire.FRAME_QUERY:
-                self._send_error(OpirError("expected a query or bye frame"))
-                return
+                raise OpirError("expected a query or bye frame")
             try:
                 query = wire.decode_query(payload)
             except DecodeError as exc:
-                self._send_error(MalformedQuery(str(exc)))
-                return
-            try:
-                answer = session.answer(query)
-            except OpirError as exc:
-                self._send_error(exc)
-                return
-            self._send(wire.FRAME_ANSWER, wire.encode_answer(answer))
+                raise MalformedQuery(str(exc)) from None
+            self._send(wire.FRAME_ANSWER, wire.encode_answer(session.answer(query)))
 
 
 def create_server(

@@ -78,20 +78,12 @@ Message = tuple[int, ...]
 # point sets that pass all_merge_systems_invertible on every merged block.
 SESSION_PRIME = 2147483647  # 2^31 - 1
 
-# Point sets certified decode-safe at SESSION_PRIME (see session_cauchy).
-# Each was found by the deterministic search in _certified_cauchy and is
-# re-verified by the test suite against a split-by-split enumeration.
+# The point set _certified_cauchy's search returns for K=16, M=3 (its
+# attempt 0), pinned because certifying it takes ~0.3 s, paid before
+# `opir serve` listens, and it is the shape of the TCP benchmark.  Smaller
+# shapes certify in milliseconds and are searched.  The test suite
+# re-verifies the pin against a split-by-split enumeration.
 _SAFE_POINTS: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {
-    (8, 1): (
-        (690072302, 1567055383, 1680381238, 1121585757,
-         563730987, 1411602855, 1453046722, 1668947987),
-        (383618720, 1004379449, 479328205),
-    ),
-    (12, 2): (
-        (125783487, 2016945426, 1347297603, 310376144, 764601701, 1527062891,
-         454675889, 871338968, 1758806542, 1201037408, 979462745, 1485818360),
-        (2094066615, 383178531, 1564300121, 944119874, 352437205),
-    ),
     (16, 3): (
         (58117088, 253515402, 713856209, 445833048, 672927510, 1280701199,
          1886002980, 1447989846, 2034641911, 851575410, 2093243109, 837799413,
@@ -183,8 +175,8 @@ class ProtocolParams:
 
 @cache
 def _certified_cauchy(k: int, m: int) -> CauchyMatrix:
-    """The decode-safe matrix at SESSION_PRIME: pinned points, else the first
-    point set of a deterministic search that all_merge_systems_invertible passes.
+    """The decode-safe matrix at SESSION_PRIME: the first point set of a
+    deterministic search that all_merge_systems_invertible passes (pinned at (16, 3)).
 
     A random point set fails for some merged block with probability well
     under a percent, so the first attempt almost always wins; the attempt
@@ -211,8 +203,8 @@ def session_cauchy(params: ProtocolParams) -> CauchyMatrix:
     For two-round schedules any point set is safe, so this returns the
     canonical matrix.  For longer schedules run at the default field
     (q = SESSION_PRIME) it returns a point set certified by
-    all_merge_systems_invertible: pinned constants for the common shapes,
-    a deterministic search otherwise.  Longer schedules at an explicitly
+    all_merge_systems_invertible: a deterministic search, pinned for the
+    one shape whose search is slow.  Longer schedules at an explicitly
     chosen q keep the canonical matrix; there a singular decode system
     stays possible and is treated as a fatal error.
     """
@@ -306,9 +298,6 @@ class PartitionQuery:
                 return block
         raise KeyError(f"index {index} not covered by query")
 
-    def block_index(self, block: Block) -> int:
-        return self.blocks.index(block)
-
 
 @dataclass(frozen=True)
 class RoundAnswer:
@@ -327,10 +316,6 @@ class TranscriptRound:
     query: PartitionQuery
     answer: RoundAnswer
 
-    @property
-    def download_cost(self) -> int:
-        return len(self.answer.packets)
-
 
 @dataclass(frozen=True)
 class Transcript:
@@ -343,7 +328,7 @@ class Transcript:
 
     @property
     def costs(self) -> tuple[int, ...]:
-        return tuple(r.download_cost for r in self.rounds)
+        return tuple(len(r.answer.packets) for r in self.rounds)
 
     def cauchy(self) -> CauchyMatrix:
         p = self.params
@@ -381,21 +366,24 @@ def validate_query(
     if r >= 2:
         if prev is None or prev.round_no != r - 1:
             raise MalformedQuery("missing previous-round query for pairing check")
-        prev_sets = [set(b) for b in prev.blocks]
-        for block in query.blocks:
-            bset = set(block)
-            parents = [p for p in prev_sets if p & bset]
-            if len(parents) != 2 or set().union(*parents) != bset:
-                raise MalformedQuery(
-                    "every block must be the union of exactly two previous blocks"
-                )
+        prev_sets = [frozenset(b) for b in prev.blocks]
+        if not all(is_merge(frozenset(b), prev_sets) for b in query.blocks):
+            raise MalformedQuery("every block must be the union of exactly two previous blocks")
+
+
+def is_merge(block: frozenset[int], prev_blocks) -> bool:
+    """The one merge rule: block is the union of exactly two of prev_blocks (frozensets)."""
+    inside = [p for p in prev_blocks if p <= block]
+    return len(inside) == 2 and inside[0] | inside[1] == block
 
 
 class Client:
     """The querying side: builds partitions, tracks state, decodes answers.
 
     Single-owner mutable state machine.  All randomness comes from one
-    seeded generator, so a session is fully reproducible from its seed.
+    generator: random.Random(seed) when a seed is given, so the session
+    replays from it, and otherwise the OS CSPRNG (random.SystemRandom),
+    whose draws the server cannot predict.
     """
 
     def __init__(
@@ -420,7 +408,7 @@ class Client:
                 raise InvalidParams("side-information symbols must be residues mod q")
         self.params = params
         self.cauchy = cauchy
-        self.rng = random.Random(seed)
+        self.rng = random.SystemRandom() if seed is None else random.Random(seed)
         # Every known message as a canonical packed row (field.pack_row): the
         # side information is packed here, and a recovered message is kept
         # as the solver returned it, so no message is packed twice.
@@ -539,7 +527,7 @@ class Client:
         # to restrict support to the target.  The difference stays an
         # unreduced packed sum: the solver reduces once, after it combines.
         current = query.block_containing(demand)
-        bi = query.block_index(current)
+        bi = query.blocks.index(current)
         columns = round_column_indices(params.m, params.l, query.round_no)
         known = sorted(self.known)
         known_packed = [self._packed[i] for i in known]
@@ -549,10 +537,6 @@ class Client:
             rhs.append(packed_sum(coeffs, [packet] + known_packed, params.q))
             rows.append([self.cauchy.coeff(u, col) for u in unknowns])
 
-        if len(rows) != len(unknowns):
-            raise SingularSystem(
-                f"assembled {len(rows)} equations for {len(unknowns)} unknowns"
-            )
         try:
             solution = solve_linear_system(FieldMatrix(params.q, rows), rhs, params.symbols)
         except SingularMatrix as exc:

@@ -475,3 +475,19 @@ def test_rank_profile_rejects_non_partitions(golden, blocks):
     )
     with pytest.raises(InconsistentTranscript, match="partition"):
         rank_profile(transcript)
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)],  # index 0 would count as index 12
+        [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 13)],  # index K+1 is past the table
+    ],
+)
+def test_auditors_refuse_indices_outside_1_to_k(golden, blocks):
+    _, _, result = golden
+    first = dataclasses.replace(result.transcript.rounds[0], query=PartitionQuery.of(1, blocks))
+    transcript = dataclasses.replace(result.transcript, rounds=(first,))
+    for check in (posterior, enumerate_hypotheses):
+        with pytest.raises(InconsistentTranscript, match="outside"):
+            check(transcript)

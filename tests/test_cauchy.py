@@ -337,9 +337,9 @@ def test_collision_search_matches_reference_enumeration():
 
     Seeded random point sets for M = 1, 2 and 3 at fields where both
     verdicts occur (a set passes with probability about exp(-splits / q)),
-    plus the pinned SESSION_PRIME sets, which must pass.  At K=16, M=3 a
-    random set passes only for q near 10^6, where the enumeration takes
-    seconds, so its passing case is the pinned set.
+    plus the session_cauchy sets at SESSION_PRIME, which must pass.  At
+    K=16, M=3 a random set passes only for q near 10^6, where the
+    enumeration takes seconds, so its passing case is the pinned set.
     """
     rng = random.Random(13)
     verdicts = {1: set(), 2: set(), 3: set()}
@@ -353,8 +353,8 @@ def test_collision_search_matches_reference_enumeration():
             expected = reference_all_merge_systems_invertible(cauchy)
             assert all_merge_systems_invertible(cauchy) == expected, (k, m, q, points)
             verdicts[m].add(expected)
-    for (k, m), points in _SAFE_POINTS.items():
-        cauchy = build_cauchy(k, m, cauchy_module.derive_l(k, m), SESSION_PRIME, *points)
+    for k, m in ((8, 1), (12, 2), (16, 3)):
+        cauchy = session_cauchy(ProtocolParams.create(k, m))
         assert reference_all_merge_systems_invertible(cauchy)
         assert all_merge_systems_invertible(cauchy)
         verdicts[m].add(True)
@@ -390,13 +390,14 @@ def _plant_singular_split(xs, ys, left, right, q):
 
 @pytest.mark.parametrize("k,m,count", [(8, 1, None), (12, 2, 60), (16, 3, 2)])
 def test_collision_search_finds_a_planted_singular_split(k, m, count):
-    """A pinned set with one split made singular is refused, whichever split.
+    """A certified set with one split made singular is refused, whichever split.
 
     At K=8, M=1 every one of the 210 splits is planted in turn, so a split
     the search skipped would pass; larger shapes plant a seeded sample.
     Elimination confirms that the planted split really is singular.
     """
-    xs, ys = _SAFE_POINTS[k, m]
+    certified = session_cauchy(ProtocolParams.create(k, m))
+    xs, ys = certified.x_points, certified.y_points
     l, q = cauchy_module.derive_l(k, m), SESSION_PRIME
     splits = list(all_splits(k, m))
     if count is not None:
@@ -415,9 +416,12 @@ def test_collision_search_finds_a_planted_singular_split(k, m, count):
 
 def test_searched_points_are_unchanged():
     """Unpinned shapes take the first searched set the certifier passes; these
-    hashes of the points (taken before the collision search replaced the
-    enumeration) show the same attempt still wins."""
+    hashes of the points (for K=8 and K=12, of the sets once pinned; for the
+    rest, taken before the collision search replaced the enumeration) show
+    the same attempt still wins."""
     expected = {
+        (8, 1): "6b4c148522d56bfb0e3733f624969d2e8150826e859263f62c824098249c6a82",
+        (12, 2): "2452e9ec6763d67e78dc76255d345fb193fa45e8e30194c079ea667a7d78e5c8",
         (16, 1): "e37e99315f39bf007dcfdad8447a4950d9d9cf49da58646c7f16ff6d0e50d96d",
         (32, 1): "fbefdb93dc3c277bb6791940ba5f921b09492bf3c0fd19bdc034c5f7a6b57360",
         (24, 2): "cbb000d575b215242cbf24d2464e38ea299ec6469e9317f5906aaad75c88e9c5",

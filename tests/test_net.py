@@ -381,6 +381,22 @@ def test_oversized_frame_header_closes_the_connection(golden_server):
         sock.close()
 
 
+def test_stalled_peer_is_closed_after_the_timeout(golden_server, monkeypatch):
+    """A peer that sends half a frame header and stops loses its session once
+    a read has waited the server's timeout, which is finite by default."""
+    assert net._SessionHandler.timeout == net.SERVER_TIMEOUT < float("inf")
+    monkeypatch.setattr(net._SessionHandler, "timeout", 0.2)
+    address, _ = golden_server
+    sock, f, _ = _raw_hello(address)
+    try:
+        sock.settimeout(3.0)
+        f.write(wire.HEADER.pack(wire.MAGIC, wire.VERSION, wire.FRAME_QUERY, 8)[:5])
+        f.flush()
+        assert f.read(1) == b""
+    finally:
+        sock.close()
+
+
 def test_bye_closes_the_connection(golden_server):
     address, _ = golden_server
     sock, f, _ = _raw_hello(address)

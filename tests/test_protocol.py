@@ -306,6 +306,26 @@ def test_deterministic_transcripts():
     assert a.recovered == b.recovered
 
 
+def test_unseeded_client_draws_partitions_from_the_os(monkeypatch):
+    """Without a seed the partitions come from random.SystemRandom, which the
+    server cannot replay; a seeded client still replays its partitions."""
+    draws = []
+    shuffle = random.SystemRandom.shuffle
+
+    def counting_shuffle(rng, items):
+        draws.append(len(items))
+        shuffle(rng, items)
+
+    monkeypatch.setattr(random.SystemRandom, "shuffle", counting_shuffle)
+    client = make_session(seed=None)[3]
+    assert isinstance(client.rng, random.SystemRandom)
+    client.build_query(1)
+    assert draws
+    draws.clear()
+    assert make_session(seed=5)[3].build_query(1) == make_session(seed=5)[3].build_query(1)
+    assert not draws
+
+
 def test_chain_invariant():
     params, db, server, client = make_session(seed=11)
     demands = []
