@@ -30,10 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cauchy import derive_l, round_column_indices
+from .cauchy import derive_l
 from .errors import InconsistentTranscript, RoundOutOfRange
 from .field import FieldMatrix, matrix_rank
-from .protocol import PartitionQuery, Transcript, is_merge
+from .protocol import PartitionQuery, Transcript, is_merge, merge_index, packet_layout
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,8 @@ def _chain_links(
     """
     prev_sets = {frozenset(b) for b in prev.blocks}
     blocks = [frozenset(b) for b in query.blocks]
-    malformed = [d for d, block in enumerate(blocks) if not is_merge(block, prev_sets)]
+    index = merge_index(prev_sets)
+    malformed = [d for d, block in enumerate(blocks) if not is_merge(block, index)]
     links: list[tuple[int, frozenset[int]] | None] = []
     for chain in map(frozenset, prev.blocks):
         merged = [d for d, b in enumerate(blocks) if chain <= b]
@@ -230,7 +231,10 @@ def measured_rate(transcript: Transcript, round_no: int) -> Fraction:
     """Achieved rate at a round: one message per packet downloaded."""
     if not 1 <= round_no <= len(transcript.rounds):
         raise ValueError(f"transcript has no round {round_no}")
-    return Fraction(1, len(transcript.rounds[round_no - 1].answer.packets))
+    packets = len(transcript.rounds[round_no - 1].answer.packets)
+    if not packets:
+        raise InconsistentTranscript(f"round {round_no} downloaded no packets")
+    return Fraction(1, packets)
 
 
 def rank_profile(transcript: Transcript) -> tuple[tuple[int, int], ...]:
@@ -250,9 +254,8 @@ def rank_profile(transcript: Transcript) -> tuple[tuple[int, int], ...]:
         blocks = rnd.query.blocks
         if sorted(u for block in blocks for u in block) != indices:
             raise InconsistentTranscript(f"round {i} does not partition [1..{params.k}]")
-        columns = round_column_indices(params.m, params.l, i)
         rank = 0
-        for block in blocks:
+        for block, columns in packet_layout(params, rnd.query):
             rows = [[cauchy.coeff(u, c) for u in block] for c in columns]
             rank += matrix_rank(FieldMatrix(params.q, rows))
         profile.append((i, rank))

@@ -15,11 +15,14 @@ groups the other previous blocks uniformly at random:
 * Round i >= 2: the other blocks are paired.  The server returns M packets
   per block (columns (i-2)M+2 .. (i-1)M+1).
 
-Decoding gathers, from the whole stored history, every packet supported
-inside the previous block that holds the demand, subtracts known messages
-from the current round's packets, and solves the resulting square system,
-recovering that entire block, which then feeds later rounds.  At round 1
-that block is the demand alone, so the system is 1 x 1.
+One packet rule lays out every round (packet_layout): one packet per
+coding column, columns ascending, block by block in query order.  The
+server codes, the client decodes and the audit ranks by it.  A round
+decodes its target, the previous block holding the demand (the demand
+alone at round 1), in one pass: each packet of the history and of this
+round whose block meets the target, less the block's known members, is a
+row of a square system.  Earlier such blocks lie inside the target; this
+round's is the target merged with the chain.
 
 Round-3 systems mix masked first-round rows with plain Cauchy columns and
 can be singular over small fields, so sessions with three or more rounds
@@ -301,11 +304,7 @@ class PartitionQuery:
 
 @dataclass(frozen=True)
 class RoundAnswer:
-    """One round's coded packets, one per (block, column) pair.
-
-    Packets follow the canonical order: blocks in query order, and within a
-    block the round's coding columns in ascending index.
-    """
+    """One round's coded packets, in the order packet_layout gives."""
 
     round_no: int
     packets: tuple[Message, ...]
@@ -366,15 +365,45 @@ def validate_query(
     if r >= 2:
         if prev is None or prev.round_no != r - 1:
             raise MalformedQuery("missing previous-round query for pairing check")
-        prev_sets = [frozenset(b) for b in prev.blocks]
-        if not all(is_merge(frozenset(b), prev_sets) for b in query.blocks):
+        index = merge_index(map(frozenset, prev.blocks))
+        if not all(is_merge(frozenset(b), index) for b in query.blocks):
             raise MalformedQuery("every block must be the union of exactly two previous blocks")
 
 
-def is_merge(block: frozenset[int], prev_blocks) -> bool:
-    """The one merge rule: block is the union of exactly two of prev_blocks (frozensets)."""
-    inside = [p for p in prev_blocks if p <= block]
+def merge_index(prev_blocks) -> dict[int | None, list[frozenset[int]]]:
+    """is_merge's view of a round's blocks (frozensets): each under its least index.
+
+    Empty blocks, which lie inside every block, are kept under None.
+    """
+    index: dict[int | None, list[frozenset[int]]] = {}
+    for p in prev_blocks:
+        index.setdefault(min(p, default=None), []).append(p)
+    return index
+
+
+def is_merge(block: frozenset[int], index) -> bool:
+    """The one merge rule: block is the union of exactly two previous blocks.
+
+    index is merge_index of the previous blocks.  A previous block lies
+    inside block only if its least index does, so only the blocks filed
+    under block's own indices are tested, and no block is read twice:
+    when the previous blocks are disjoint the check is linear in block's size.
+    """
+    inside = [p for u in index.keys() & block for p in index[u] if p <= block]
+    inside += index.get(None, ())
     return len(inside) == 2 and inside[0] | inside[1] == block
+
+
+def packet_layout(
+    params: ProtocolParams, query: PartitionQuery
+) -> list[tuple[Block, tuple[int, ...]]]:
+    """The one packet rule: the query's blocks in order, each with its round's columns.
+
+    An answer holds, block by block, one packet per column in ascending
+    order: the block's Cauchy coefficients in that column times its messages.
+    """
+    columns = round_column_indices(params.m, params.l, query.round_no)
+    return [(block, columns) for block in query.blocks]
 
 
 class Client:
@@ -414,9 +443,10 @@ class Client:
         # as the solver returned it, so no message is packed twice.
         self._packed: dict[int, int] = {i: pack_row(msg) for i, msg in self.known.items()}
         # The decoded rounds are the session's transcript; a query sent but
-        # not yet decoded waits beside them with its demand.
+        # not yet decoded waits beside them with its target, the previous
+        # block that holds its demand.
         self._rounds: list[TranscriptRound] = []
-        self._pending: tuple[PartitionQuery, int] | None = None
+        self._pending: tuple[PartitionQuery, Block] | None = None
 
     def transcript(self) -> Transcript:
         """What the server has seen of this session: its coding points and the decoded rounds."""
@@ -445,19 +475,13 @@ class Client:
             raise InvalidParams(f"demand index {demand} outside [1..{self.params.k}]")
         if demand in self.known:
             raise DemandKnown(f"message {demand} is already known")
-        query = self._build_merge_round(round_no, demand)
-        self._pending = (query, demand)
-        return query
-
-    def _previous(self, round_no: int) -> PartitionQuery:
-        """The partition round round_no merges: singletons 1..K before round 1."""
+        # The partition this round merges: singletons 1..K before round 1.
         if round_no > 1:
-            return self._rounds[round_no - 2].query
-        return PartitionQuery(0, tuple((i,) for i in range(1, self.params.k + 1)))
-
-    def _build_merge_round(self, round_no: int, demand: int) -> PartitionQuery:
-        prev = self._previous(round_no)
-        merged_set = set(self.known).union(prev.block_containing(demand))
+            prev = self._rounds[-1].query
+        else:
+            prev = PartitionQuery(0, tuple((i,) for i in range(1, self.params.k + 1)))
+        target = prev.block_containing(demand)
+        merged_set = set(self.known).union(target)
         # A previous block lies wholly inside the merged block or outside it.
         rest = [b for b in prev.blocks if b[0] not in merged_set]
         self.rng.shuffle(rest)
@@ -466,7 +490,9 @@ class Client:
         for i in range(0, len(rest), width):
             blocks.append(tuple(sorted(sum(rest[i : i + width], ()))))
         self.rng.shuffle(blocks)
-        return PartitionQuery(round_no, tuple(blocks))
+        query = PartitionQuery(round_no, tuple(blocks))
+        self._pending = (query, target)
+        return query
 
     def decode_answer(self, answer: RoundAnswer) -> dict[int, Message]:
         """Decode a round's packets; returns the newly recovered messages.
@@ -477,7 +503,7 @@ class Client:
         """
         if self._pending is None:
             raise ProtocolOrder("no outstanding query to decode an answer for")
-        query, demand = self._pending
+        query, target = self._pending
         round_no = query.round_no
         if answer.round_no != round_no:
             raise AnswerMismatch(
@@ -492,50 +518,39 @@ class Client:
             raise AnswerMismatch("packet symbol count does not match parameters")
         if not all(is_canonical(p, self.params.q) for p in answer.packets):
             raise AnswerMismatch("packet symbols must be residues mod q")
-        recovered = self._decode_merge_round(query, answer, demand)
+        current = TranscriptRound(query, answer)
+        recovered = self._decode_merge_round(current, target)
         self.known.update(recovered)
-        self._rounds.append(TranscriptRound(query, answer))
+        self._rounds.append(current)
         self._pending = None
         return recovered
 
-    def _decode_merge_round(
-        self, query: PartitionQuery, answer: RoundAnswer, demand: int
-    ) -> dict[int, Message]:
+    def _decode_merge_round(self, current: TranscriptRound, target: Block) -> dict[int, Message]:
         params = self.params
-        target = self._previous(query.round_no).block_containing(demand)
+        coeff = self.cauchy.coeff
         unknowns = list(target)
         target_set = set(target)
 
+        # One row per packet whose block meets the target, in packet order
+        # round by round, less the block's known members: only this round's
+        # block has any.  The difference stays an unreduced packed sum, which
+        # the solver reduces once, after it combines.
         rows: list[list[int]] = []
         rhs: list[int] = []
-
-        # History packets fully supported inside the target block need no
-        # subtraction: their support is disjoint from everything known.
-        for r, past in enumerate(self._rounds, start=1):
-            columns = round_column_indices(params.m, params.l, r)
-            for bi, block in enumerate(past.query.blocks):
-                if not set(block) <= target_set:
+        for rnd in (*self._rounds, current):
+            end = 0  # each block's packets follow those of the blocks before it
+            for block, columns in packet_layout(params, rnd.query):
+                end += len(columns)
+                if target_set.isdisjoint(block):
                     continue
-                for ci, col in enumerate(columns):
-                    rows.append(
-                        [self.cauchy.coeff(u, col) if u in block else 0 for u in unknowns]
-                    )
-                    rhs.append(pack_row(past.answer.packets[bi * len(columns) + ci]))
-
-        # Current round: the merged block is target + chain, and the chain
-        # is everything known before this round; subtract its contributions
-        # to restrict support to the target.  The difference stays an
-        # unreduced packed sum: the solver reduces once, after it combines.
-        current = query.block_containing(demand)
-        bi = query.blocks.index(current)
-        columns = round_column_indices(params.m, params.l, query.round_no)
-        known = sorted(self.known)
-        known_packed = [self._packed[i] for i in known]
-        for ci, col in enumerate(columns):
-            packet = pack_row(answer.packets[bi * len(columns) + ci])
-            coeffs = [1] + [-self.cauchy.coeff(idx, col) for idx in known]
-            rhs.append(packed_sum(coeffs, [packet] + known_packed, params.q))
-            rows.append([self.cauchy.coeff(u, col) for u in unknowns])
+                members = set(block)
+                known = members - target_set
+                terms = [self._packed[u] for u in known]
+                for col, packet in zip(columns, rnd.answer.packets[end - len(columns) : end]):
+                    rows.append([coeff(u, col) if u in members else 0 for u in unknowns])
+                    rhs.append(pack_row(packet))
+                    if known:
+                        rhs[-1] += packed_sum([-coeff(u, col) for u in known], terms, params.q)
 
         try:
             solution = solve_linear_system(FieldMatrix(params.q, rows), rhs, params.symbols)
@@ -586,9 +601,8 @@ class Server:
         q = self.params.q
         symbols = self.params.symbols
         packed = self.database.packed
-        columns = round_column_indices(self.params.m, self.params.l, query.round_no)
         packets: list[Message] = []
-        for block in query.blocks:
+        for block, columns in packet_layout(self.params, query):
             messages = [packed[idx - 1] for idx in block]
             for col in columns:
                 coeffs = [self.cauchy.coeff(idx, col) for idx in block]

@@ -9,7 +9,7 @@ Payloads:
 * QUERY: round (2B) | block count (2B) | per block: size (2B) | sorted
   indices (2B each).  Block order is preserved; it is protocol-relevant.
 * ANSWER: round (2B) | packet count (2B) | symbols per packet (2B) |
-  packets in canonical order, each symbol a 4B element < q.
+  packets in protocol.packet_layout order, each symbol a 4B element < q.
 * HELLO: k | m | l | q | symbols (4B each, 0 = unspecified) | flags (1B);
   if flags bit 0 is set: x-point count (2B), x points (4B each), y-point
   count (2B), y points (4B each).  A fully specified l must be the one with

@@ -327,6 +327,16 @@ def test_measured_rate_golden(golden):
         measured_rate(result.transcript, 4)
 
 
+def test_measured_rate_refuses_empty_answer(golden):
+    _, _, result = golden
+    rounds = list(result.transcript.rounds)
+    rounds[1] = dataclasses.replace(rounds[1], answer=RoundAnswer(2, ()))
+    transcript = dataclasses.replace(result.transcript, rounds=tuple(rounds))
+    assert measured_rate(transcript, 1) == Fraction(1, 4)
+    with pytest.raises(InconsistentTranscript):
+        measured_rate(transcript, 2)
+
+
 def test_measured_rate_matches_capacity_across_grid():
     for k, m in GRID:
         _, _, _, _, result = random_session(k, m, seed=31)

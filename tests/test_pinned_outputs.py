@@ -69,6 +69,11 @@ def test_readme_examples_match_cli_output(tmp_path, monkeypatch, capsys):
 # that moves the digest moved a transcript byte, a recovered value or the
 # round where a session fails.
 SESSION_DIGEST = "620d093321ac54751398d884affbf0b5a26089cff93755266fa7e6e1597a6acf"
+# The same over the deep schedules, 20 seeds: GRID's deepest schedule has
+# 3 rounds, these have 4 and 5, where decoding reads the most history.  At
+# the smallest field two of them end in SingularSystem.
+DEEP_SHAPES = [(16, 1), (32, 1), (24, 2)]
+DEEP_SESSION_DIGEST = "ed8ed2abfcd269a6433a728ee359328276e0bd771035d75b6f163559437967ea"
 DIGEST_SEEDS = range(40)
 DIGEST_SYMBOLS = 3
 
@@ -98,13 +103,22 @@ def session_bytes(params: ProtocolParams, seed: int) -> bytes:
     return transcript_to_bytes(transcript) + repr(recovered).encode() + error
 
 
-def test_session_digest_is_pinned():
+def shapes_digest(shapes, seeds) -> str:
+    """sha256 over session_bytes for every shape at its default and smallest field."""
     digest = hashlib.sha256()
-    for k, m in GRID:
+    for k, m in shapes:
         default = ProtocolParams.create(k, m, symbols=DIGEST_SYMBOLS)
         smallest = next_prime(k + m * default.l + 1)
         for q in (default.q, smallest):
             params = ProtocolParams.create(k, m, q=q, symbols=DIGEST_SYMBOLS)
-            for seed in DIGEST_SEEDS:
+            for seed in seeds:
                 digest.update(session_bytes(params, seed))
-    assert digest.hexdigest() == SESSION_DIGEST
+    return digest.hexdigest()
+
+
+def test_session_digest_is_pinned():
+    assert shapes_digest(GRID, DIGEST_SEEDS) == SESSION_DIGEST
+
+
+def test_deep_session_digest_is_pinned():
+    assert shapes_digest(DEEP_SHAPES, range(20)) == DEEP_SESSION_DIGEST

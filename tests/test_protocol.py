@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 
 import pytest
 
@@ -21,7 +22,14 @@ from opir import (
 )
 from opir.cauchy import derive_l
 from opir.field import MAX_MODULUS, next_prime, pack_row
-from opir.protocol import SESSION_PRIME, RoundAnswer, TranscriptRound, validate_query
+from opir.protocol import (
+    SESSION_PRIME,
+    RoundAnswer,
+    TranscriptRound,
+    is_merge,
+    merge_index,
+    validate_query,
+)
 from conftest import GOLDEN_ROUND1_BLOCKS, GOLDEN_SEED, GRID, counting_database, random_session
 
 
@@ -522,6 +530,71 @@ def test_validate_query_pairing():
         validate_query(params, bad, prev)
     with pytest.raises(MalformedQuery):
         validate_query(params, good, None)  # missing history
+
+
+def subset_is_merge(block, prev_blocks):
+    """Reference: block is the union of exactly two of prev_blocks, each tested as a subset."""
+    inside = [p for p in prev_blocks if p <= block]
+    return len(inside) == 2 and inside[0] | inside[1] == block
+
+
+def test_is_merge_matches_subset_reference():
+    """Same verdict as the every-block subset test on partitions and on improper
+    collections: overlapping, repeated and empty blocks, uncovered indices."""
+    rng = random.Random(41)
+    verdicts = set()
+    for _ in range(400):
+        n = rng.randrange(1, 13)
+        order = list(range(1, n + 1))
+        rng.shuffle(order)
+        cuts = sorted(rng.sample(range(1, n), rng.randrange(min(n, 6)))) if n > 1 else []
+        prev = [frozenset(order[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
+        if rng.random() < 0.5:  # make it improper
+            for _ in range(rng.randrange(1, 3)):
+                prev.append(frozenset(rng.sample(range(1, n + 2), rng.randrange(3))))
+        prev_set = set(prev)
+        index, list_index = merge_index(prev_set), merge_index(prev)
+        candidates = [frozenset(), frozenset(rng.sample(range(1, n + 2), rng.randrange(n + 1)))]
+        for _ in range(4):
+            picked = rng.sample(prev, min(len(prev), rng.randrange(1, 4)))
+            candidates.append(frozenset().union(*picked))
+        for block in candidates:
+            verdict = subset_is_merge(block, prev_set)
+            assert is_merge(block, index) == verdict, (sorted(map(sorted, prev_set)), sorted(block))
+            assert is_merge(block, list_index) == subset_is_merge(block, prev)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_is_merge_counts_empty_blocks():
+    """An empty previous block lies inside every block, as in the subset form."""
+    prev = {frozenset(), frozenset({1, 2}), frozenset({3})}
+    index = merge_index(prev)
+    for block in ({1, 2}, {3}, {1, 2, 3}, set()):
+        block = frozenset(block)
+        assert is_merge(block, index) == subset_is_merge(block, prev)
+    assert is_merge(frozenset({1, 2}), index)
+
+
+def test_validate_query_is_linear_at_k8192():
+    """Round-2 validation at K=8192 reads each block's own indices only; the
+    every-block subset form took ~0.5 s on one vCPU of a shared 2-vCPU VM."""
+    k = 8192
+    params = ProtocolParams.create(k, 1)
+    rng = random.Random(3)
+    order = list(range(1, k + 1))
+    rng.shuffle(order)
+    round1 = [order[i : i + 2] for i in range(0, k, 2)]
+    rng.shuffle(round1)
+    round2 = [round1[i] + round1[i + 1] for i in range(0, len(round1), 2)]
+    prev, query = PartitionQuery.of(1, round1), PartitionQuery.of(2, round2)
+    validate_query(params, prev, None)
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        validate_query(params, query, prev)
+        elapsed.append(time.perf_counter() - start)
+    assert min(elapsed) < 0.1, elapsed
 
 
 def test_server_holds_no_client_secrets():
