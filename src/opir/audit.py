@@ -18,8 +18,8 @@ Three independent checks, all computed from the server's view alone:
 * rank_profile: each round's packet-coefficient rank, which should equal
   the packet count (no wasted download).  A packet's coefficients are zero
   outside its block, so when a round's blocks partition [1..K] its rank is
-  the sum of per-block ranks: each block is one small matrix with a row per
-  packet and a column per member.
+  the sum of per-block ranks, each min(packets, members) by the Cauchy
+  theorem: the points are checked and no matrix is built.
 
 Everything uses exact integer and rational arithmetic; equality checks need
 no tolerances.
@@ -30,9 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cauchy import derive_l
+from .cauchy import check_points, derive_l
 from .errors import InconsistentTranscript, RoundOutOfRange
-from .field import FieldMatrix, matrix_rank
+from .field import matrix_rank  # noqa: F401 (perfbench/tracing.py wraps audit.matrix_rank)
 from .protocol import PartitionQuery, Transcript, is_merge, merge_index, packet_layout
 
 
@@ -240,23 +240,21 @@ def measured_rate(transcript: Transcript, round_no: int) -> Fraction:
 def rank_profile(transcript: Transcript) -> tuple[tuple[int, int], ...]:
     """(round, rank of that round's packet coefficients) for every round.
 
-    The rank is summed block by block, which is exact only because the
-    blocks partition [1..K]; InconsistentTranscript when they do not, and
-    for the transcripts posterior refuses: no rounds, rounds numbered other
-    than 1, 2, ..., or an index outside [1..K].
+    The rank is summed block by block, exact only because the blocks
+    partition [1..K]; InconsistentTranscript when they do not, and for the
+    transcripts posterior refuses (_check_rounds).  A block's rank is
+    min(len(columns), len(block)): every square minor of a Cauchy matrix
+    with distinct points is a nonzero Cauchy determinant.  check_points
+    refuses the points build_cauchy refuses, and no matrix is built.
     """
     _check_rounds(transcript)
     params = transcript.params
-    cauchy = transcript.cauchy()
+    check_points(params.k, params.m, params.l, params.q, transcript.cauchy_x, transcript.cauchy_y)
     indices = list(range(1, params.k + 1))
     profile = []
     for i, rnd in enumerate(transcript.rounds, start=1):
-        blocks = rnd.query.blocks
-        if sorted(u for block in blocks for u in block) != indices:
+        if sorted(u for block in rnd.query.blocks for u in block) != indices:
             raise InconsistentTranscript(f"round {i} does not partition [1..{params.k}]")
-        rank = 0
-        for block, columns in packet_layout(params, rnd.query):
-            rows = [[cauchy.coeff(u, c) for u in block] for c in columns]
-            rank += matrix_rank(FieldMatrix(params.q, rows))
-        profile.append((i, rank))
+        layout = packet_layout(params, rnd.query)
+        profile.append((i, sum(min(len(block), len(columns)) for block, columns in layout)))
     return tuple(profile)

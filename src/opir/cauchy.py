@@ -18,9 +18,9 @@ and the l+1 possible rounds together consume exactly the Ml+1 columns.
 
 A CauchyMatrix stores M, its points and its entries, nothing else: K is
 the number of x-points, q is the entries' modulus, and l is derive_l(K, M),
-so none of them can disagree with the matrix they describe.  The one
-field-size rule, q >= K + Ml + 1, is check_field_size, which ProtocolParams
-and build_cauchy both call.
+so none of them can disagree with the matrix they describe.  check_points is
+the one point rule (build_cauchy and audit.rank_profile call it); it and
+ProtocolParams call check_field_size, the one rule q >= K + Ml + 1.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 from .errors import FieldTooSmall, InvalidParams, RoundOutOfRange
 from .field import FieldMatrix, check_modulus, is_canonical
+
+Points = tuple[int, ...]
 
 
 def derive_l(k: int, m: int) -> int:
@@ -95,31 +97,19 @@ def _batch_inverse(values: list[int], q: int) -> list[int]:
     return out
 
 
-def build_cauchy(
-    k: int,
-    m: int,
-    l: int,
-    q: int,
-    x_points: tuple[int, ...] | None = None,
-    y_points: tuple[int, ...] | None = None,
-) -> CauchyMatrix:
-    """Build the K x (M*l + 1) coding matrix over F_q.
+def check_points(
+    k: int, m: int, l: int, q: int, x_points: Points | None = None, y_points: Points | None = None
+) -> tuple[Points, Points]:
+    """The checked (x, y) point sets of a K x (M*l + 1) Cauchy matrix over F_q.
 
-    l must be derive_l(k, m): it stays a parameter so that callers name the
-    shape they expect, and any other l is InvalidParams.  When the point
-    sets are omitted, the canonical sets from :func:`canonical_points` are
-    used.  Callers may supply their own, for instance points read from a
-    transcript or a server's HELLO, as long as all K + Ml + 1 points are
-    distinct residues in [0, q) (never reduced mod q); InvalidParams otherwise.
-
-    All K(Ml+1) entries cost one field inversion (_batch_inverse).  A single
-    zero difference would make every entry wrong, not just its own, so the
-    distinctness check runs first.
+    l must be derive_l(k, m), so callers name the shape they expect, and q a
+    prime >= K + Ml + 1.  Omitted sets are canonical_points'; supplied ones
+    (from a transcript or a HELLO) must be K and Ml + 1 distinct residues in
+    [0, q), never reduced mod q.  InvalidParams (or FieldTooSmall) otherwise.
     """
     want = derive_l(k, m)
     if l != want:
         raise InvalidParams(f"K={k}, M={m} imply l={want}, got l={l}")
-    # pow(·, -1, q) below raises ValueError on a composite q, so check first.
     check_modulus(q)
     check_field_size(k, m, l, q)
     cols = m * l + 1
@@ -135,7 +125,19 @@ def build_cauchy(
         raise InvalidParams(f"need {k} x-points and {cols} y-points")
     if len(set(x_points) | set(y_points)) != k + cols:
         raise InvalidParams("x and y points must be pairwise distinct and disjoint")
-    flat = _batch_inverse([x - y for x in x_points for y in y_points], q)
+    return x_points, y_points
+
+
+def build_cauchy(
+    k: int, m: int, l: int, q: int, x_points: Points | None = None, y_points: Points | None = None
+) -> CauchyMatrix:
+    """The K x (M*l + 1) coding matrix over F_q on check_points' point sets.
+
+    One field inversion (_batch_inverse) covers all K(Ml+1) entries; a zero
+    difference or a composite q would break it, so check_points runs first.
+    """
+    x_points, y_points = check_points(k, m, l, q, x_points, y_points)
+    flat, cols = _batch_inverse([x - y for x in x_points for y in y_points], q), len(y_points)
     entries = [flat[i : i + cols] for i in range(0, len(flat), cols)]
     return CauchyMatrix(m, x_points, y_points, FieldMatrix(q, entries))
 

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from opir import audit, field, protocol
+from opir import audit, cauchy, field, protocol
 from opir.wire import transcript_from_bytes, transcript_to_bytes
 from opir import (
     Database,
@@ -353,13 +353,14 @@ def test_golden_rank_profile(golden):
     assert rank_profile(result.transcript) == ((1, 4), (2, 4), (3, 2))
 
 
-def test_rank_profile_builds_coding_matrix_once(golden, monkeypatch):
+def test_rank_profile_builds_no_coding_matrix(golden, monkeypatch):
+    """The rank is the Cauchy theorem's min(columns, members): no matrix is built."""
     builds = []
-    real = protocol.build_cauchy
-    monkeypatch.setattr(protocol, "build_cauchy", lambda *a: builds.append(a) or real(*a))
+    for owner in (protocol, cauchy):
+        monkeypatch.setattr(owner, "build_cauchy", lambda *a, **kw: builds.append(a))
     _, _, result = golden
-    assert len(rank_profile(result.transcript)) == 3
-    assert len(builds) == 1
+    assert rank_profile(result.transcript) == ((1, 4), (2, 4), (3, 2))
+    assert builds == []
 
 
 def test_audit_tests_primality_once_per_modulus():
@@ -387,13 +388,13 @@ def test_rank_equals_packet_count_across_grid():
 def k_wide_round_matrix(transcript, round_no):
     """Reference: a round's packet coefficients as rows over messages 1..K."""
     params = transcript.params
-    cauchy = transcript.cauchy()
+    coding = transcript.cauchy()
     columns = protocol.round_column_indices(params.m, params.l, round_no)
     rows = []
     for block in transcript.rounds[round_no - 1].query.blocks:
         for col in columns:
             rows.append(
-                [cauchy.coeff(u, col) if u in block else 0 for u in range(1, params.k + 1)]
+                [coding.coeff(u, col) if u in block else 0 for u in range(1, params.k + 1)]
             )
     return field.FieldMatrix(params.q, rows)
 
@@ -425,16 +426,19 @@ def test_rank_profile_matches_k_wide_reference_across_grid():
             assert rank_profile(result.transcript) == k_wide_rank_profile(result.transcript)
 
 
-def random_partition_transcript(params, rng):
-    """Every round a random partition of [1..K] into blocks of random sizes."""
-    cauchy = protocol.session_cauchy(params)
+def random_partition_transcript(params, rng, points=None):
+    """Every round a random partition of [1..K] into blocks of random sizes,
+    coded on the given (x, y) points or else on session_cauchy's."""
+    if points is None:
+        session = protocol.session_cauchy(params)
+        points = session.x_points, session.y_points
     rounds = []
     for i in range(1, params.max_rounds + 1):
         order = rng.sample(range(1, params.k + 1), params.k)
         cuts = sorted(rng.sample(range(1, params.k), rng.randrange(params.k)))
         blocks = [order[a:b] for a, b in zip([0] + cuts, cuts + [params.k])]
         rounds.append(TranscriptRound(PartitionQuery.of(i, blocks), RoundAnswer(i, ())))
-    return Transcript(params, cauchy.x_points, cauchy.y_points, tuple(rounds))
+    return Transcript(params, *points, tuple(rounds))
 
 
 @pytest.mark.parametrize("k, m, q", [(12, 2, 17), (12, 2, None), (16, 3, 37), (24, 2, 31)])
@@ -450,6 +454,118 @@ def test_rank_profile_matches_k_wide_reference_on_odd_blocks(k, m, q):
             len(b) < m for rnd in transcript.rounds[1:] for b in rnd.query.blocks
         )
     assert saw_small_block
+
+
+def reference_rank_profile(transcript):
+    """Reference: every block's coefficient matrix (a row per packet, a column
+    per member) built from the coding matrix and eliminated."""
+    audit._check_rounds(transcript)
+    params = transcript.params
+    coding = transcript.cauchy()
+    indices = list(range(1, params.k + 1))
+    profile = []
+    for i, rnd in enumerate(transcript.rounds, start=1):
+        blocks = rnd.query.blocks
+        if sorted(u for block in blocks for u in block) != indices:
+            raise InconsistentTranscript(f"round {i} does not partition [1..{params.k}]")
+        rank = 0
+        for block, columns in protocol.packet_layout(params, rnd.query):
+            rows = [[coding.coeff(u, c) for u in block] for c in columns]
+            rank += matrix_rank(field.FieldMatrix(params.q, rows))
+        profile.append((i, rank))
+    return tuple(profile)
+
+
+# Shapes whose K + Ml + 1 points fit in a prime from 11 to 37.
+SMALL_FIELD_SHAPES = [(4, 1), (6, 2), (8, 1), (8, 3), (12, 2), (16, 1), (16, 3), (24, 2), (32, 1)]
+SMALL_PRIMES = [11, 13, 17, 19, 23, 29, 31, 37]
+
+
+def test_rank_profile_matches_elimination_on_random_points():
+    """The closed form equals block-by-block and K-wide elimination on random
+    distinct points in small fields, with blocks of random sizes."""
+    rng = random.Random(16)
+    checked = small_blocks = 0
+    for k, m in SMALL_FIELD_SHAPES:
+        l = cauchy.derive_l(k, m)
+        primes = [q for q in SMALL_PRIMES if q >= k + m * l + 1]
+        for _ in range(50):
+            params = ProtocolParams.create(k, m, q=rng.choice(primes))
+            points = rng.sample(range(params.q), k + m * l + 1)
+            transcript = random_partition_transcript(params, rng, (points[:k], points[k:]))
+            expected = reference_rank_profile(transcript)
+            assert rank_profile(transcript) == expected == k_wide_rank_profile(transcript)
+            checked += 1
+            small_blocks += any(
+                len(b) < m for rnd in transcript.rounds[1:] for b in rnd.query.blocks
+            )
+    assert checked >= 400
+    assert small_blocks > 0
+
+
+def _repeat_x(x, y):
+    return (x[0], x[0]) + x[2:], y
+
+
+def _x_equals_y(x, y):
+    return (y[0],) + x[1:], y
+
+
+def _point_past_q(x, y):
+    return x[:-1] + (17,), y  # the golden session's q is 17
+
+
+def _missing_point(x, y):
+    return x[:-1], y
+
+
+@pytest.mark.parametrize("tamper", [_repeat_x, _x_equals_y, _point_past_q, _missing_point])
+def test_rank_profile_refuses_points_as_build_cauchy_does(golden, tamper):
+    """Bad coding points are the InvalidParams build_cauchy raises, word for word."""
+    _, _, result = golden
+    p = result.transcript.params
+    x, y = tamper(result.transcript.cauchy_x, result.transcript.cauchy_y)
+    transcript = dataclasses.replace(result.transcript, cauchy_x=x, cauchy_y=y)
+    with pytest.raises(InvalidParams) as built:
+        cauchy.build_cauchy(p.k, p.m, p.l, p.q, x, y)
+    with pytest.raises(InvalidParams) as ranked:
+        rank_profile(transcript)
+    with pytest.raises(InvalidParams) as referenced:
+        reference_rank_profile(transcript)
+    assert str(ranked.value) == str(built.value) == str(referenced.value)
+
+
+def test_audit_of_a_huge_shape_builds_no_matrix(monkeypatch):
+    """K=32768, M=16383 names a 32768 x 16384 coding matrix; the audit reads
+    the file, counts the posterior and ranks both rounds without it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the audit built a coding matrix")
+
+    for owner in (protocol, cauchy):
+        monkeypatch.setattr(owner, "build_cauchy", refuse)
+    k, m = 32768, 16383
+    params = ProtocolParams.create(k, m)
+    rng = random.Random(32768)
+    points = rng.sample(range(params.q), k + m * params.l + 1)
+    order = rng.sample(range(1, k + 1), k)
+    rounds = (
+        TranscriptRound(
+            PartitionQuery.of(1, [order[: k // 2], order[k // 2 :]]),
+            RoundAnswer(1, ((1,), (2,))),
+        ),
+        TranscriptRound(
+            PartitionQuery.of(2, [range(1, k + 1)]),
+            RoundAnswer(2, tuple((u % params.q,) for u in range(m))),
+        ),
+    )
+    data = transcript_to_bytes(Transcript(params, tuple(points[:k]), tuple(points[k:]), rounds))
+    start = time.perf_counter()
+    transcript = transcript_from_bytes(data)
+    assert posterior(transcript).is_uniform()
+    assert [measured_rate(transcript, i) for i in (1, 2)] == [Fraction(1, 2), Fraction(1, m)]
+    assert rank_profile(transcript) == ((1, 2), (2, m))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, elapsed
 
 
 def test_rank_profile_refuses_what_posterior_refuses(golden):
