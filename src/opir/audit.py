@@ -9,8 +9,9 @@ Three independent checks, all computed from the server's view alone:
   so the posterior is a ratio of counts.  A hypothesis's future depends only
   on its chain block (the observed block holding its side set and demands
   so far), so the counts are taken by a forward and a backward pass over
-  chain blocks, O(rounds * blocks^2) work, instead of listing the
-  K * prod 2^(i-2)(M+1) hypotheses.  For a correct run every per-round
+  chain blocks, each round's links read from the previous round's owner
+  array (protocol.block_owners) in time linear in K, instead of listing
+  the K * prod 2^(i-2)(M+1) hypotheses.  For a correct run every per-round
   posterior row is uniformly 1/K.  enumerate_hypotheses lists them one by
   one; it is the brute-force reference the counts are tested against.
 * capacity / measured_rate: the closed-form per-round rate versus the rate
@@ -31,9 +32,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cauchy import check_points, derive_l
-from .errors import InconsistentTranscript, RoundOutOfRange
+from .errors import InconsistentTranscript, MalformedQuery, RoundOutOfRange
 from .field import matrix_rank  # noqa: F401 (perfbench/tracing.py wraps audit.matrix_rank)
-from .protocol import PartitionQuery, Transcript, is_merge, merge_index, packet_layout
+from .protocol import Block, PartitionQuery, Transcript, block_owners, merge_parts, packet_layout
 
 
 @dataclass(frozen=True)
@@ -65,20 +66,21 @@ class PosteriorTable:
         return all(p == target for row in self.rows for p in row)
 
 
-def _check_rounds(transcript: Transcript) -> None:
-    """InconsistentTranscript unless the rounds are numbered 1, 2, ... and
-    every block index lies in [1..K]."""
+def _check_rounds(transcript: Transcript) -> list[list[int]]:
+    """Each round's block_owners: InconsistentTranscript unless the rounds
+    are numbered 1, 2, ... and each partitions [1..K]."""
     if not transcript.rounds:
         raise InconsistentTranscript("transcript has no rounds")
     k = transcript.params.k
+    owners = []
     for j, rnd in enumerate(transcript.rounds, start=1):
         if rnd.query.round_no != j:
             raise InconsistentTranscript(f"transcript rounds not contiguous at position {j}")
-        outside = [u for block in rnd.query.blocks for u in block if not 1 <= u <= k]
-        if outside:
-            raise InconsistentTranscript(
-                f"round {j} does not partition [1..{k}]: index {outside[0]} lies outside it"
-            )
+        try:
+            owners.append(block_owners(k, rnd.query.blocks))
+        except MalformedQuery as exc:
+            raise InconsistentTranscript(f"round {j} does not partition [1..{k}]: {exc}") from None
+    return owners
 
 
 def enumerate_hypotheses(transcript: Transcript) -> tuple[Hypothesis, ...]:
@@ -137,26 +139,25 @@ def enumerate_hypotheses(transcript: Transcript) -> tuple[Hypothesis, ...]:
 
 
 def _chain_links(
-    prev: PartitionQuery, query: PartitionQuery
-) -> list[tuple[int, frozenset[int]] | None]:
+    prev: PartitionQuery, query: PartitionQuery, owner: list[int]
+) -> list[tuple[int, Block]]:
     """Where a chain ending at each previous-round block goes this round.
 
-    Entry p is (d, other) when a chain whose block is prev.blocks[p]
-    continues: query.blocks[d] is the one block containing it, other is the
-    rest of that block (where this round's demand lies) and is itself a
-    previous-round block, and every other block of the query merges two
-    previous-round blocks.  Otherwise entry p is None.
+    Entry p is (d, other): query.blocks[d] merges prev.blocks[p] with the
+    previous block other, where this round's demand lies.  owner is
+    block_owners of prev.  A chain's merge and every other block must each
+    merge two previous blocks, so a block that does not leaves no
+    hypothesis: InconsistentTranscript.
     """
-    prev_sets = {frozenset(b) for b in prev.blocks}
-    blocks = [frozenset(b) for b in query.blocks]
-    index = merge_index(prev_sets)
-    malformed = [d for d, block in enumerate(blocks) if not is_merge(block, index)]
-    links: list[tuple[int, frozenset[int]] | None] = []
-    for chain in map(frozenset, prev.blocks):
-        merged = [d for d, b in enumerate(blocks) if chain <= b]
-        other = blocks[merged[0]] - chain if len(merged) == 1 else None
-        ok = other in prev_sets and malformed in ([], merged)
-        links.append((merged[0], other) if ok else None)
+    links = [None] * len(prev.blocks)  # each filled by the one merge holding it
+    for d, block in enumerate(query.blocks):
+        parts = merge_parts(block, owner, prev.blocks)
+        if parts is None:
+            raise InconsistentTranscript(
+                "no side-information and demand assignment explains this transcript"
+            )
+        a, b = parts
+        links[a], links[b] = (d, prev.blocks[b]), (d, prev.blocks[a])
     return links
 
 
@@ -169,32 +170,25 @@ def posterior(transcript: Transcript) -> PosteriorTable:
     backward pass counts their completions; a round-i demand in the other
     half of a chain's merge counts prefixes times completions.
     """
-    _check_rounds(transcript)
+    owners = _check_rounds(transcript)
     k = transcript.params.k
     queries = [rnd.query for rnd in transcript.rounds]
-    links = [_chain_links(prev, query) for prev, query in zip(queries, queries[1:])]
+    links = [_chain_links(p, q, owner) for p, q, owner in zip(queries, queries[1:], owners)]
 
     # forward[i][p]: hypotheses up to round i+1 whose chain is block p of that round
     forward = [[len(b) for b in queries[0].blocks]]
     for step, query in zip(links, queries[1:]):
         counts = [0] * len(query.blocks)
-        for p, link in enumerate(step):
-            if link is not None:
-                counts[link[0]] += forward[-1][p] * len(link[1])
+        for p, (d, other) in enumerate(step):
+            counts[d] += forward[-1][p] * len(other)
         forward.append(counts)
     # backward[i][p]: ways to finish the transcript from block p of round i+1
     backward = [[1] * len(queries[-1].blocks)]
     for step in reversed(links):
         later = backward[0]
-        backward.insert(
-            0, [0 if link is None else len(link[1]) * later[link[0]] for link in step]
-        )
+        backward.insert(0, [len(other) * later[d] for d, other in step])
 
     total = sum(forward[-1])
-    if not total:
-        raise InconsistentTranscript(
-            "no side-information and demand assignment explains this transcript"
-        )
     mass = [0] * k
     for p, block in enumerate(queries[0].blocks):
         for w in block:
@@ -202,12 +196,10 @@ def posterior(transcript: Transcript) -> PosteriorTable:
     rows = [tuple(Fraction(c, total) for c in mass)]
     for i, step in enumerate(links):
         mass = [0] * k
-        for p, link in enumerate(step):
-            if link is not None:
-                d, other = link
-                ways = forward[i][p] * backward[i + 1][d]
-                for w in other:
-                    mass[w - 1] += ways
+        for p, (d, other) in enumerate(step):
+            ways = forward[i][p] * backward[i + 1][d]
+            for w in other:
+                mass[w - 1] += ways
         rows.append(tuple(Fraction(c, total) for c in mass))
     return PosteriorTable(k=k, rows=tuple(rows), hypothesis_count=total)
 
@@ -241,8 +233,8 @@ def rank_profile(transcript: Transcript) -> tuple[tuple[int, int], ...]:
     """(round, rank of that round's packet coefficients) for every round.
 
     The rank is summed block by block, exact only because the blocks
-    partition [1..K]; InconsistentTranscript when they do not, and for the
-    transcripts posterior refuses (_check_rounds).  A block's rank is
+    partition [1..K]: _check_rounds refuses what posterior refuses, any
+    round that is no partition included.  A block's rank is
     min(len(columns), len(block)): every square minor of a Cauchy matrix
     with distinct points is a nonzero Cauchy determinant.  check_points
     refuses the points build_cauchy refuses, and no matrix is built.
@@ -250,11 +242,8 @@ def rank_profile(transcript: Transcript) -> tuple[tuple[int, int], ...]:
     _check_rounds(transcript)
     params = transcript.params
     check_points(params.k, params.m, params.l, params.q, transcript.cauchy_x, transcript.cauchy_y)
-    indices = list(range(1, params.k + 1))
     profile = []
     for i, rnd in enumerate(transcript.rounds, start=1):
-        if sorted(u for block in rnd.query.blocks for u in block) != indices:
-            raise InconsistentTranscript(f"round {i} does not partition [1..{params.k}]")
         layout = packet_layout(params, rnd.query)
         profile.append((i, sum(min(len(block), len(columns)) for block, columns in layout)))
     return tuple(profile)

@@ -341,9 +341,8 @@ def validate_query(
 ) -> None:
     """Check the partition invariants for a query's round; raise MalformedQuery.
 
-    For rounds >= 2 the previous round's accepted query is required so the
-    pairing structure (every block a union of exactly two earlier blocks)
-    can be verified.
+    The blocks must partition [1..K] (block_owners) and, from round 2 on,
+    each merge two blocks of the previous accepted query (merge_parts).
     """
     r = query.round_no
     if r < 1 or r > params.max_rounds:
@@ -353,45 +352,55 @@ def validate_query(
             f"round {r} needs {params.block_count(r)} blocks, got {len(query.blocks)}"
         )
     size = params.block_size(r)
-    seen: list[int] = []
     for block in query.blocks:
         if len(block) != size:
             raise MalformedQuery(f"round {r} blocks must have size {size}")
         if any(block[i] >= block[i + 1] for i in range(len(block) - 1)):
             raise MalformedQuery("block indices must be sorted and distinct")
-        seen.extend(block)
-    if sorted(seen) != list(range(1, params.k + 1)):
-        raise MalformedQuery("blocks must partition [1..K]")
+    try:
+        block_owners(params.k, query.blocks)
+    except MalformedQuery:
+        raise MalformedQuery("blocks must partition [1..K]") from None
     if r >= 2:
         if prev is None or prev.round_no != r - 1:
             raise MalformedQuery("missing previous-round query for pairing check")
-        index = merge_index(map(frozenset, prev.blocks))
-        if not all(is_merge(frozenset(b), index) for b in query.blocks):
+        owner = block_owners(params.k, prev.blocks)
+        if not all(merge_parts(block, owner, prev.blocks) for block in query.blocks):
             raise MalformedQuery("every block must be the union of exactly two previous blocks")
 
 
-def merge_index(prev_blocks) -> dict[int | None, list[frozenset[int]]]:
-    """is_merge's view of a round's blocks (frozensets): each under its least index.
+def block_owners(k: int, blocks) -> list[int]:
+    """The one partition rule: owner[u] is the position of the block holding u.
 
-    Empty blocks, which lie inside every block, are kept under None.
+    MalformedQuery, naming the first fault in words that follow "does not
+    partition [1..K]: ", unless no block is empty and every index lies in
+    [1..K] and in exactly one block.  owner[0] is unused.
     """
-    index: dict[int | None, list[frozenset[int]]] = {}
-    for p in prev_blocks:
-        index.setdefault(min(p, default=None), []).append(p)
-    return index
+    owner = [-1] * (k + 1)
+    for pos, block in enumerate(blocks):
+        if not block:
+            raise MalformedQuery(f"block {pos + 1} is empty")
+        for u in block:
+            if not 1 <= u <= k:
+                raise MalformedQuery(f"index {u} lies outside it")
+            if owner[u] >= 0:
+                raise MalformedQuery(f"index {u} lies in two blocks")
+            owner[u] = pos
+    if -1 in owner[1:]:
+        raise MalformedQuery(f"index {owner.index(-1, 1)} lies in no block")
+    return owner
 
 
-def is_merge(block: frozenset[int], index) -> bool:
-    """The one merge rule: block is the union of exactly two previous blocks.
-
-    index is merge_index of the previous blocks.  A previous block lies
-    inside block only if its least index does, so only the blocks filed
-    under block's own indices are tested, and no block is read twice:
-    when the previous blocks are disjoint the check is linear in block's size.
-    """
-    inside = [p for u in index.keys() & block for p in index[u] if p <= block]
-    inside += index.get(None, ())
-    return len(inside) == 2 and inside[0] | inside[1] == block
+def merge_parts(block: Block, owner: list[int], prev_blocks) -> tuple[int, int] | None:
+    """The one merge rule: the positions of the two previous blocks whose union
+    is block, or None.  owner is block_owners of prev_blocks and block's indices
+    are distinct, so block is such a union exactly when its members' owners
+    take two values whose blocks' sizes sum to its size."""
+    parts = set(map(owner.__getitem__, block))
+    if len(parts) != 2:
+        return None
+    a, b = parts
+    return (a, b) if len(prev_blocks[a]) + len(prev_blocks[b]) == len(block) else None
 
 
 def packet_layout(

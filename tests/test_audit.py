@@ -187,11 +187,10 @@ def test_tampered_posterior_agrees_with_enumeration():
         ([(1, 2), (3, 4), (5, 6), (7,), (8,)], [(1, 2, 3, 4, 5, 6), (7, 8)], False),
         # Round 1 misses index 8, which round 2 adds to a pair of blocks.
         ([(1, 2), (3, 4), (5, 6), (7,)], [(1, 2, 3, 4, 8), (5, 6, 7)], False),
-        # Index 1 sits in two round-1 blocks: the chain's own merge holds
-        # three of them, yet {1, 2} and {3, 4} still explain it.
-        ([(1, 2), (3, 4), (1,), (5, 6), (7, 8)], [(1, 2, 3, 4), (5, 6, 7, 8)], True),
-        # Two round-2 blocks hold {1, 2}: its chains stop, the others go on.
-        ([(1, 2), (3, 4), (5, 6), (7,), (8,)], [(1, 2, 3, 4), (1, 2, 5, 6), (7, 8)], True),
+        # Index 1 sits in two round-1 blocks, and {1, 2} in two round-2
+        # blocks: neither round partitions [1..8], so neither is explained.
+        ([(1, 2), (3, 4), (1,), (5, 6), (7, 8)], [(1, 2, 3, 4), (5, 6, 7, 8)], False),
+        ([(1, 2), (3, 4), (5, 6), (7,), (8,)], [(1, 2, 3, 4), (1, 2, 5, 6), (7, 8)], False),
     ],
 )
 def test_posterior_matches_reference_on_improper_merges(round1, round2, explained):
@@ -240,6 +239,24 @@ def test_posterior_counts_at_k128():
     assert table.is_uniform()
     assert table.hypothesis_count == 2**28
     assert elapsed < 2.0, elapsed
+
+
+def test_posterior_is_linear_at_k8192():
+    """Chain links read the owner arrays, so a K=8192, M=1 posterior takes
+    0.15-0.25 s on one vCPU of a shared 2-vCPU VM, where a subset scan of
+    every block took ~1 s.  Most of that time is building the 13 x 8192
+    Fraction entries of PosteriorTable.rows, which acceptance criterion 3
+    reads, so the bound leaves room for them instead of aiming below 0.1 s."""
+    transcript = synthetic_transcript(8192, 1, seed=3)
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        table = posterior(transcript)
+        elapsed.append(time.perf_counter() - start)
+    assert table.rounds == 13
+    assert table.is_uniform()
+    assert table.hypothesis_count == 8192 * 2**78  # K * prod 2^(i-2)(M+1), i = 2..13
+    assert min(elapsed) < 0.6, elapsed
 
 
 def test_hypotheses_include_truth():
@@ -462,12 +479,8 @@ def reference_rank_profile(transcript):
     audit._check_rounds(transcript)
     params = transcript.params
     coding = transcript.cauchy()
-    indices = list(range(1, params.k + 1))
     profile = []
     for i, rnd in enumerate(transcript.rounds, start=1):
-        blocks = rnd.query.blocks
-        if sorted(u for block in blocks for u in block) != indices:
-            raise InconsistentTranscript(f"round {i} does not partition [1..{params.k}]")
         rank = 0
         for block, columns in protocol.packet_layout(params, rnd.query):
             rows = [[coding.coeff(u, c) for u in block] for c in columns]
@@ -590,17 +603,20 @@ def test_rank_profile_refuses_what_posterior_refuses(golden):
         [(1, 2, 3), (3, 4, 5), (6, 7, 8), (9, 10, 11, 12)],  # index 3 twice
         [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)],  # index 0, 12 missing
         [(1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 13)],  # index K+1, 12 missing
+        [(1, 2, 3), (4, 5, 6), (), (7, 8, 9, 10, 11, 12)],  # an empty block
     ],
 )
 def test_rank_profile_rejects_non_partitions(golden, blocks):
+    """One partition rule for all three auditors."""
     _, _, result = golden
     first = result.transcript.rounds[0]
     bad = dataclasses.replace(first, query=PartitionQuery.of(1, blocks))
     transcript = dataclasses.replace(
         result.transcript, rounds=(bad,) + result.transcript.rounds[1:]
     )
-    with pytest.raises(InconsistentTranscript, match="partition"):
-        rank_profile(transcript)
+    for check in (rank_profile, posterior, enumerate_hypotheses):
+        with pytest.raises(InconsistentTranscript, match="does not partition"):
+            check(transcript)
 
 
 @pytest.mark.parametrize(

@@ -26,8 +26,8 @@ from opir.protocol import (
     SESSION_PRIME,
     RoundAnswer,
     TranscriptRound,
-    is_merge,
-    merge_index,
+    block_owners,
+    merge_parts,
     validate_query,
 )
 from conftest import GOLDEN_ROUND1_BLOCKS, GOLDEN_SEED, GRID, counting_database, random_session
@@ -538,42 +538,84 @@ def subset_is_merge(block, prev_blocks):
     return len(inside) == 2 and inside[0] | inside[1] == block
 
 
-def test_is_merge_matches_subset_reference():
-    """Same verdict as the every-block subset test on partitions and on improper
-    collections: overlapping, repeated and empty blocks, uncovered indices."""
+def random_partition(rng, k):
+    """[1..k] shuffled and cut into at most six non-empty blocks."""
+    order = rng.sample(range(1, k + 1), k)
+    cuts = sorted(rng.sample(range(1, k), rng.randrange(min(k, 6)))) if k > 1 else []
+    return [tuple(order[a:b]) for a, b in zip([0] + cuts, cuts + [k])]
+
+
+def spoil(rng, blocks, k):
+    """blocks with one fault that keeps them from partitioning [1..k]."""
+    blocks = [list(b) for b in blocks]
+    fault = rng.choice(["overlap", "repeat", "missing", "zero", "past", "empty"])
+    if fault == "overlap":  # an index twice, in one block or two
+        rng.choice(blocks).append(rng.randrange(1, k + 1))
+    elif fault == "repeat":  # a whole block twice
+        blocks.append(list(rng.choice(blocks)))
+    elif fault == "missing":
+        victim = rng.choice(blocks)
+        victim.remove(rng.choice(victim))
+    elif fault == "zero":
+        rng.choice(blocks).append(0)
+    elif fault == "past":
+        rng.choice(blocks).append(k + 1)
+    else:
+        blocks.insert(rng.randrange(len(blocks) + 1), [])
+    rng.shuffle(blocks)
+    return [tuple(b) for b in blocks]
+
+
+def test_block_owners_matches_partition_reference():
+    """block_owners refuses exactly what is no partition of [1..K] into
+    non-empty blocks, and otherwise maps each index to its block."""
     rng = random.Random(41)
+    refused = 0
+    for _ in range(400):
+        k = rng.randrange(1, 13)
+        blocks = random_partition(rng, k)
+        if rng.random() < 0.5:
+            blocks = spoil(rng, blocks, k)
+        flat = sorted(u for block in blocks for u in block)
+        is_partition = flat == list(range(1, k + 1)) and all(blocks)
+        if not is_partition:
+            refused += 1
+            with pytest.raises(MalformedQuery):
+                block_owners(k, blocks)
+            continue
+        owner = block_owners(k, blocks)
+        assert all(owner[u] == pos for pos, block in enumerate(blocks) for u in block)
+    assert 150 < refused < 250
+
+
+def subset_is_merge(block, prev_blocks):
+    """Reference: block is the union of exactly two of prev_blocks, each tested as a subset."""
+    inside = [p for p in prev_blocks if p <= block]
+    return len(inside) == 2 and inside[0] | inside[1] == block
+
+
+def test_merge_parts_matches_subset_reference():
+    """merge_parts gives the subset test's verdict, and the two blocks it
+    finds, for candidate blocks read against random partitions."""
+    rng = random.Random(43)
     verdicts = set()
     for _ in range(400):
-        n = rng.randrange(1, 13)
-        order = list(range(1, n + 1))
-        rng.shuffle(order)
-        cuts = sorted(rng.sample(range(1, n), rng.randrange(min(n, 6)))) if n > 1 else []
-        prev = [frozenset(order[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
-        if rng.random() < 0.5:  # make it improper
-            for _ in range(rng.randrange(1, 3)):
-                prev.append(frozenset(rng.sample(range(1, n + 2), rng.randrange(3))))
-        prev_set = set(prev)
-        index, list_index = merge_index(prev_set), merge_index(prev)
-        candidates = [frozenset(), frozenset(rng.sample(range(1, n + 2), rng.randrange(n + 1)))]
+        k = rng.randrange(1, 13)
+        prev = random_partition(rng, k)
+        prev_sets = [frozenset(b) for b in prev]
+        owner = block_owners(k, prev)
+        candidates = [tuple(rng.sample(range(1, k + 1), rng.randrange(1, k + 1)))]
         for _ in range(4):
             picked = rng.sample(prev, min(len(prev), rng.randrange(1, 4)))
-            candidates.append(frozenset().union(*picked))
+            candidates.append(tuple(u for b in picked for u in b))
         for block in candidates:
-            verdict = subset_is_merge(block, prev_set)
-            assert is_merge(block, index) == verdict, (sorted(map(sorted, prev_set)), sorted(block))
-            assert is_merge(block, list_index) == subset_is_merge(block, prev)
+            verdict = subset_is_merge(frozenset(block), prev_sets)
+            parts = merge_parts(block, owner, prev)
+            assert (parts is not None) == verdict, (prev, block)
+            if parts:
+                assert prev_sets[parts[0]] | prev_sets[parts[1]] == frozenset(block)
             verdicts.add(verdict)
     assert verdicts == {True, False}
-
-
-def test_is_merge_counts_empty_blocks():
-    """An empty previous block lies inside every block, as in the subset form."""
-    prev = {frozenset(), frozenset({1, 2}), frozenset({3})}
-    index = merge_index(prev)
-    for block in ({1, 2}, {3}, {1, 2, 3}, set()):
-        block = frozenset(block)
-        assert is_merge(block, index) == subset_is_merge(block, prev)
-    assert is_merge(frozenset({1, 2}), index)
 
 
 def test_validate_query_is_linear_at_k8192():
