@@ -3,7 +3,8 @@
 A field F_q is named by its modulus alone: q is a plain int that
 `check_modulus` accepts, and an element is a canonical residue in [0, q),
 which `is_canonical` decides for every caller that takes residues from
-outside (a database, side information, a packet, a coding point).  An
+outside (a database, side information, a packet, a coding point), and
+`is_canonical_packed` for a packet kept packed.  An
 inverse is `pow(a, -1, q)`; nothing here inverts zero, since elimination
 inverts only nonzero pivots.  Matrices are row-major grids of residues,
 and the solver and the rank routine share one Gauss-Jordan elimination
@@ -16,7 +17,9 @@ To combine whole messages at once, `pack_row` lays a row out as one Python
 int with a 128-bit slot per symbol, so sum_j c_j·m_j over packed rows is one
 big-int multiply-add per message.  `reduce_packed` then takes every slot
 mod q with fifteen whole-int operations, without a loop over the
-symbols, and `split_row` reads the reduced slots out.  `solve_linear_system`
+symbols, and `split_row` reads the reduced slots out.  `is_canonical_packed`
+is the packed form of the residue rule, for rows that stay packed from the
+server's combination to the client's solver.  `solve_linear_system`
 takes and returns packed rows, so a caller can keep its data packed from
 one solve to the next.  The slot bounds that make this exact are stated
 next to `pack_row`.
@@ -165,6 +168,11 @@ def split_row(value: int, symbols: int) -> list[int]:
     return memoryview(data).cast("Q")[_LOW_WORDS].tolist()
 
 
+def _every_slot(value: int, symbols: int) -> int:
+    """A packed row holding `value` (< 2^128) in each of its `symbols` slots."""
+    return int.from_bytes(value.to_bytes(_SLOT_BYTES, "little") * symbols, "little")
+
+
 # Each mask repeats a per-slot constant `symbols` times (1 MB at 65535
 # symbols), and a peer chooses the symbol count and q, so the constants of
 # only four (symbols, q) pairs are kept.
@@ -174,11 +182,28 @@ def _reduction_constants(symbols: int, q: int) -> tuple[int, ...]:
     slot, b = q.bit_length()) and scalars (2^64 mod q, 2^62 mod q, the
     quotient shift k = 63 + b and multiplier ceil(2^k / q))."""
     shift = 63 + q.bit_length()
-    masks = (
-        int.from_bytes(((1 << bits) - 1).to_bytes(_SLOT_BYTES, "little") * symbols, "little")
-        for bits in (62, 64, 128 - shift)
-    )
+    masks = (_every_slot((1 << bits) - 1, symbols) for bits in (62, 64, 128 - shift))
     return (*masks, (1 << 64) % q, (1 << 62) % q, shift, -(-(1 << shift) // q))
+
+
+@functools.lru_cache(maxsize=4)
+def _residue_masks(symbols: int, q: int) -> tuple[int, ...]:
+    """is_canonical_packed's masks: 2^64 - 1, 2^64 - q and 2^64 in every slot."""
+    return tuple(_every_slot(v, symbols) for v in ((1 << 64) - 1, (1 << 64) - q, 1 << 64))
+
+
+def is_canonical_packed(row: int, symbols: int, q: int) -> bool:
+    """is_canonical for a packed row: True when `row` is a row of `symbols`
+    slots (see pack_row) whose every slot is a residue in [0, q).
+
+    Refused are a negative row, one wider than `symbols` slots and one with
+    a slot at or above 2^64: each has a bit outside the slots' low 64 bits.
+    A slot v < 2^64 plus 2^64 - q sets the slot's bit 64 exactly when
+    v >= q, and stays below 2^65, so no slot carries into the next.  Two
+    whole-int operations and a compare, with no loop over the symbols.
+    """
+    low64, offset, carry = _residue_masks(symbols, q)
+    return row & low64 == row and not (row + offset) & carry
 
 
 def reduce_packed(value: int, symbols: int, q: int) -> int:
@@ -204,11 +229,6 @@ def reduce_packed(value: int, symbols: int, q: int) -> int:
     return y - (y * mu >> shift & low_quotient) * q
 
 
-def unpack_row(value: int, symbols: int, q: int) -> list[int]:
-    """The `symbols` residues mod q of a packed combination (see pack_row)."""
-    return split_row(reduce_packed(value, symbols, q), symbols)
-
-
 def packed_sum(coeffs: Sequence[int], packed: Sequence[int], q: int) -> int:
     """sum_j coeffs[j]·packed[j] over packed rows, left unreduced.
 
@@ -216,11 +236,6 @@ def packed_sum(coeffs: Sequence[int], packed: Sequence[int], q: int) -> int:
     so a negative one subtracts without a slot going negative.
     """
     return sum(c % q * p for c, p in zip(coeffs, packed))
-
-
-def combine_packed(coeffs: Sequence[int], packed: Sequence[int], symbols: int, q: int) -> list[int]:
-    """The residues of sum_j coeffs[j]·packed[j] mod q, for rows packed by pack_row."""
-    return unpack_row(packed_sum(coeffs, packed, q), symbols, q)
 
 
 def _gauss_jordan(matrix: FieldMatrix) -> tuple[list[list[int]], list[int]]:

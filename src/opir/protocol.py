@@ -17,8 +17,11 @@ groups the other previous blocks uniformly at random:
 
 One packet rule lays out every round (packet_layout): one packet per
 coding column, columns ascending, block by block in query order.  The
-server codes, the client decodes and the audit ranks by it.  A round
-decodes its target, the previous block holding the demand (the demand
+server codes, the client decodes and the audit ranks by it.  In process a
+packet stays the packed row (field.pack_row) that the server reduced, up
+to the client's solver, which checks it with field.is_canonical_packed;
+RoundAnswer builds residue tuples only for a reader that wants them.  A
+round decodes its target, the previous block holding the demand (the demand
 alone at round 1), in one pass: each packet of the history and of this
 round whose block meets the target, less the block's known members, is a
 row of a square system.  Earlier such blocks lie inside the target; this
@@ -36,6 +39,7 @@ Message indices are 1-based throughout, matching the wire format.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field as dataclass_field
 from functools import cache, cached_property
@@ -62,11 +66,12 @@ from .errors import (
 from .field import (
     FieldMatrix,
     check_modulus,
-    combine_packed,
     is_canonical,
+    is_canonical_packed,
     next_prime,
     pack_row,
     packed_sum,
+    reduce_packed,
     solve_linear_system,
     split_row,
 )
@@ -302,12 +307,76 @@ class PartitionQuery:
         raise KeyError(f"index {index} not covered by query")
 
 
-@dataclass(frozen=True)
 class RoundAnswer:
-    """One round's coded packets, in the order packet_layout gives."""
+    """One round's coded packets, in the order packet_layout gives.
 
-    round_no: int
-    packets: tuple[Message, ...]
+    The packets have two forms: residue tuples (`packets`), which the wire,
+    the transcript and the audit read, and packed rows (`packed`, see
+    field.pack_row), which the client's solver reads.  An answer stores the
+    form it is made from and builds the other the first time it is read.
+    The server makes its answers from reduced packed rows (from_packed); an
+    answer from the wire or from a caller holds residue tuples.  Answers
+    compare and hash by round number and residues, whatever form they hold.
+    """
+
+    __slots__ = ("round_no", "_packets", "_packed", "_symbols")
+
+    def __init__(self, round_no: int, packets: tuple[Message, ...]):
+        self.round_no = round_no
+        self._packets: tuple[Message, ...] | None = packets
+        self._packed: tuple[int, ...] | None = None
+        self._symbols: int | None = None
+
+    @classmethod
+    def from_packed(cls, round_no: int, rows: tuple[int, ...], symbols: int) -> "RoundAnswer":
+        """An answer of packed rows of `symbols` slots, each slot a residue."""
+        answer = cls(round_no, None)
+        answer._packed, answer._symbols = rows, symbols
+        return answer
+
+    @property
+    def packets(self) -> tuple[Message, ...]:
+        """The packets as residue tuples."""
+        if self._packets is None:
+            self._packets = tuple(tuple(split_row(row, self._symbols)) for row in self._packed)
+        return self._packets
+
+    @property
+    def packed(self) -> tuple[int, ...]:
+        """The packets as packed rows.  A packet holding a value outside
+        [0, 2^64), which no slot holds, becomes -1, which no packed row is."""
+        if self._packed is None:
+            self._packed = tuple(map(_pack_packet, self._packets))
+        return self._packed
+
+    @property
+    def symbols(self) -> int | None:
+        """The symbol count of every packet, or None when they differ.  A
+        packed row does not record it: an answer made from packed rows
+        keeps the count it was given."""
+        if self._symbols is None:
+            counts = set(map(len, self._packets))
+            if len(counts) == 1:
+                self._symbols = counts.pop()
+        return self._symbols
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.round_no, self.packets) == (other.round_no, other.packets)
+
+    def __hash__(self) -> int:
+        return hash((self.round_no, self.packets))
+
+    def __repr__(self) -> str:
+        return f"RoundAnswer(round_no={self.round_no!r}, packets={self.packets!r})"
+
+
+def _pack_packet(packet: Message) -> int:
+    try:
+        return pack_row(packet)
+    except OverflowError:
+        return -1
 
 
 @dataclass(frozen=True)
@@ -355,7 +424,7 @@ def validate_query(
     for block in query.blocks:
         if len(block) != size:
             raise MalformedQuery(f"round {r} blocks must have size {size}")
-        if any(block[i] >= block[i + 1] for i in range(len(block) - 1)):
+        if not all(map(operator.lt, block, block[1:])):
             raise MalformedQuery("block indices must be sorted and distinct")
     try:
         block_owners(params.k, query.blocks)
@@ -518,14 +587,15 @@ class Client:
             raise AnswerMismatch(
                 f"answer is for round {answer.round_no}, expected {round_no}"
             )
-        if len(answer.packets) != self.params.packet_count(round_no):
+        packed = answer.packed
+        if len(packed) != self.params.packet_count(round_no):
             raise AnswerMismatch(
-                f"expected {self.params.packet_count(round_no)} packets,"
-                f" got {len(answer.packets)}"
+                f"expected {self.params.packet_count(round_no)} packets, got {len(packed)}"
             )
-        if any(len(p) != self.params.symbols for p in answer.packets):
+        symbols = self.params.symbols
+        if answer.symbols != symbols:
             raise AnswerMismatch("packet symbol count does not match parameters")
-        if not all(is_canonical(p, self.params.q) for p in answer.packets):
+        if not all(is_canonical_packed(row, symbols, self.params.q) for row in packed):
             raise AnswerMismatch("packet symbols must be residues mod q")
         current = TranscriptRound(query, answer)
         recovered = self._decode_merge_round(current, target)
@@ -555,9 +625,9 @@ class Client:
                 members = set(block)
                 known = members - target_set
                 terms = [self._packed[u] for u in known]
-                for col, packet in zip(columns, rnd.answer.packets[end - len(columns) : end]):
+                for col, packet in zip(columns, rnd.answer.packed[end - len(columns) : end]):
                     rows.append([coeff(u, col) if u in members else 0 for u in unknowns])
-                    rhs.append(pack_row(packet))
+                    rhs.append(packet)
                     if known:
                         rhs[-1] += packed_sum([-coeff(u, col) for u in known], terms, params.q)
 
@@ -610,14 +680,14 @@ class Server:
         q = self.params.q
         symbols = self.params.symbols
         packed = self.database.packed
-        packets: list[Message] = []
+        rows: list[int] = []
         for block, columns in packet_layout(self.params, query):
             messages = [packed[idx - 1] for idx in block]
             for col in columns:
                 coeffs = [self.cauchy.coeff(idx, col) for idx in block]
-                packets.append(tuple(combine_packed(coeffs, messages, symbols, q)))
+                rows.append(reduce_packed(packed_sum(coeffs, messages, q), symbols, q))
         self._prev = query
-        return RoundAnswer(query.round_no, tuple(packets))
+        return RoundAnswer.from_packed(query.round_no, tuple(rows), symbols)
 
 
 @dataclass

@@ -7,12 +7,14 @@ from opir import InvalidParams, SingularMatrix, is_prime, matrix_rank
 from opir.field import (
     FieldMatrix,
     check_modulus,
-    combine_packed,
+    is_canonical,
+    is_canonical_packed,
     next_prime,
     pack_row,
+    packed_sum,
     reduce_packed,
     solve_linear_system,
-    unpack_row,
+    split_row,
 )
 
 
@@ -198,9 +200,14 @@ def test_reduce_packed_matches_mod(q, symbols):
         assert reduce_packed(value, symbols, q) == pack_row([v % q for v in row]), row
 
 
+def combine(coeffs, packed, symbols, q):
+    """The residues of sum_j coeffs[j]·packed[j] mod q, as the server makes a packet."""
+    return split_row(reduce_packed(packed_sum(coeffs, packed, q), symbols, q), symbols)
+
+
 def test_combine_rows_reduces_to_residues():
     rows = [pack_row([1, 2, 3]), pack_row([4, 0, 16])]
-    assert combine_packed([3, -5], rows, 3, 17) == [(3 - 20) % 17, 6, (9 - 80) % 17]
+    assert combine([3, -5], rows, 3, 17) == [(3 - 20) % 17, 6, (9 - 80) % 17]
 
 
 @pytest.mark.parametrize("symbols", [1, 256])
@@ -208,7 +215,7 @@ def test_pack_row_round_trip(symbols):
     q = 2**31 - 1
     rng = random.Random(symbols)
     row = [rng.choice((0, 1, q - 1, rng.randrange(q))) for _ in range(symbols)]
-    assert unpack_row(pack_row(row), symbols, q) == row
+    assert combine([1], [pack_row(row)], symbols, q) == row
 
 
 @pytest.mark.parametrize("symbols", [1, 3])
@@ -217,8 +224,32 @@ def test_combine_rows_worst_case_slot(symbols):
     q = 2**31 - 1
     terms = 65535
     expected = terms * (q - 1) ** 2 % q
-    result = combine_packed([q - 1] * terms, [pack_row([q - 1] * symbols)] * terms, symbols, q)
+    result = combine([q - 1] * terms, [pack_row([q - 1] * symbols)] * terms, symbols, q)
     assert result == [expected] * symbols
+
+
+@pytest.mark.parametrize("symbols", [1, 2, 256])
+@pytest.mark.parametrize("q", [2, 3, 65521, 2**31 - 1])
+def test_is_canonical_packed_matches_is_canonical(q, symbols):
+    """The packed residue rule agrees with is_canonical on rows of `symbols`
+    slots that hold the edge values among residues, and refuses a negative
+    row and a row wider than `symbols` slots."""
+    edges = [0, q - 1, q, 2**64 - 1, 2**64, 2**127]
+    rng = random.Random(q * symbols)
+    for trial in range(4 * len(edges)):
+        # each edge value in one slot among residues, then random mixtures
+        row = [rng.randrange(q) for _ in range(symbols)]
+        row[trial % symbols] = edges[trial % len(edges)]
+        if trial >= len(edges):
+            row = [rng.choice(edges) if rng.random() < 0.1 else v for v in row]
+        value = sum(v << 128 * j for j, v in enumerate(row))
+        assert is_canonical_packed(value, symbols, q) == is_canonical(row, q), row
+    residues = [rng.randrange(q) for _ in range(symbols + 1)]
+    assert is_canonical_packed(pack_row(residues[:symbols]), symbols, q)
+    assert not is_canonical_packed(pack_row(residues[:symbols] + [1]), symbols, q)
+    assert not is_canonical_packed(1 << 128 * symbols, symbols, q)
+    for negative in (-1, -q, -pack_row(residues[:symbols]) - 1, -(1 << 128 * symbols)):
+        assert not is_canonical_packed(negative, symbols, q)
 
 
 def span_size_rank(q, rows):

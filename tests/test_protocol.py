@@ -469,6 +469,53 @@ def test_answer_symbol_count_mismatch():
         client.decode_answer(RoundAnswer(1, ((0, 0),) * 4))
 
 
+@pytest.mark.parametrize("symbols", [1, 3])
+def test_server_answer_slot_at_q_is_refused(symbols):
+    """A server-built answer is checked on its packed rows: one slot set to
+    q, in the first, middle or last slot of a packet, is refused."""
+    for slot in {0, symbols // 2, symbols - 1}:
+        params = ProtocolParams.create(12, 2, symbols=symbols)
+        database = Database.random(12, symbols, params.q, random.Random(slot))
+        server = Server(database, params)
+        client = Client(params, SideInformation.from_database(database, [2, 3]), server.cauchy)
+        answer = server.answer(client.build_query(1))
+        rows = list(answer.packed)
+        values = list(answer.packets[1])
+        values[slot] = params.q
+        rows[1] = pack_row(values)
+        with pytest.raises(AnswerMismatch, match="residues mod q"):
+            client.decode_answer(RoundAnswer.from_packed(1, tuple(rows), symbols))
+        client.decode_answer(answer)
+
+
+@pytest.mark.parametrize("symbols", [1, 3])
+def test_server_answer_equals_its_residue_copy(symbols):
+    """On GRID seeds an answer made of the server's packed rows and one
+    rebuilt from its residue tuples are equal, hash alike, and leave two
+    clients with the same known messages and packed rows."""
+    for k, m in GRID:
+        for seed in range(3):
+            params = ProtocolParams.create(k, m, symbols=symbols)
+            rng = random.Random(seed)
+            database = Database.random(k, symbols, params.q, rng)
+            side = SideInformation.from_database(database, sorted(rng.sample(range(1, k + 1), m)))
+            server = Server(database, params)
+            packed_client = Client(params, side, server.cauchy, seed=seed)
+            residue_client = Client(params, side, server.cauchy, seed=seed)
+            for _ in range(params.max_rounds):
+                demand = rng.choice([i for i in range(1, k + 1) if i not in packed_client.known])
+                query = packed_client.build_query(demand)
+                assert residue_client.build_query(demand) == query
+                answer = server.answer(query)
+                copy = RoundAnswer(query.round_no, answer.packets)
+                assert copy == answer and hash(copy) == hash(answer)
+                packed_client.decode_answer(answer)
+                residue_client.decode_answer(copy)
+                assert packed_client.known == residue_client.known
+                assert packed_client._packed == residue_client._packed
+            assert packed_client.transcript() == residue_client.transcript()
+
+
 @pytest.mark.parametrize("shift", [-1, 1])
 def test_answer_values_must_be_residues(shift):
     """A packet value moved out of [0, q) by ±q is refused, not reduced and decoded."""
@@ -501,6 +548,16 @@ def test_server_rejects_malformed_blocks():
     wrong_count = PartitionQuery.of(1, [tuple(range(1, 4)), tuple(range(4, 13))])
     with pytest.raises(MalformedQuery):
         server.answer(wrong_count)
+
+
+def test_server_rejects_unsorted_and_repeated_block_indices():
+    """A raw PartitionQuery, which no wire decoder has checked, with a block
+    out of order or holding an index twice."""
+    params = ProtocolParams.create(4, 1)
+    for blocks in (((2, 1), (3, 4)), ((1, 1), (3, 4))):
+        server = Server(Database.random(4, 1, params.q, random.Random(0)), params)
+        with pytest.raises(MalformedQuery, match="sorted and distinct"):
+            server.answer(PartitionQuery(1, blocks))
 
 
 def test_validate_query_variants():
