@@ -122,7 +122,9 @@ def check_points(
         if not is_canonical(x_points + y_points, q):
             raise InvalidParams(f"coding points must be residues in [0, {q})")
     if len(x_points) != k or len(y_points) != cols:
-        raise InvalidParams(f"need {k} x-points and {cols} y-points")
+        raise InvalidParams(
+            f"coding point counts do not match: need {k} x-points and {cols} y-points"
+        )
     if len(set(x_points) | set(y_points)) != k + cols:
         raise InvalidParams("x and y points must be pairwise distinct and disjoint")
     return x_points, y_points

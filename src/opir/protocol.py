@@ -175,10 +175,8 @@ class ProtocolParams:
         return (self.m + 1) * 2 ** (round_no - 1)
 
     def packet_count(self, round_no: int) -> int:
-        """Download cost of a round, in packets."""
-        if round_no == 1:
-            return self.n1
-        return self.block_count(round_no) * self.m
+        """Download cost of a round, in packets: one per block per column."""
+        return self.block_count(round_no) * len(round_column_indices(self.m, self.l, round_no))
 
 
 @cache
@@ -428,8 +426,8 @@ def validate_query(
             raise MalformedQuery("block indices must be sorted and distinct")
     try:
         block_owners(params.k, query.blocks)
-    except MalformedQuery:
-        raise MalformedQuery("blocks must partition [1..K]") from None
+    except MalformedQuery as exc:
+        raise MalformedQuery(f"round {r} blocks do not partition [1..{params.k}]: {exc}") from None
     if r >= 2:
         if prev is None or prev.round_no != r - 1:
             raise MalformedQuery("missing previous-round query for pairing check")

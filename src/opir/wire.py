@@ -13,9 +13,16 @@ Payloads:
 * HELLO: k | m | l | q | symbols (4B each, 0 = unspecified) | flags (1B);
   if flags bit 0 is set: x-point count (2B), x points (4B each), y-point
   count (2B), y points (4B each).  A fully specified l must be the one with
-  K = (M+1)*2^l, and a coding point read from a HELLO must be below q.
+  K = (M+1)*2^l.
 * ERROR: code (1B) | reason length (2B) | UTF-8 reason.
 * BYE: empty.
+
+Decoders check format only: lengths, a round >= 1, indices ascending within
+a block, residues below q.  protocol.block_owners judges whether a query
+partitions [1..K] (the server through validate_query, transcript_from_bytes
+directly); cauchy.check_points judges a HELLO's coding points in
+Hello.session, so a repeated point is a DecodeError before any matrix is
+built.  Pairing stays out: the audit must see a mis-paired round to refuse it.
 
 A transcript file is a HELLO frame (fully specified, with points) followed
 by alternating QUERY/ANSWER frames: exactly the server-visible bytes.
@@ -30,6 +37,7 @@ import operator
 import struct
 from dataclasses import dataclass
 
+from .cauchy import check_points
 from .errors import (
     DecodeError,
     InvalidParams,
@@ -46,6 +54,7 @@ from .protocol import (
     RoundAnswer,
     Transcript,
     TranscriptRound,
+    block_owners,
 )
 
 MAGIC = b"OPIR"
@@ -219,34 +228,20 @@ def decode_query(payload: bytes) -> PartitionQuery:
     round_no = cur.u16()
     if round_no < 1:
         raise DecodeError("round number must be >= 1")
-    count = cur.u16()
-    if count < 1:
-        raise DecodeError("query needs at least one block")
-    blocks = []
-    seen: set[int] = set()
-    total = 0
-    for _ in range(count):
-        size = cur.u16()
-        if size < 1:
-            raise DecodeError("empty block")
-        block = cur.u16s(size)
+    blocks = tuple(cur.u16s(cur.u16()) for _ in range(cur.u16()))
+    cur.done()
+    for block in blocks:
         if not all(map(operator.lt, block, block[1:])):
             raise DecodeError("block indices must be sorted strictly ascending")
-        if not seen.isdisjoint(block):
-            raise DecodeError("blocks overlap")
-        seen.update(block)
-        total += size
-        blocks.append(block)
-    cur.done()
-    if seen != set(range(1, total + 1)):
-        raise DecodeError("blocks do not cover a contiguous 1..K range")
-    return PartitionQuery(round_no, tuple(blocks))
+    return PartitionQuery(round_no, blocks)
 
 
 def encode_answer(answer: RoundAnswer) -> bytes:
-    symbols = len(answer.packets[0]) if answer.packets else 0
-    values = [v for packet in answer.packets for v in packet]
-    header = struct.pack("<3H", answer.round_no, len(answer.packets), symbols)
+    packets, symbols = answer.packets, answer.symbols
+    if not packets or symbols is None:
+        raise ValueError("an answer needs at least one packet, all of one width")
+    values = [v for packet in packets for v in packet]
+    header = struct.pack("<3H", answer.round_no, len(packets), symbols)
     return header + struct.pack(f"<{len(values)}I", *values)
 
 
@@ -325,13 +320,12 @@ class Hello:
         params = self.params()
         if not self.has_points:
             raise DecodeError("hello is missing the coding points")
-        assert self.x_points is not None and self.y_points is not None
-        if len(self.x_points) != params.k or len(self.y_points) != params.m * params.l + 1:
-            raise DecodeError("coding point counts do not match parameters")
-        # build_cauchy refuses such a point too; bytes that hold one are a
-        # DecodeError before any matrix is built.
-        _check_residues(self.x_points + self.y_points, params.q, "coding point")
-        return params, self.x_points, self.y_points
+        try:
+            return params, *check_points(
+                params.k, params.m, params.l, params.q, self.x_points, self.y_points
+            )
+        except InvalidParams as exc:
+            raise DecodeError(str(exc)) from None
 
 
 def encode_hello(hello: Hello) -> bytes:
@@ -395,8 +389,10 @@ def transcript_from_bytes(data: bytes) -> Transcript:
             if pending is not None:
                 raise DecodeError("two queries without an answer between them")
             pending = decode_query(payload)
-            if sum(map(len, pending.blocks)) != params.k:
-                raise DecodeError(f"query blocks do not cover 1..{params.k}")
+            try:
+                block_owners(params.k, pending.blocks)
+            except MalformedQuery as exc:
+                raise DecodeError(f"query does not partition [1..{params.k}]: {exc}") from None
         elif frame_type == FRAME_ANSWER:
             if pending is None:
                 raise DecodeError("answer without a preceding query")

@@ -237,7 +237,8 @@ def test_client_reports_out_of_range_side_before_connecting(tmp_path):
 
 
 def test_audit_reports_repeated_coding_point(tmp_path):
-    """A HELLO whose x points repeat is an error line and exit 1, no traceback."""
+    """A HELLO whose x points repeat is an error line and exit 1, no traceback.
+    The reader refuses it, so no posterior or rate line is printed first."""
     params = ProtocolParams.create(4, 1)
     database = Database(q=params.q, messages=((1,), (2,), (3,), (4,)))
     transcript = run_session(params, database, [2], [1, 3], seed=1).transcript
@@ -250,6 +251,8 @@ def test_audit_reports_repeated_coding_point(tmp_path):
     assert proc.stderr.startswith("error: ")
     assert "distinct" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "posterior round" not in proc.stdout
+    assert "rate round" not in proc.stdout
 
 
 def test_audit_reports_modulus_above_field_cap(tmp_path):

@@ -316,11 +316,12 @@ def test_undecodable_query_gets_malformed_error(golden_server):
     address, _ = golden_server
     sock, f, _ = _raw_hello(address)
     try:
-        # round 1, one block {1,2}, one block {2,3}: overlapping
-        bad = bytes([1, 0, 2, 0, 2, 0, 1, 0, 2, 0, 2, 0, 2, 0, 3, 0])
-        _send_frame(f, wire.FRAME_QUERY, bad)
+        # round 1 for K=12, M=2: four blocks of three, but {3,4,5} overlaps
+        # {1,2,3} and 12 lies in no block.  It decodes; validate_query refuses it.
+        bad = PartitionQuery.of(1, [(1, 2, 3), (3, 4, 5), (6, 7, 8), (9, 10, 11)])
+        _send_frame(f, wire.FRAME_QUERY, wire.encode_query(bad))
         reason = _expect_error(f, wire.ERR_MALFORMED_QUERY)
-        assert "overlap" in reason
+        assert "partition" in reason
     finally:
         sock.close()
 

@@ -14,6 +14,7 @@ from opir import (
     PartitionQuery,
     ProtocolOrder,
     ProtocolParams,
+    RoundOutOfRange,
     RoundsExhausted,
     Server,
     SideInformation,
@@ -111,6 +112,9 @@ def test_download_cost_formulas():
         assert params.packet_count(1) == k // (m + 1)
         for i in range(2, params.max_rounds + 1):
             assert params.packet_count(i) == k * m // (2 ** (i - 1) * (m + 1))
+        for i in (0, params.max_rounds + 1):
+            with pytest.raises(RoundOutOfRange):
+                params.packet_count(i)
 
 
 # ---------------------------------------------------------------------------
@@ -643,12 +647,6 @@ def test_block_owners_matches_partition_reference():
         owner = block_owners(k, blocks)
         assert all(owner[u] == pos for pos, block in enumerate(blocks) for u in block)
     assert 150 < refused < 250
-
-
-def subset_is_merge(block, prev_blocks):
-    """Reference: block is the union of exactly two of prev_blocks, each tested as a subset."""
-    inside = [p for p in prev_blocks if p <= block]
-    return len(inside) == 2 and inside[0] | inside[1] == block
 
 
 def test_merge_parts_matches_subset_reference():

@@ -187,28 +187,43 @@ def test_query_bytes_are_pinned():
 
 
 def test_query_decode_rejections():
+    """decode_query checks format only; partitions are block_owners' to judge."""
     good = encode_query(PartitionQuery.of(2, [(1, 2), (3, 4)]))
     with pytest.raises(DecodeError, match="truncated"):
         decode_query(b"")
     with pytest.raises(DecodeError, match="round"):
         decode_query(bytes([0, 0]) + good[2:])
-    with pytest.raises(DecodeError, match="at least one block"):
-        decode_query(bytes([1, 0, 0, 0]))
-    with pytest.raises(DecodeError, match="empty block"):
-        decode_query(bytes([1, 0, 1, 0, 0, 0]))
     with pytest.raises(DecodeError, match="sorted"):
         decode_query(bytes([1, 0, 1, 0, 2, 0, 2, 0, 1, 0]))
-    with pytest.raises(DecodeError, match="overlap"):
-        decode_query(
-            bytes([1, 0, 2, 0, 2, 0, 1, 0, 2, 0, 2, 0, 2, 0, 3, 0])
-        )
-    # {1,2} and {4,5} skip 3, so the union is not 1..total
-    with pytest.raises(DecodeError, match="contiguous"):
-        decode_query(
-            bytes([1, 0, 2, 0, 2, 0, 1, 0, 2, 0, 2, 0, 4, 0, 5, 0])
-        )
     with pytest.raises(DecodeError, match="trailing"):
         decode_query(good + b"\x00")
+
+
+# Round-1 blocks at K=12 that are no partition of [1..12], each with the
+# fault block_owners names.
+NON_PARTITIONS = [
+    ([(1, 2, 3), (3, 4, 5), (6, 7, 8), (9, 10, 11, 12)], "index 3 lies in two blocks"),
+    ([(1, 2), (4, 5, 6), (7, 8, 9), (10, 11, 12)], "index 3 lies in no block"),
+    ([(1, 2, 3), (4, 5, 6), (), (7, 8, 9, 10, 11, 12)], "block 3 is empty"),
+    ([], "index 1 lies in no block"),
+    ([(1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 13)], "index 13 lies outside it"),
+]
+
+
+@pytest.mark.parametrize(
+    "blocks, fault", NON_PARTITIONS, ids=["overlap", "gap", "empty-block", "no-blocks", "past-k"]
+)
+def test_transcript_query_must_partition(golden, blocks, fault):
+    """The reader passes a well-formed non-partition through; the transcript
+    reader refuses it with block_owners' fault."""
+    _, _, result = golden
+    t = result.transcript
+    query = PartitionQuery.of(1, blocks)
+    assert decode_query(encode_query(query)) == query
+    bad = dataclasses.replace(t.rounds[0], query=query)
+    data = transcript_to_bytes(dataclasses.replace(t, rounds=(bad,) + t.rounds[1:]))
+    with pytest.raises(DecodeError, match=rf"does not partition \[1\.\.12\]: {fault}"):
+        transcript_from_bytes(data)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +241,14 @@ def test_answer_payload_size_is_pinned():
     payload = encode_answer(answer)
     assert len(payload) == 14
     assert payload[:6] == bytes([3, 0, 2, 0, 1, 0])
+
+
+def test_encode_answer_refuses_what_decode_answer_refuses():
+    """The header's width is the one width of every packet: packets of
+    differing widths, or none, cannot be written."""
+    for packets in (((1, 2), (3,)), ((1,), (2, 3)), ()):
+        with pytest.raises(ValueError, match="one width"):
+            encode_answer(RoundAnswer(1, packets))
 
 
 def test_answer_decode_rejections():
@@ -455,6 +478,20 @@ def test_transcript_points_must_be_canonical(golden):
             hello.session()
         data = transcript_to_bytes(dataclasses.replace(t, cauchy_x=xs, cauchy_y=ys))
         with pytest.raises(DecodeError, match="coding point"):
+            transcript_from_bytes(data)
+
+
+def test_transcript_points_must_be_distinct(golden):
+    """A repeated x point, or a y point that is also an x point, is a
+    DecodeError at read time, before any matrix is built."""
+    params, _, result = golden
+    t = result.transcript
+    xs, ys = t.cauchy_x, t.cauchy_y
+    for bad_x, bad_y in [((xs[1],) + xs[1:], ys), (xs, (xs[0],) + ys[1:])]:
+        with pytest.raises(DecodeError, match="distinct"):
+            Hello.for_params(params, bad_x, bad_y).session()
+        data = transcript_to_bytes(dataclasses.replace(t, cauchy_x=bad_x, cauchy_y=bad_y))
+        with pytest.raises(DecodeError, match="distinct"):
             transcript_from_bytes(data)
 
 
