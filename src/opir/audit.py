@@ -223,7 +223,7 @@ def measured_rate(transcript: Transcript, round_no: int) -> Fraction:
     """Achieved rate at a round: one message per packet downloaded."""
     if not 1 <= round_no <= len(transcript.rounds):
         raise ValueError(f"transcript has no round {round_no}")
-    packets = len(transcript.rounds[round_no - 1].answer.packets)
+    packets = len(transcript.rounds[round_no - 1].answer)
     if not packets:
         raise InconsistentTranscript(f"round {round_no} downloaded no packets")
     return Fraction(1, packets)

@@ -42,8 +42,9 @@ class AnswerMismatch(OpirError):
 
 
 class SingularSystem(OpirError):
-    """Decoding hit a singular system; impossible with valid coefficients,
-    so this always indicates an internal error or a corrupted answer."""
+    """Decoding hit a singular system, which the partitions and coding points
+    fix, not the packets: a valid session at an explicit small q, on
+    uncertified points or past round 3 can end here on an unlucky partition."""
 
 
 class InconsistentTranscript(OpirError):

@@ -165,6 +165,8 @@ class RemoteSession:
             symbols = len(side.values[0][1]) if side.values else 0
             hello = wire.Hello(**{"m": len(side.values), "symbols": symbols, **(expect or {})})
             self._write(wire.FRAME_HELLO, wire.encode_hello(hello))
+            # A frame longer than the longest legal one is refused unread.
+            self._limit = wire.max_hello_reply(hello.k, hello.m)
             frame_type, payload = self._read()
             if frame_type != wire.FRAME_HELLO:
                 raise DecodeError("server did not answer the hello")
@@ -173,6 +175,7 @@ class RemoteSession:
             # K·M, so a shape other than the requested one is refused first.
             hello.require(reply)
             self.params, x_points, y_points = reply.session()
+            self._limit = wire.max_server_payload(self.params)
             p = self.params
             cauchy = build_cauchy(p.k, p.m, p.l, p.q, x_points, y_points)
             self.client = Client(self.params, side, cauchy, seed=seed)
@@ -185,7 +188,7 @@ class RemoteSession:
         self._file.flush()
 
     def _read(self) -> tuple[int, bytes]:
-        frame_type, payload = wire.read_frame(self._file)
+        frame_type, payload = wire.read_frame(self._file, self._limit)
         if frame_type == wire.FRAME_ERROR:
             code, reason = wire.decode_error(payload)
             raise wire.exception_for(code, reason)

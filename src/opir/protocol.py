@@ -184,9 +184,10 @@ def _certified_cauchy(k: int, m: int) -> CauchyMatrix:
     """The decode-safe matrix at SESSION_PRIME: the first point set of a
     deterministic search that all_merge_systems_invertible passes (pinned at (16, 3)).
 
-    A random point set fails for some merged block with probability well
-    under a percent, so the first attempt almost always wins; the attempt
-    cap only guards against hopelessly small fields.
+    For M=1 about 3 * C(K, 4) / q round-3 splits of a random point set are
+    singular, so attempt 0 wins at small K but the odds fall fast as K grows:
+    (512, 1) takes attempt 55, and near K = 1024 every one of the 64
+    attempts is expected to fail (FieldTooSmall).
     """
     l, q = derive_l(k, m), SESSION_PRIME
     if (k, m) in _SAFE_POINTS:
@@ -315,28 +316,37 @@ class RoundAnswer:
     The server makes its answers from reduced packed rows (from_packed); an
     answer from the wire or from a caller holds residue tuples.  Answers
     compare and hash by round number and residues, whatever form they hold.
+    `symbols` is every packet's width, or None when they differ: the server
+    and the wire reader pass the width they know, else it is measured once.
     """
 
-    __slots__ = ("round_no", "_packets", "_packed", "_symbols")
+    __slots__ = ("round_no", "symbols", "_packets", "_packed")
 
-    def __init__(self, round_no: int, packets: tuple[Message, ...]):
+    def __init__(self, round_no: int, packets: tuple[Message, ...], symbols: int | None = None):
         self.round_no = round_no
         self._packets: tuple[Message, ...] | None = packets
         self._packed: tuple[int, ...] | None = None
-        self._symbols: int | None = None
+        if symbols is None:
+            widths = set(map(len, packets))
+            symbols = widths.pop() if len(widths) == 1 else None
+        self.symbols = symbols
 
     @classmethod
     def from_packed(cls, round_no: int, rows: tuple[int, ...], symbols: int) -> "RoundAnswer":
         """An answer of packed rows of `symbols` slots, each slot a residue."""
-        answer = cls(round_no, None)
-        answer._packed, answer._symbols = rows, symbols
+        answer = cls(round_no, None, symbols)
+        answer._packed = rows
         return answer
+
+    def __len__(self) -> int:
+        """The packet count, read from whichever form the answer holds."""
+        return len(self._packed if self._packets is None else self._packets)
 
     @property
     def packets(self) -> tuple[Message, ...]:
         """The packets as residue tuples."""
         if self._packets is None:
-            self._packets = tuple(tuple(split_row(row, self._symbols)) for row in self._packed)
+            self._packets = tuple(tuple(split_row(row, self.symbols)) for row in self._packed)
         return self._packets
 
     @property
@@ -346,17 +356,6 @@ class RoundAnswer:
         if self._packed is None:
             self._packed = tuple(map(_pack_packet, self._packets))
         return self._packed
-
-    @property
-    def symbols(self) -> int | None:
-        """The symbol count of every packet, or None when they differ.  A
-        packed row does not record it: an answer made from packed rows
-        keeps the count it was given."""
-        if self._symbols is None:
-            counts = set(map(len, self._packets))
-            if len(counts) == 1:
-                self._symbols = counts.pop()
-        return self._symbols
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -394,7 +393,7 @@ class Transcript:
 
     @property
     def costs(self) -> tuple[int, ...]:
-        return tuple(len(r.answer.packets) for r in self.rounds)
+        return tuple(len(r.answer) for r in self.rounds)
 
     def cauchy(self) -> CauchyMatrix:
         p = self.params
@@ -468,6 +467,19 @@ def merge_parts(block: Block, owner: list[int], prev_blocks) -> tuple[int, int] 
         return None
     a, b = parts
     return (a, b) if len(prev_blocks[a]) + len(prev_blocks[b]) == len(block) else None
+
+
+def check_answer(params: ProtocolParams, query: PartitionQuery, answer: RoundAnswer) -> None:
+    """The one answer rule, for the client and the transcript reader: AnswerMismatch
+    naming the first fault unless the answer has the query's round, packet_count
+    packets and params.symbols symbols each (RoundOutOfRange past the last round)."""
+    if answer.round_no != query.round_no:
+        raise AnswerMismatch(f"answer round does not match query round {query.round_no}")
+    count = params.packet_count(query.round_no)
+    if len(answer) != count:
+        raise AnswerMismatch(f"expected {count} packets, got {len(answer)}")
+    if answer.symbols != params.symbols:
+        raise AnswerMismatch(f"packets must each have {params.symbols} symbols")
 
 
 def packet_layout(
@@ -580,20 +592,9 @@ class Client:
         if self._pending is None:
             raise ProtocolOrder("no outstanding query to decode an answer for")
         query, target = self._pending
-        round_no = query.round_no
-        if answer.round_no != round_no:
-            raise AnswerMismatch(
-                f"answer is for round {answer.round_no}, expected {round_no}"
-            )
-        packed = answer.packed
-        if len(packed) != self.params.packet_count(round_no):
-            raise AnswerMismatch(
-                f"expected {self.params.packet_count(round_no)} packets, got {len(packed)}"
-            )
-        symbols = self.params.symbols
-        if answer.symbols != symbols:
-            raise AnswerMismatch("packet symbol count does not match parameters")
-        if not all(is_canonical_packed(row, symbols, self.params.q) for row in packed):
+        check_answer(self.params, query, answer)
+        symbols, q = self.params.symbols, self.params.q
+        if not all(is_canonical_packed(row, symbols, q) for row in answer.packed):
             raise AnswerMismatch("packet symbols must be residues mod q")
         current = TranscriptRound(query, answer)
         recovered = self._decode_merge_round(current, target)

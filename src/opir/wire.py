@@ -20,9 +20,10 @@ Payloads:
 Decoders check format only: lengths, a round >= 1, indices ascending within
 a block, residues below q.  protocol.block_owners judges whether a query
 partitions [1..K] (the server through validate_query, transcript_from_bytes
-directly); cauchy.check_points judges a HELLO's coding points in
-Hello.session, so a repeated point is a DecodeError before any matrix is
-built.  Pairing stays out: the audit must see a mis-paired round to refuse it.
+directly), protocol.check_answer an answer's round, count and width (the
+client and transcript_from_bytes); cauchy.check_points judges a HELLO's
+points in Hello.session, so a repeated point is a DecodeError before any
+matrix is built.  Pairing stays out: the audit refuses a mis-paired round.
 
 A transcript file is a HELLO frame (fully specified, with points) followed
 by alternating QUERY/ANSWER frames: exactly the server-visible bytes.
@@ -37,13 +38,15 @@ import operator
 import struct
 from dataclasses import dataclass
 
-from .cauchy import check_points
+from .cauchy import check_points, derive_l
 from .errors import (
+    AnswerMismatch,
     DecodeError,
     InvalidParams,
     MalformedQuery,
     ParamMismatch,
     ProtocolOrder,
+    RoundOutOfRange,
     RoundsExhausted,
 )
 from .field import is_canonical
@@ -55,11 +58,13 @@ from .protocol import (
     Transcript,
     TranscriptRound,
     block_owners,
+    check_answer,
 )
 
 MAGIC = b"OPIR"
 VERSION = 1
 HEADER = struct.Struct("<4sBBI")
+_MAX_ERROR = 3 + 0xFFFF  # an ERROR's code, reason length and 65535-byte reason
 
 FRAME_QUERY = 0x01
 FRAME_ANSWER = 0x02
@@ -146,6 +151,22 @@ def max_client_payload(params: ProtocolParams) -> int:
     4(K + Ml + 1) bytes, or a round-1 QUERY, 4 + 2K/(M+1) + 2K bytes."""
     hello = 25 + 4 * (params.k + params.m * params.l + 1)
     return max(hello, 4 + 2 * params.n1 + 2 * params.k)
+
+
+def max_hello_reply(k: int, m: int) -> int:
+    """The longest legal reply to a HELLO naming K and M (0 = unnamed): an ERROR,
+    or a HELLO with K + Ml + 1 points, or 2 x 65535 when K and M name no shape."""
+    try:
+        return max(25 + 4 * (k + m * derive_l(k, m) + 1), _MAX_ERROR)
+    except InvalidParams:
+        return 25 + 8 * 0xFFFF
+
+
+def max_server_payload(params: ProtocolParams) -> int:
+    """The longest legal server payload after HELLO: an ERROR, or an ANSWER
+    of the round with the most packets, 6 + 4 * symbols bytes per packet."""
+    packets = max(map(params.packet_count, range(1, params.max_rounds + 1)))
+    return max(6 + 4 * params.symbols * packets, _MAX_ERROR)
 
 
 def _read_exact(reader, n: int, what: str) -> bytes:
@@ -256,7 +277,7 @@ def decode_answer(payload: bytes, q: int) -> RoundAnswer:
     values = cur.u32s(count * symbols)
     cur.done()
     _check_residues(values, q, "packet")
-    return RoundAnswer(round_no, _rows(values, symbols))
+    return RoundAnswer(round_no, _rows(values, symbols), symbols)
 
 
 @dataclass(frozen=True)
@@ -397,8 +418,10 @@ def transcript_from_bytes(data: bytes) -> Transcript:
             if pending is None:
                 raise DecodeError("answer without a preceding query")
             answer = decode_answer(payload, params.q)
-            if answer.round_no != pending.round_no:
-                raise DecodeError("answer round does not match query round")
+            try:
+                check_answer(params, pending, answer)
+            except (AnswerMismatch, RoundOutOfRange) as exc:
+                raise DecodeError(str(exc)) from None
             rounds.append(TranscriptRound(pending, answer))
             pending = None
         else:

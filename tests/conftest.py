@@ -1,11 +1,13 @@
-"""Shared fixtures: the golden 12-message run and a random-session driver."""
+"""Shared fixtures: the golden 12-message run, a random-session driver and
+answer alterations."""
 
+import dataclasses
 import random
 
 import pytest
 
 from opir import Client, Database, ProtocolParams, Server, SideInformation, run_session
-from opir.protocol import SessionResult
+from opir.protocol import RoundAnswer, SessionResult, TranscriptRound
 
 # Every (K, M) pair exercised by the acceptance suite; l is implied.
 GRID = [(4, 1), (8, 1), (8, 3), (12, 2), (16, 3)]
@@ -82,3 +84,27 @@ def random_session(
         recovered.append(client.decode_answer(server.answer(client.build_query(demand))))
     result = SessionResult(transcript=client.transcript(), recovered=tuple(recovered))
     return params, database, side_indices, demands, result
+
+
+def alter_answers(transcript, change, rounds=None):
+    """The transcript with change(packets) in place of each answer's packets,
+    in the rounds numbered in `rounds` (every round when None)."""
+    return dataclasses.replace(transcript, rounds=tuple(
+        TranscriptRound(r.query, RoundAnswer(r.answer.round_no, change(r.answer.packets)))
+        if rounds is None or r.query.round_no in rounds else r
+        for r in transcript.rounds
+    ))
+
+
+# Faults only the answer rule (protocol.check_answer) sees in a transcript
+# whose queries are honest: every answer one symbol wide under a 2-symbol
+# HELLO, and a round-1 answer one packet short.
+ANSWER_FAULTS = {
+    "narrow": lambda t: alter_answers(t, lambda packets: tuple(p[:1] for p in packets)),
+    "short": lambda t: alter_answers(t, lambda packets: packets[:-1], rounds={1}),
+}
+
+
+def two_symbol_session():
+    """An honest K=8, M=1, 2-symbol session (three rounds)."""
+    return random_session(8, 1, seed=3, symbols=2)

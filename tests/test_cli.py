@@ -18,7 +18,13 @@ from opir import cli
 from opir.cli import main
 from opir.wire import read_database, transcript_from_bytes, transcript_to_bytes, write_database
 from opir.protocol import _SAFE_POINTS, SESSION_PRIME, session_cauchy
-from conftest import GOLDEN_SEED, counting_database, random_session
+from conftest import (
+    ANSWER_FAULTS,
+    GOLDEN_SEED,
+    counting_database,
+    random_session,
+    two_symbol_session,
+)
 
 
 def run_cli(*argv):
@@ -129,6 +135,19 @@ def test_audit_flags_tampered_transcript(tmp_path, capsys):
     out_path.write_bytes(transcript_to_bytes(tampered))
     assert run_cli("audit", "--transcript", str(out_path)) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", sorted(ANSWER_FAULTS))
+def test_audit_refuses_answers_the_client_refuses(tmp_path, capsys, fault):
+    """Answers too narrow for the HELLO's symbols, or a round-1 answer one
+    packet short: an error line and exit 1, with no posterior line first."""
+    *_, result = two_symbol_session()
+    path = tmp_path / f"{fault}.bin"
+    path.write_bytes(transcript_to_bytes(ANSWER_FAULTS[fault](result.transcript)))
+    assert run_cli("audit", "--transcript", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "posterior round" not in captured.out
 
 
 def test_audit_rejects_garbage_file(tmp_path, capsys):

@@ -22,6 +22,7 @@ from opir import (
     run_session,
 )
 from opir.cauchy import canonical_points
+from opir.protocol import session_cauchy
 from opir.net import RemoteSession, read_config
 from opir import net, wire
 from conftest import GOLDEN_SEED, counting_database
@@ -269,6 +270,49 @@ def test_client_refuses_non_canonical_coding_points(monkeypatch):
     assert isinstance(exc, DecodeError)
     assert "coding point" in str(exc)
     assert builds == []
+
+
+@pytest.mark.parametrize("stage", ["hello", "answer"])
+@pytest.mark.parametrize("expect", [None, {"k": 12}])
+def test_client_refuses_a_huge_frame_before_reading_it(monkeypatch, stage, expect):
+    """A server that claims a 1 GiB HELLO, or answers the HELLO and then
+    claims a 1 GiB ANSWER, sends 64 bytes of it and waits: the client raises
+    DecodeError at once instead of waiting for the payload."""
+    # A client that waits for the payload fails the test in 2 s, not 10.
+    monkeypatch.setattr(net, "CLIENT_TIMEOUT", 2.0)
+    params = ProtocolParams.create(12, 2, q=17)
+    cauchy = session_cauchy(params)
+    hello = wire.Hello.for_params(params, cauchy.x_points, cauchy.y_points)
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def huge(frame_type):
+        return wire.HEADER.pack(wire.MAGIC, wire.VERSION, frame_type, 2**30) + bytes(64)
+
+    def hostile_server():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rwb") as f:
+            wire.read_frame(f)
+            if stage == "hello":
+                f.write(huge(wire.FRAME_HELLO))
+            else:
+                _send_frame(f, wire.FRAME_HELLO, wire.encode_hello(hello))
+                wire.read_frame(f)  # the round-1 query
+                f.write(huge(wire.FRAME_ANSWER))
+            f.flush()
+            f.read()  # until the client hangs up
+
+    thread = threading.Thread(target=hostile_server, daemon=True)
+    thread.start()
+    side = SideInformation.from_database(counting_database(), [2, 3])
+    try:
+        with pytest.raises(DecodeError, match="exceeds the limit"):
+            with RemoteSession(listener.getsockname(), side, seed=3, expect=expect) as session:
+                assert stage == "answer"
+                session.retrieve(1)
+    finally:
+        thread.join(timeout=5)
+        listener.close()
+    assert not thread.is_alive()
 
 
 def test_matching_expectations_are_accepted(golden_server):

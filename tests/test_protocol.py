@@ -23,11 +23,13 @@ from opir import (
 )
 from opir.cauchy import derive_l
 from opir.field import MAX_MODULUS, next_prime, pack_row
+from opir import audit, protocol
 from opir.protocol import (
     SESSION_PRIME,
     RoundAnswer,
     TranscriptRound,
     block_owners,
+    check_answer,
     merge_parts,
     validate_query,
 )
@@ -471,6 +473,50 @@ def test_answer_symbol_count_mismatch():
     client.build_query(1)
     with pytest.raises(AnswerMismatch):
         client.decode_answer(RoundAnswer(1, ((0, 0),) * 4))
+
+
+def test_check_answer_names_the_first_fault():
+    """Round first, then packet count, then width; a round the parameters
+    have no columns for is RoundOutOfRange."""
+    params = ProtocolParams.create(8, 1, symbols=2)
+    query = PartitionQuery.of(1, [(1, 2), (3, 4), (5, 6), (7, 8)])
+    check_answer(params, query, RoundAnswer(1, ((0, 0),) * 4))
+    check_answer(params, query, RoundAnswer.from_packed(1, (0,) * 4, 2))
+    for answer, words in [
+        (RoundAnswer(2, ((0,),) * 3), "answer round does not match query round 1"),
+        (RoundAnswer(1, ((0,),) * 3), "expected 4 packets, got 3"),
+        (RoundAnswer(1, ()), "expected 4 packets, got 0"),
+        (RoundAnswer(1, ((0,),) * 4), "packets must each have 2 symbols"),
+        (RoundAnswer(1, ((0, 0),) * 3 + ((0,),)), "packets must each have 2 symbols"),
+        (RoundAnswer.from_packed(1, (0,) * 4, 3), "packets must each have 2 symbols"),
+    ]:
+        with pytest.raises(AnswerMismatch) as info:
+            check_answer(params, query, answer)
+        assert str(info.value) == words
+    with pytest.raises(RoundOutOfRange):
+        check_answer(params, PartitionQuery(4, query.blocks), RoundAnswer(4, ((0, 0),) * 4))
+
+
+def test_packed_answers_are_counted_without_residue_tuples(monkeypatch):
+    """The answer rule, Transcript.costs and measured_rate count a server's
+    packed answers without building a residue tuple (field.split_row)."""
+    params = ProtocolParams.create(12, 2, q=17)
+    server = Server(counting_database(), params)
+    side = SideInformation.from_database(counting_database(), [2, 3])
+    client = Client(params, side, server.cauchy, seed=GOLDEN_SEED)
+    query = client.build_query(1)
+    answer = server.answer(query)
+    client.decode_answer(answer)
+
+    def split_row(*args):
+        raise AssertionError("built residue tuples")
+
+    monkeypatch.setattr(protocol, "split_row", split_row)
+    check_answer(params, query, answer)
+    assert len(answer) == 4
+    transcript = client.transcript()
+    assert transcript.costs == (4,)
+    assert audit.measured_rate(transcript, 1) == audit.capacity(12, 2, 1)
 
 
 @pytest.mark.parametrize("symbols", [1, 3])

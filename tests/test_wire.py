@@ -7,6 +7,8 @@ import tracemalloc
 import pytest
 
 from opir import (
+    AnswerMismatch,
+    Client,
     Database,
     DecodeError,
     InvalidParams,
@@ -16,9 +18,10 @@ from opir import (
     ProtocolOrder,
     ProtocolParams,
     RoundsExhausted,
+    SideInformation,
     run_session,
 )
-from opir.protocol import RoundAnswer
+from opir.protocol import RoundAnswer, session_cauchy
 from opir import wire
 from opir.wire import (
     ERR_INTERNAL,
@@ -48,13 +51,22 @@ from opir.wire import (
     error_code_for,
     exception_for,
     max_client_payload,
+    max_hello_reply,
+    max_server_payload,
     read_database,
     read_frame,
     transcript_from_bytes,
     transcript_to_bytes,
     write_database,
 )
-from conftest import GOLDEN_SEED, GRID, counting_database, random_session
+from conftest import (
+    ANSWER_FAULTS,
+    GOLDEN_SEED,
+    GRID,
+    counting_database,
+    random_session,
+    two_symbol_session,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +153,35 @@ def test_max_client_payload_fits_the_largest_client_frames():
         queries = [len(encode_query(r.query)) for r in transcript.rounds]
         assert max(queries) == queries[0]
         assert max_client_payload(params) == max(len(encode_hello(hello)), queries[0])
+
+
+def test_max_server_payload_fits_the_largest_server_frames():
+    """The limit is exactly the larger of a session's longest ANSWER and the
+    longest ERROR the format holds."""
+    longest_error = len(encode_error(ERR_INTERNAL, "x" * 0xFFFF))
+    assert longest_error == 3 + 0xFFFF
+    for (k, m), symbols in [*((shape, 1) for shape in GRID), ((8, 1), 9000)]:
+        params, _, _, _, result = random_session(k, m, seed=k + m, symbols=symbols)
+        answers = [len(encode_answer(r.answer)) for r in result.transcript.rounds]
+        assert max_server_payload(params) == max(max(answers), longest_error)
+    assert max(answers) > longest_error  # 4 packets of 9000 symbols
+
+
+def test_max_hello_reply_fits_the_server_hello():
+    """The limit is exactly the larger of the HELLO a server of the named K
+    and M sends and the longest ERROR; with no shape named, the longest HELLO."""
+    longest_error = 3 + 0xFFFF
+    for k, m in GRID:
+        params, _, _, _, result = random_session(k, m, seed=k + m)
+        t = result.transcript
+        hello = encode_hello(Hello.for_params(params, t.cauchy_x, t.cauchy_y))
+        assert max_hello_reply(k, m) == max(len(hello), longest_error)
+    # at K=16384, M=1 (l=13) the HELLO outgrows every ERROR
+    assert max_hello_reply(16384, 1) == 25 + 4 * (16384 + 13 + 1)
+    longest = Hello(k=1, m=1, l=1, q=2, symbols=1,
+                    x_points=tuple(range(0xFFFF)), y_points=tuple(range(0xFFFF)))
+    for k, m in [(0, 2), (12, 0), (8, 2)]:
+        assert max_hello_reply(k, m) == len(encode_hello(longest)) == 25 + 8 * 0xFFFF
 
 
 def test_frame_readers_share_header_checks(monkeypatch):
@@ -519,6 +560,62 @@ def test_transcript_rejects_malformed_frame_orders(golden):
         transcript_from_bytes(hello + q1 + a1 + q2)
     with pytest.raises(DecodeError, match="only contain query/answer"):
         transcript_from_bytes(hello + q1 + a1 + encode_frame(FRAME_BYE))
+
+
+@pytest.mark.parametrize("fault", sorted(ANSWER_FAULTS))
+def test_transcript_answers_follow_the_answer_rule(fault):
+    """Answers one symbol wide under a 2-symbol HELLO, or a round-1 answer one
+    packet short, are a DecodeError at read time."""
+    *_, result = two_symbol_session()
+    data = transcript_to_bytes(ANSWER_FAULTS[fault](result.transcript))
+    with pytest.raises(DecodeError, match="2 symbols" if fault == "narrow" else "4 packets"):
+        transcript_from_bytes(data)
+
+
+def test_transcript_round_past_the_schedule_is_a_decode_error(golden):
+    """A query and answer numbered l+2 = 4 at K=12, M=2 have no coding
+    columns: a DecodeError at read time, not a transcript for the audit."""
+    _, _, result = golden
+    hello, q1, a1, q2, a2, q3, a3 = _frames(result.transcript)
+    last = result.transcript.rounds[-1]
+    q4 = encode_frame(FRAME_QUERY, encode_query(dataclasses.replace(last.query, round_no=4)))
+    a4 = encode_frame(FRAME_ANSWER, encode_answer(RoundAnswer(4, last.answer.packets)))
+    with pytest.raises(DecodeError, match="round 4 out of range"):
+        transcript_from_bytes(hello + q1 + a1 + q2 + a2 + q3 + a3 + q4 + a4)
+
+
+def test_client_and_reader_judge_answers_alike():
+    """Each answer the client refuses by protocol.check_answer the transcript
+    reader refuses in the same words, and both take the honest answer."""
+    params, database, side_indices, demands, result = two_symbol_session()
+    query, honest = result.transcript.rounds[0].query, result.transcript.rounds[0].answer
+    packets = honest.packets
+    head = transcript_to_bytes(dataclasses.replace(result.transcript, rounds=()))
+    side = SideInformation.from_database(database, side_indices)
+
+    def client():
+        fresh = Client(params, side, session_cauchy(params), seed=3)
+        assert fresh.build_query(demands[0]) == query
+        return fresh
+
+    def read(answer):
+        frames = encode_frame(FRAME_QUERY, encode_query(query))
+        return transcript_from_bytes(head + frames + encode_frame(FRAME_ANSWER, encode_answer(answer)))
+
+    client().decode_answer(honest)
+    assert read(honest).rounds[0].answer == honest
+    for answer in (
+        RoundAnswer(2, packets),
+        RoundAnswer(1, packets[:-1]),
+        RoundAnswer(1, packets + packets[:1]),
+        RoundAnswer(1, tuple(p[:1] for p in packets)),
+        RoundAnswer(1, tuple(p + p[:1] for p in packets)),
+    ):
+        with pytest.raises(AnswerMismatch) as refused:
+            client().decode_answer(answer)
+        with pytest.raises(DecodeError) as unread:
+            read(answer)
+        assert str(unread.value) == str(refused.value)
 
 
 # ---------------------------------------------------------------------------
