@@ -22,6 +22,12 @@ Three independent checks, all computed from the server's view alone:
   the sum of per-block ranks, each min(packets, members) by the Cauchy
   theorem: the points are checked and no matrix is built.
 
+posterior, enumerate_hypotheses and rank_profile first run _check_rounds,
+which refuses a transcript whose rounds are not numbered 1, 2, ..., do not
+each partition [1..K], or carry an answer that the one answer rule
+(protocol.check_answer) refuses, as the client and the transcript reader
+do: InconsistentTranscript.
+
 Everything uses exact integer and rational arithmetic; equality checks need
 no tolerances.
 """
@@ -32,9 +38,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cauchy import check_points, derive_l
-from .errors import InconsistentTranscript, MalformedQuery, RoundOutOfRange
+from .errors import AnswerMismatch, InconsistentTranscript, MalformedQuery, RoundOutOfRange
 from .field import matrix_rank  # noqa: F401 (perfbench/tracing.py wraps audit.matrix_rank)
-from .protocol import Block, PartitionQuery, Transcript, block_owners, merge_parts, packet_layout
+from .protocol import (
+    Block,
+    PartitionQuery,
+    Transcript,
+    block_owners,
+    check_answer,
+    merge_parts,
+    packet_layout,
+)
 
 
 @dataclass(frozen=True)
@@ -68,18 +82,26 @@ class PosteriorTable:
 
 def _check_rounds(transcript: Transcript) -> list[list[int]]:
     """Each round's block_owners: InconsistentTranscript unless the rounds
-    are numbered 1, 2, ... and each partitions [1..K]."""
+    are numbered 1, 2, ..., each partitions [1..K] and, once every round
+    has, each answer passes the one answer rule (protocol.check_answer)."""
     if not transcript.rounds:
         raise InconsistentTranscript("transcript has no rounds")
-    k = transcript.params.k
+    params = transcript.params
     owners = []
     for j, rnd in enumerate(transcript.rounds, start=1):
         if rnd.query.round_no != j:
             raise InconsistentTranscript(f"transcript rounds not contiguous at position {j}")
         try:
-            owners.append(block_owners(k, rnd.query.blocks))
+            owners.append(block_owners(params.k, rnd.query.blocks))
         except MalformedQuery as exc:
-            raise InconsistentTranscript(f"round {j} does not partition [1..{k}]: {exc}") from None
+            raise InconsistentTranscript(
+                f"round {j} does not partition [1..{params.k}]: {exc}"
+            ) from None
+    for j, rnd in enumerate(transcript.rounds, start=1):
+        try:
+            check_answer(params, rnd.query, rnd.answer)
+        except (AnswerMismatch, RoundOutOfRange) as exc:
+            raise InconsistentTranscript(f"round {j}: {exc}") from None
     return owners
 
 

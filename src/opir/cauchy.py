@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import FieldTooSmall, InvalidParams, RoundOutOfRange
 from .field import FieldMatrix, check_modulus, is_canonical
@@ -61,6 +62,12 @@ class CauchyMatrix:
     def coeff(self, index: int, column: int) -> int:
         """Entry for message `index` and coding column `column`, both 1-based."""
         return self.matrix.at(index - 1, column - 1)
+
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """The entries column by column, built on first read:
+        columns[column - 1][index - 1] is coeff(index, column)."""
+        return tuple(zip(*(self.matrix.row(r) for r in range(self.matrix.rows))))
 
 
 def canonical_points(q: int, k: int, m: int, l: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

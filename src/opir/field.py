@@ -7,9 +7,10 @@ outside (a database, side information, a packet, a coding point), and
 `is_canonical_packed` for a packet kept packed.  An
 inverse is `pow(a, -1, q)`; nothing here inverts zero, since elimination
 inverts only nonzero pivots.  Matrices are row-major grids of residues,
-and the solver and the rank routine share one Gauss-Jordan elimination
-mod q.  No floating point is used anywhere, so every result is exact and
-identical across platforms.
+and the solver, the rank routine and `eliminate` (a wide matrix split at
+its pivots, which the client's merge-tree decode runs on M-row systems)
+share one Gauss-Jordan elimination mod q.  No floating point is used
+anywhere, so every result is exact and identical across platforms.
 
 A message is a row of S residues on which scalar coefficients act
 componentwise; no extension-field multiplication is ever needed or provided.
@@ -19,7 +20,7 @@ big-int multiply-add per message.  `reduce_packed` then takes every slot
 mod q with fifteen whole-int operations, without a loop over the
 symbols, and `split_row` reads the reduced slots out.  `is_canonical_packed`
 is the packed form of the residue rule, for rows that stay packed from the
-server's combination to the client's solver.  `solve_linear_system`
+server's combination to the client's decode.  `solve_linear_system`
 takes and returns packed rows, so a caller can keep its data packed from
 one solve to the next.  The slot bounds that make this exact are stated
 next to `pack_row`.
@@ -31,6 +32,7 @@ import functools
 import sys
 from array import array
 from collections.abc import Sequence
+from itertools import compress
 
 from .errors import InvalidParams, SingularMatrix
 
@@ -140,6 +142,17 @@ class FieldMatrix:
 # into the next one.  solve_linear_system combines rows that may themselves
 # be such combinations, which stays below 2^16 · 2^31 · 2^78 = 2^125;
 # reduce_packed is exact for any slot below 2^126.
+#
+# The client's merge-tree decode (protocol._constrain) keeps a particular
+# solution p unreduced.  A round-1 block's p is a packet times an inverse
+# (< 2^62), and each level of the tree adds at most M products of reduced
+# residues.  There are at most l levels and M·l < 2^16, because
+# (M+1)·2^l = K <= 65535, so p < 2^78.  A coordinate z of a level combines
+# at most K/2 + M such values and packets with reduced coefficients, so it
+# stays below 2^16 · 2^31 · 2^78 = 2^125 before its reduce_packed.  A
+# round's right-hand sides carry the unreduced subtraction of the known
+# messages (< 2^78) within the same bound; at round 1, one such value
+# times an inverse is the demand (< 2^109).
 _SLOT_BYTES = 16
 
 # array("Q") words are in native byte order while the packed int is read and
@@ -238,41 +251,84 @@ def packed_sum(coeffs: Sequence[int], packed: Sequence[int], q: int) -> int:
     return sum(c % q * p for c, p in zip(coeffs, packed))
 
 
-def _gauss_jordan(matrix: FieldMatrix) -> tuple[list[list[int]], list[int]]:
+def _gauss_jordan(cells: list[list[int]], q: int) -> tuple[list[list[int]], list[tuple[int, int]]]:
     """One Gauss-Jordan pass over [A | I] kept in A's cells; returns (cells, pivots).
 
+    `cells` holds A's rows as lists of integers and is rewritten in place.
     Columns are eliminated left to right.  The pivot for a column is the
     first row, in the original order, that is not yet a pivot and has a
     nonzero entry there; a column with no such row is skipped, so
-    len(pivots) is the rank.  The order is fixed, so results are identical
-    across runs and platforms.  Rows are not swapped, and [A | I] is kept in
-    the cells of A: once a column of A is eliminated it is a unit vector,
-    and its cell holds the column of the right half that its pivot row
-    owns, which was a unit vector until then.  Only the pivot row is
-    reduced mod q at each step: any other row update adds less than q^2 per
-    entry, so a reader reduces each cell mod q.
+    len(pivots) is the rank.  pivots lists (row, column) in column order.
+    The order is fixed, so results are identical across runs and
+    platforms.  Rows are not swapped, and [A | I] is kept in the cells of
+    A: once a column of A is eliminated it is a unit vector, and its cell
+    holds the column of the right half that its pivot row owns, which was
+    a unit vector until then.  Only the pivot row is reduced mod q at each
+    step: any other row update adds less than q^2 per entry, so a reader
+    reduces each cell mod q.
     """
-    q = matrix.q
-    cells = [list(matrix.row(r)) for r in range(matrix.rows)]
-    free = list(range(matrix.rows))
-    pivots: list[int] = []
-    for col in range(matrix.cols):
+    free = list(range(len(cells)))
+    pivots: list[tuple[int, int]] = []
+    for col in range(len(cells[0]) if cells else 0):
         if not free:
             break
-        p = next((r for r in free if cells[r][col] % q), None)
-        if p is None:
+        for p in free:
+            if cells[p][col] % q:
+                break
+        else:
             continue
         free.remove(p)
-        pivots.append(p)
-        inv = pow(cells[p][col], -1, q)
-        cells[p][col] = 1
-        cells[p] = [v * inv % q for v in cells[p]]
-        for r in range(matrix.rows):
-            f = cells[r][col] % q
-            if r != p and f:
-                cells[r][col] = 0
-                cells[r] = [vr - f * vp for vr, vp in zip(cells[r], cells[p])]
+        pivots.append((p, col))
+        row = cells[p]
+        inv = pow(row[col], -1, q)
+        row[col] = 1
+        row = cells[p] = [v * inv % q for v in row]
+        for r, other in enumerate(cells):
+            f = other[col] % q
+            if f and r != p:
+                other[col] = 0
+                cells[r] = [vr - f * vp for vr, vp in zip(other, row)]
     return cells, pivots
+
+
+def eliminate(
+    rows: Sequence[Sequence[int]], q: int
+) -> tuple[list[int], list[int], list[list[int]], list[list[int]]]:
+    """Split a k x n matrix A of rank k over F_q at its pivots: (S, F, A_S^-1, A_S^-1·A_F).
+
+    `rows` are A's rows, any integers (they are taken mod q).  S lists the
+    k columns that pivot in _gauss_jordan, in column order, and F the other
+    n - k, ascending; A_S and A_F are A's columns in those orders.  So
+    A·z = b holds exactly when z_S = A_S^-1·b - (A_S^-1·A_F)·z_F, which
+    gives a solution (z_F = 0) and the null space (one unit z_F each) at
+    once.  Raises :class:`SingularMatrix` when rank A < k.  Entries come
+    back reduced into [0, q).
+
+    In _gauss_jordan's cells the right-half column that row s owns sits in
+    the column s pivots, so row r of A_S^-1 reads those columns in row
+    order, and the rest of row r is A_S^-1·A_F.  A single row needs no
+    elimination: its first nonzero entry pivots.
+    """
+    k = len(rows)
+    if k == 1:
+        row = rows[0]
+        col = next(compress(range(len(row)), [v % q for v in row]), None)
+        if col is None:
+            raise SingularMatrix("matrix has rank < 1")
+        inv = pow(row[col], -1, q)
+        free = [c for c in range(len(row)) if c != col]
+        return [col], free, [[inv]], [[row[c] * inv % q for c in free]]
+    cells, pivots = _gauss_jordan([list(row) for row in rows], q)
+    if len(pivots) < k:
+        raise SingularMatrix(f"matrix has rank < {k}")
+    owned = [0] * k
+    for r, col in pivots:
+        owned[r] = col
+    pivot_cols = [col for _, col in pivots]
+    free = [col for col in range(len(cells[0])) if col not in pivot_cols]
+    inverse = [[cells[r][col] % q for col in owned] for r, _ in pivots]
+    rest = [[cells[r][col] % q for col in free] for r, _ in pivots]
+    return pivot_cols, free, inverse, rest
 
 
 def solve_linear_system(matrix: FieldMatrix, rhs: Sequence[int], symbols: int) -> list[int]:
@@ -284,10 +340,9 @@ def solve_linear_system(matrix: FieldMatrix, rhs: Sequence[int], symbols: int) -
     comes back as n packed rows with every slot reduced into [0, q).
     Raises :class:`SingularMatrix` when A is not invertible.
 
-    One _gauss_jordan pass gives A^-1: with every column pivoting, row
-    pivots[c] ends as row c of A^-1, with its entries in pivot order.  Each
-    row of X is then one packed combination of the rows of B, which reduces
-    the entries of A^-1 as it combines them, and one reduce_packed.
+    eliminate gives A^-1 (every column of a square A of full rank pivots,
+    in order).  Each row of X is then one packed combination of the rows of
+    B and one reduce_packed.
     """
     if matrix.rows != matrix.cols:
         raise ValueError("solve requires a square matrix")
@@ -297,14 +352,10 @@ def solve_linear_system(matrix: FieldMatrix, rhs: Sequence[int], symbols: int) -
     if not all(0 <= row < limit for row in rhs):
         raise ValueError(f"right-hand side rows must be packed rows of {symbols} symbols")
     q = matrix.q
-    n = matrix.rows
-    cells, pivots = _gauss_jordan(matrix)
-    if len(pivots) < n:
-        raise SingularMatrix(f"matrix has rank < {n}")
-    packed = [rhs[p] for p in pivots]
-    return [reduce_packed(packed_sum(cells[p], packed, q), symbols, q) for p in pivots]
+    _, _, inverse, _ = eliminate([matrix.row(r) for r in range(matrix.rows)], q)
+    return [reduce_packed(packed_sum(row, rhs, q), symbols, q) for row in inverse]
 
 
 def matrix_rank(matrix: FieldMatrix) -> int:
     """Row rank: the number of columns that pivot in _gauss_jordan."""
-    return len(_gauss_jordan(matrix)[1])
+    return len(_gauss_jordan([list(matrix.row(r)) for r in range(matrix.rows)], matrix.q)[1])

@@ -19,13 +19,19 @@ One packet rule lays out every round (packet_layout): one packet per
 coding column, columns ascending, block by block in query order.  The
 server codes, the client decodes and the audit ranks by it.  In process a
 packet stays the packed row (field.pack_row) that the server reduced, up
-to the client's solver, which checks it with field.is_canonical_packed;
-RoundAnswer builds residue tuples only for a reader that wants them.  A
-round decodes its target, the previous block holding the demand (the demand
-alone at round 1), in one pass: each packet of the history and of this
-round whose block meets the target, less the block's known members, is a
-row of a square system.  Earlier such blocks lie inside the target; this
-round's is the target merged with the chain.
+to the client's decode, which checks it with field.is_canonical_packed;
+RoundAnswer builds residue tuples only for a reader that wants them.
+
+A round decodes its target, the previous block holding the demand (the
+demand alone at round 1), along the target's merge tree.  The history of
+a block B, the packets of the earlier blocks inside it, leaves M degrees
+of freedom: its solutions are p_B + N_B·z, z in F_q^M.  A round-1 block's
+one packet gives p and N directly; a merged block B1 + B2 cuts its
+halves' solutions down by its own M packets, an M x 2M elimination.  The
+round's own M packets, less the chain's known messages, then fix z for
+the target.  Each level costs O(|B|·M^2) residue operations and about
+|B|·M whole-message multiply-adds, where one square system over the whole
+history would cost O(|T|^3) and |T|^2.  A singular step is SingularSystem.
 
 Round-3 systems mix masked first-round rows with plain Cauchy columns and
 can be singular over small fields, so sessions with three or more rounds
@@ -43,6 +49,7 @@ import operator
 import random
 from dataclasses import dataclass, field as dataclass_field
 from functools import cache, cached_property
+from itertools import compress
 
 from .cauchy import (
     CauchyMatrix,
@@ -64,17 +71,17 @@ from .errors import (
     SingularSystem,
 )
 from .field import (
-    FieldMatrix,
     check_modulus,
+    eliminate,
     is_canonical,
     is_canonical_packed,
     next_prime,
     pack_row,
     packed_sum,
     reduce_packed,
-    solve_linear_system,
     split_row,
 )
+from .field import solve_linear_system  # noqa: F401 (perfbench/tracing.py wraps protocol.solve_linear_system)
 
 Block = tuple[int, ...]
 Message = tuple[int, ...]
@@ -311,7 +318,7 @@ class RoundAnswer:
 
     The packets have two forms: residue tuples (`packets`), which the wire,
     the transcript and the audit read, and packed rows (`packed`, see
-    field.pack_row), which the client's solver reads.  An answer stores the
+    field.pack_row), which the client's decode reads.  An answer stores the
     form it is made from and builds the other the first time it is read.
     The server makes its answers from reduced packed rows (from_packed); an
     answer from the wire or from a caller holds residue tuples.  Answers
@@ -528,12 +535,14 @@ class Client:
         self.rng = random.SystemRandom() if seed is None else random.Random(seed)
         # Every known message as a canonical packed row (field.pack_row): the
         # side information is packed here, and a recovered message is kept
-        # as the solver returned it, so no message is packed twice.
+        # as the decode reduced it, so no message is packed twice.
         self._packed: dict[int, int] = {i: pack_row(msg) for i, msg in self.known.items()}
         # The decoded rounds are the session's transcript; a query sent but
         # not yet decoded waits beside them with its target, the previous
         # block that holds its demand.
         self._rounds: list[TranscriptRound] = []
+        # block_owners of the decoded rounds, each made when a merge tree first reads it
+        self._owners: list[list[int]] = []
         self._pending: tuple[PartitionQuery, Block] | None = None
 
     def transcript(self) -> Transcript:
@@ -586,8 +595,11 @@ class Client:
         """Decode a round's packets; returns the newly recovered messages.
 
         Every round recovers the whole previous block containing the demand
-        (the demand alone at round 1) by solving a square system assembled
-        from the entire history.
+        (the demand alone at round 1).  The target's merge tree is solved
+        from its round-1 blocks up (_solve_history), then this round's
+        packets fix the target's M remaining degrees of freedom; no system
+        has more than M rows.  SingularSystem names the round and the size
+        of the block whose system is singular.
         """
         if self._pending is None:
             raise ProtocolOrder("no outstanding query to decode an answer for")
@@ -604,40 +616,187 @@ class Client:
         return recovered
 
     def _decode_merge_round(self, current: TranscriptRound, target: Block) -> dict[int, Message]:
-        params = self.params
-        coeff = self.cauchy.coeff
-        unknowns = list(target)
-        target_set = set(target)
+        params, q, symbols = self.params, self.params.q, self.params.symbols
+        round_no = current.query.round_no
+        if round_no > 1:
+            # The merge tree reads the owner arrays of rounds 1 .. round_no - 2.
+            while len(self._owners) < round_no - 2:
+                blocks = self._rounds[len(self._owners)].query.blocks
+                self._owners.append(block_owners(params.k, blocks))
+            members, solved = _solve_history(
+                params, self.cauchy, self._rounds, self._owners, target
+            )
+        else:
+            members = list(target)  # the demand alone, with no history
+        # This round's block is the target merged with the chain: its
+        # packets less the chain's known messages, left unreduced, are the
+        # last equations on the target.
+        pos = next(pos for pos, block in enumerate(current.query.blocks) if target[0] in block)
+        block, columns = packet_layout(params, current.query)[pos]
+        chain = [u for u in block if u in self._packed]
+        known = [self._packed[u] for u in chain]
+        packets = current.answer.packed[pos * len(columns) : (pos + 1) * len(columns)]
+        rhs = [
+            packet + packed_sum([q - c for c in coeffs], known, q)
+            for packet, coeffs in zip(packets, _coefficients(self.cauchy, chain, columns))
+        ]
+        rows = _coefficients(self.cauchy, members, columns)
+        if round_no > 1:
+            try:
+                solution, _ = _constrain([solved], rows, rhs, q, symbols)
+            except SingularMatrix:
+                raise _singular(round_no, len(members)) from None
+        elif rows[0][0]:  # one packet on one unknown
+            solution = [rhs[0] * pow(rows[0][0], -1, q)]
+        else:
+            raise _singular(round_no, 1)
+        values = dict(zip(members, (reduce_packed(v, symbols, q) for v in solution)))
+        self._packed.update(values)
+        return {u: tuple(split_row(values[u], symbols)) for u in target}
 
-        # One row per packet whose block meets the target, in packet order
-        # round by round, less the block's known members: only this round's
-        # block has any.  The difference stays an unreduced packed sum, which
-        # the solver reduces once, after it combines.
-        rows: list[list[int]] = []
-        rhs: list[int] = []
-        for rnd in (*self._rounds, current):
-            end = 0  # each block's packets follow those of the blocks before it
-            for block, columns in packet_layout(params, rnd.query):
-                end += len(columns)
-                if target_set.isdisjoint(block):
-                    continue
-                members = set(block)
-                known = members - target_set
-                terms = [self._packed[u] for u in known]
-                for col, packet in zip(columns, rnd.answer.packed[end - len(columns) : end]):
-                    rows.append([coeff(u, col) if u in members else 0 for u in unknowns])
-                    rhs.append(packet)
-                    if known:
-                        rhs[-1] += packed_sum([-coeff(u, col) for u in known], terms, params.q)
 
-        try:
-            solution = solve_linear_system(FieldMatrix(params.q, rows), rhs, params.symbols)
-        except SingularMatrix as exc:
-            raise SingularSystem(
-                "decode system is singular; coding matrix property violated"
-            ) from exc
-        self._packed.update(zip(unknowns, solution))
-        return {u: tuple(split_row(row, params.symbols)) for u, row in zip(unknowns, solution)}
+def _singular(round_no: int, size: int) -> SingularSystem:
+    return SingularSystem(
+        f"round {round_no} cannot decode: the system of a {size}-message block is singular"
+    )
+
+
+def _coefficients(cauchy: CauchyMatrix, members, columns) -> list[list[int]]:
+    """One coefficient row per column, over the members."""
+    table = cauchy.columns
+    return [[table[c - 1][u - 1] for u in members] for c in columns]
+
+
+def _solve_history(
+    params: ProtocolParams,
+    cauchy: CauchyMatrix,
+    rounds: list[TranscriptRound],
+    owners: list[list[int]],
+    target: Block,
+) -> tuple[list[int], tuple[list[int], list[list[int]]]]:
+    """(members, (p, N)) for the target, a block of the last decoded round:
+    x over the members solves every packet of the target's history exactly
+    when x = p + N·z for some z in F_q^M.
+
+    The history is the packets of the target's merge tree, the blocks of
+    each earlier round that lie inside it: found from the top with the one
+    merge rule, read with the one packet rule and solved from the leaves
+    up.  A round-1 block's one packet gives p and N directly (_leaf); a
+    merged block cuts its halves' solutions down by its own M packets
+    (_constrain).  owners[j - 1] is block_owners of round j.
+    """
+    q, symbols, round_no = params.q, params.symbols, len(rounds) + 1
+    # levels[j - 1]: positions of the tree's round-j blocks, halves side by side
+    levels = [[rounds[-1].query.blocks.index(target)]]
+    for j in range(len(rounds), 1, -1):
+        blocks, below = rounds[j - 1].query.blocks, rounds[j - 2].query.blocks
+        owner = owners[j - 2]
+        levels.insert(0, [h for pos in levels[0] for h in merge_parts(blocks[pos], owner, below)])
+    layout, packets = packet_layout(params, rounds[0].query), rounds[0].answer.packed
+    states = []
+    for pos in levels[0]:
+        block, columns = layout[pos]
+        solved = _leaf(_coefficients(cauchy, block, columns)[0], packets[pos], q)
+        if solved is None:
+            raise _singular(round_no, len(block))
+        states.append((list(block), solved))
+    for rnd, positions in zip(rounds[1:], levels[1:]):
+        layout, packets = packet_layout(params, rnd.query), rnd.answer.packed
+        merged = []
+        for (left, a), (right, b), pos in zip(states[::2], states[1::2], positions):
+            _, columns = layout[pos]
+            first = pos * len(columns)  # every block has the round's columns
+            members = left + right
+            try:
+                solved = _constrain(
+                    [a, b],
+                    _coefficients(cauchy, members, columns),
+                    packets[first : first + len(columns)],
+                    q,
+                    symbols,
+                )
+            except SingularMatrix:
+                raise _singular(round_no, len(members)) from None
+            merged.append((members, solved))
+        states = merged
+    return states[0]
+
+
+def _leaf(coeffs, packet: int, q: int) -> tuple[list[int], list[list[int]]] | None:
+    """(p, N) for a round-1 block: one packet, coefficients coeffs over its
+    M+1 members.  p sets the first member with a nonzero coefficient (every
+    Cauchy entry is nonzero), and N's M columns free one other member each.
+    None when every coefficient is zero."""
+    t = next(compress(range(len(coeffs)), coeffs), None)
+    if t is None:
+        return None
+    inv = pow(coeffs[t], -1, q)
+    p = [0] * len(coeffs)
+    p[t] = packet * inv
+    null = []
+    for j, a in enumerate(coeffs):
+        if j != t:
+            column = [0] * len(coeffs)
+            column[j], column[t] = 1, -a * inv % q
+            null.append(column)
+    return p, null
+
+
+def _constrain(parts, rows, rhs, q: int, symbols: int) -> tuple[list[int], list[list[int]]]:
+    """Cut the solutions p + diag(N_1, N_2, ...)·z of parts [(p_1, N_1), ...]
+    down to those that also solve rows·x = rhs; SingularMatrix when
+    G = rows·diag(N_1, ...) has rank < len(rows).
+
+    Every N_h has the same number of columns.  Each row is over the parts'
+    members in order, each rhs a packed row.  eliminate splits G at its
+    pivots S: z_S = G_S^-1·(rhs - rows·p) with z_F = 0 moves p, and each
+    free column f of G gives the null column N·(e_f - G_S^-1·G_f).  G_S^-1
+    is folded into the coefficients, so each z coordinate is one packed_sum
+    over rhs and the nonzero p rows and one reduce_packed, and only the p
+    rows whose N row meets a pivot move.  p stays unreduced: see pack_row
+    for the slot bound.
+    """
+    width = len(parts[0][1])
+    g = []
+    for row in rows:
+        gk, start = [], 0
+        for p_part, null in parts:
+            end = start + len(p_part)
+            piece = row[start:end]
+            gk += [sum(map(operator.mul, piece, column)) for column in null]
+            start = end
+        g.append(gk)
+    pivot_cols, free, inverse, rest = eliminate(g, q)
+
+    p = [v for p_part, _ in parts for v in p_part]
+    values = [*rhs, *compress(p, p)]  # the nonzero p rows
+    picked = [list(compress(row, p)) for row in rows]
+    z = []
+    for e in inverse:
+        weights = [-e[0] * a for a in picked[0]]  # -e·rows on the nonzero p rows
+        for c, row in zip(e[1:], picked[1:]):
+            weights = [w - c * a for w, a in zip(weights, row)]
+        z.append(reduce_packed(packed_sum(e + weights, values, q), symbols, q))
+    # A column c of G is column c % width of part c // width's N.
+    moves = [[] for _ in parts]  # each part's (pivot row k, its N column)
+    for k, c in enumerate(pivot_cols):
+        moves[c // width].append((k, parts[c // width][1][c % width]))
+    p, null_out = [], [[] for _ in free]
+    for h, (p_part, null) in enumerate(parts):
+        for k, column in moves[h]:
+            zk = z[k]
+            p_part = [v + n * zk if n else v for v, n in zip(p_part, column)]
+        p += p_part
+        for out, f, reduced in zip(null_out, free, zip(*rest)):
+            seg = null[f % width] if f // width == h else None
+            for k, column in moves[h]:
+                r = reduced[k]
+                if r and seg is None:
+                    seg = [-r * n % q for n in column]
+                elif r:
+                    seg = [(v - r * n) % q for v, n in zip(seg, column)]
+            out += [0] * len(p_part) if seg is None else seg
+    return p, null_out
 
 
 class Server:

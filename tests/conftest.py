@@ -86,6 +86,13 @@ def random_session(
     return params, database, side_indices, demands, result
 
 
+def well_formed_answer(params, round_no):
+    """An answer the answer rule (protocol.check_answer) passes for any query
+    of the round: packet_count all-zero packets of params.symbols symbols.
+    For transcripts whose auditors read only the queries."""
+    return RoundAnswer(round_no, ((0,) * params.symbols,) * params.packet_count(round_no))
+
+
 def alter_answers(transcript, change, rounds=None):
     """The transcript with change(packets) in place of each answer's packets,
     in the rounds numbered in `rounds` (every round when None)."""

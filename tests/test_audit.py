@@ -9,6 +9,7 @@ import pytest
 from opir import audit, cauchy, field, protocol
 from opir.wire import transcript_from_bytes, transcript_to_bytes
 from opir import (
+    AnswerMismatch,
     Database,
     InconsistentTranscript,
     InvalidParams,
@@ -25,7 +26,13 @@ from opir import (
 )
 from opir.audit import capacity_table
 from opir.protocol import SESSION_PRIME, RoundAnswer, Transcript, TranscriptRound
-from conftest import GRID, counting_database, random_session
+from conftest import (
+    ANSWER_FAULTS,
+    GRID,
+    random_session,
+    two_symbol_session,
+    well_formed_answer,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +203,7 @@ def test_tampered_posterior_agrees_with_enumeration():
 def test_posterior_matches_reference_on_improper_merges(round1, round2, explained):
     params = ProtocolParams.create(8, 1)
     rounds = tuple(
-        TranscriptRound(PartitionQuery.of(i, blocks), RoundAnswer(i, ()))
+        TranscriptRound(PartitionQuery.of(i, blocks), well_formed_answer(params, i))
         for i, blocks in enumerate((round1, round2), start=1)
     )
     assert matches_reference(Transcript(params, (), (), rounds)) is explained
@@ -213,7 +220,7 @@ def test_posterior_does_not_enumerate(golden, monkeypatch):
 
 def synthetic_transcript(k, m, seed):
     """The queries of a whole session: random round-1 blocks, then random
-    pairwise merges.  Answers are empty; the posterior reads only queries."""
+    pairwise merges.  Answers are all-zero; the posterior reads only queries."""
     params = ProtocolParams.create(k, m)
     rng = random.Random(seed)
     order = list(range(1, k + 1))
@@ -225,7 +232,7 @@ def synthetic_transcript(k, m, seed):
             rng.shuffle(blocks)
             blocks = [blocks[i] + blocks[i + 1] for i in range(0, len(blocks), 2)]
         query = PartitionQuery.of(round_no, blocks)
-        rounds.append(TranscriptRound(query, RoundAnswer(round_no, ())))
+        rounds.append(TranscriptRound(query, well_formed_answer(params, round_no)))
     return Transcript(params=params, cauchy_x=(), cauchy_y=(), rounds=tuple(rounds))
 
 
@@ -454,7 +461,7 @@ def random_partition_transcript(params, rng, points=None):
         order = rng.sample(range(1, params.k + 1), params.k)
         cuts = sorted(rng.sample(range(1, params.k), rng.randrange(params.k)))
         blocks = [order[a:b] for a, b in zip([0] + cuts, cuts + [params.k])]
-        rounds.append(TranscriptRound(PartitionQuery.of(i, blocks), RoundAnswer(i, ())))
+        rounds.append(TranscriptRound(PartitionQuery.of(i, blocks), well_formed_answer(params, i)))
     return Transcript(params, *points, tuple(rounds))
 
 
@@ -579,6 +586,39 @@ def test_audit_of_a_huge_shape_builds_no_matrix(monkeypatch):
     assert rank_profile(transcript) == ((1, 2), (2, m))
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, elapsed
+
+
+@pytest.mark.parametrize("fault", sorted(ANSWER_FAULTS))
+def test_auditors_judge_answers_by_the_answer_rule(fault):
+    """A library-built transcript whose answers the client and the transcript
+    reader refuse is InconsistentTranscript for every auditor, with the
+    answer rule's text, where it used to give a uniform posterior and full
+    ranks."""
+    params, *_, result = two_symbol_session()
+    transcript = ANSWER_FAULTS[fault](result.transcript)
+    bad = next(r for r in transcript.rounds if r not in result.transcript.rounds)
+    with pytest.raises(AnswerMismatch) as refused:
+        protocol.check_answer(params, bad.query, bad.answer)
+    expected = f"round {bad.query.round_no}: {refused.value}"
+    for check in (posterior, rank_profile, enumerate_hypotheses):
+        with pytest.raises(InconsistentTranscript) as judged:
+            check(transcript)
+        assert str(judged.value) == expected
+
+
+def test_auditors_judge_partitions_before_answers(golden):
+    """A round that is no partition is named first, even when an earlier
+    round's answer is malformed too."""
+    _, _, result = golden
+    rounds = list(result.transcript.rounds)
+    rounds[0] = dataclasses.replace(rounds[0], answer=RoundAnswer(1, ()))
+    rounds[1] = dataclasses.replace(
+        rounds[1], query=PartitionQuery.of(2, [(1, 2, 3, 4, 5, 6), (7, 8, 9, 10, 11)])
+    )
+    transcript = dataclasses.replace(result.transcript, rounds=tuple(rounds))
+    for check in (posterior, rank_profile):
+        with pytest.raises(InconsistentTranscript, match="round 2 does not partition"):
+            check(transcript)
 
 
 def test_rank_profile_refuses_what_posterior_refuses(golden):

@@ -7,6 +7,7 @@ from opir import InvalidParams, SingularMatrix, is_prime, matrix_rank
 from opir.field import (
     FieldMatrix,
     check_modulus,
+    eliminate,
     is_canonical,
     is_canonical_packed,
     next_prime,
@@ -291,6 +292,47 @@ def test_rank_matches_span_oracle_f3():
     for _ in range(200):
         rows = [[rng.randrange(3) for _ in range(3)] for _ in range(2)]
         assert matrix_rank(FieldMatrix(q, rows)) == span_size_rank(q, rows)
+
+
+def test_eliminate_splits_a_wide_matrix_at_its_pivots():
+    """For random k x n matrices (k <= n) over small fields, single rows
+    included: S is the first-nonzero pivot order, A_S^-1·A_S = I and the
+    rest is A_S^-1·A_F, entries reduced; SingularMatrix exactly when
+    matrix_rank says rank < k.  Rows may arrive unreduced."""
+    rng = random.Random(22)
+    singular = 0
+    for _ in range(600):
+        q = rng.choice((2, 3, 5, 7, 2**31 - 1))
+        k = rng.randint(1, 3)
+        n = rng.randint(k, 6)
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+        if rng.random() < 0.3:
+            rows[-1] = [0] * n if k == 1 else [(2 * v) % q for v in rows[0]]
+        loose = [[v + q * rng.randrange(4) for v in row] for row in rows]
+        if matrix_rank(FieldMatrix(q, rows)) < k:
+            singular += 1
+            with pytest.raises(SingularMatrix):
+                eliminate(loose, q)
+            continue
+        pivots, free, inverse, rest = eliminate(loose, q)
+        assert sorted(pivots + free) == list(range(n)) and free == sorted(free)
+        # each pivot column is the first one independent of those before it
+        for c in range(n):
+            earlier = [col for col in pivots if col < c]
+            before = matrix_rank(FieldMatrix(q, [[row[j] for j in earlier] for row in rows]))
+            after = matrix_rank(FieldMatrix(q, [[row[j] for j in earlier + [c]] for row in rows]))
+            assert (c in pivots) == (after > before)
+        for a_cols, expected in ((pivots, None), (free, rest)):
+            product = [
+                [sum(e * rows[s][c] for s, e in enumerate(inv_row)) % q for c in a_cols]
+                for inv_row in inverse
+            ]
+            if expected is None:
+                assert product == [[int(i == j) for j in range(k)] for i in range(k)]
+            else:
+                assert product == expected
+        assert all(0 <= v < q for row in inverse + rest for v in row)
+    assert singular > 50
 
 
 def test_matrix_helpers():
