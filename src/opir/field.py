@@ -32,7 +32,6 @@ import functools
 import sys
 from array import array
 from collections.abc import Sequence
-from itertools import compress
 
 from .errors import InvalidParams, SingularMatrix
 
@@ -306,18 +305,9 @@ def eliminate(
 
     In _gauss_jordan's cells the right-half column that row s owns sits in
     the column s pivots, so row r of A_S^-1 reads those columns in row
-    order, and the rest of row r is A_S^-1·A_F.  A single row needs no
-    elimination: its first nonzero entry pivots.
+    order, and the rest of row r is A_S^-1·A_F.
     """
     k = len(rows)
-    if k == 1:
-        row = rows[0]
-        col = next(compress(range(len(row)), [v % q for v in row]), None)
-        if col is None:
-            raise SingularMatrix("matrix has rank < 1")
-        inv = pow(row[col], -1, q)
-        free = [c for c in range(len(row)) if c != col]
-        return [col], free, [[inv]], [[row[c] * inv % q for c in free]]
     cells, pivots = _gauss_jordan([list(row) for row in rows], q)
     if len(pivots) < k:
         raise SingularMatrix(f"matrix has rank < {k}")
