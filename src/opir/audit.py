@@ -10,7 +10,7 @@ Three independent checks, all computed from the server's view alone:
   on its chain block (the observed block holding its side set and demands
   so far), so the counts are taken by a forward and a backward pass over
   chain blocks, each round's links read from the previous round's owner
-  array (protocol.block_owners) in time linear in K, instead of listing
+  array (protocol.Transcript.owners) in time linear in K, instead of listing
   the K * prod 2^(i-2)(M+1) hypotheses.  For a correct run every per-round
   posterior row is uniformly 1/K.  enumerate_hypotheses lists them one by
   one; it is the brute-force reference the counts are tested against.
@@ -22,11 +22,12 @@ Three independent checks, all computed from the server's view alone:
   the sum of per-block ranks, each min(packets, members) by the Cauchy
   theorem: the points are checked and no matrix is built.
 
-posterior, enumerate_hypotheses and rank_profile first run _check_rounds,
-which refuses a transcript whose rounds are not numbered 1, 2, ..., do not
-each partition [1..K], or carry an answer that the one answer rule
-(protocol.check_answer) refuses, as the client and the transcript reader
-do: InconsistentTranscript.
+Every check on a transcript first reads its one verdict,
+protocol.Transcript.owners, which refuses a transcript whose rounds are
+not numbered 1, 2, ..., do not each partition [1..K], or carry an answer
+that the one answer rule (protocol.check_answer) refuses:
+InconsistentTranscript.  The transcript reader reads the same verdict, so
+a transcript read from bytes was judged once, and no check judges it again.
 
 Everything uses exact integer and rational arithmetic; equality checks need
 no tolerances.
@@ -38,14 +39,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cauchy import check_points, derive_l
-from .errors import AnswerMismatch, InconsistentTranscript, MalformedQuery, RoundOutOfRange
+from .errors import InconsistentTranscript, RoundOutOfRange
 from .field import matrix_rank  # noqa: F401 (perfbench/tracing.py wraps audit.matrix_rank)
 from .protocol import (
     Block,
     PartitionQuery,
     Transcript,
-    block_owners,
-    check_answer,
     merge_parts,
     packet_layout,
 )
@@ -80,31 +79,6 @@ class PosteriorTable:
         return all(p == target for row in self.rows for p in row)
 
 
-def _check_rounds(transcript: Transcript) -> list[list[int]]:
-    """Each round's block_owners: InconsistentTranscript unless the rounds
-    are numbered 1, 2, ..., each partitions [1..K] and, once every round
-    has, each answer passes the one answer rule (protocol.check_answer)."""
-    if not transcript.rounds:
-        raise InconsistentTranscript("transcript has no rounds")
-    params = transcript.params
-    owners = []
-    for j, rnd in enumerate(transcript.rounds, start=1):
-        if rnd.query.round_no != j:
-            raise InconsistentTranscript(f"transcript rounds not contiguous at position {j}")
-        try:
-            owners.append(block_owners(params.k, rnd.query.blocks))
-        except MalformedQuery as exc:
-            raise InconsistentTranscript(
-                f"round {j} does not partition [1..{params.k}]: {exc}"
-            ) from None
-    for j, rnd in enumerate(transcript.rounds, start=1):
-        try:
-            check_answer(params, rnd.query, rnd.answer)
-        except (AnswerMismatch, RoundOutOfRange) as exc:
-            raise InconsistentTranscript(f"round {j}: {exc}") from None
-    return owners
-
-
 def enumerate_hypotheses(transcript: Transcript) -> tuple[Hypothesis, ...]:
     """All (side set, demand sequence) pairs consistent with the queries.
 
@@ -118,7 +92,7 @@ def enumerate_hypotheses(transcript: Transcript) -> tuple[Hypothesis, ...]:
     This is the brute-force reference for posterior: its size is
     K * prod 2^(i-2)(M+1), so it is for tests on small shapes.
     """
-    _check_rounds(transcript)
+    transcript.owners  # the verdict: InconsistentTranscript unless well formed
 
     # state: (side, demands, chain block as frozenset)
     states: list[tuple[frozenset[int], tuple[int, ...], frozenset[int]]] = []
@@ -192,7 +166,7 @@ def posterior(transcript: Transcript) -> PosteriorTable:
     backward pass counts their completions; a round-i demand in the other
     half of a chain's merge counts prefixes times completions.
     """
-    owners = _check_rounds(transcript)
+    owners = transcript.owners
     k = transcript.params.k
     queries = [rnd.query for rnd in transcript.rounds]
     links = [_chain_links(p, q, owner) for p, q, owner in zip(queries, queries[1:], owners)]
@@ -242,26 +216,24 @@ def capacity_table(k: int, m: int) -> tuple[tuple[int, Fraction], ...]:
 
 
 def measured_rate(transcript: Transcript, round_no: int) -> Fraction:
-    """Achieved rate at a round: one message per packet downloaded."""
+    """Achieved rate at a round: one message per packet downloaded, read
+    from a transcript whose every answer passes the answer rule."""
+    transcript.owners  # the verdict: InconsistentTranscript unless well formed
     if not 1 <= round_no <= len(transcript.rounds):
         raise ValueError(f"transcript has no round {round_no}")
-    packets = len(transcript.rounds[round_no - 1].answer)
-    if not packets:
-        raise InconsistentTranscript(f"round {round_no} downloaded no packets")
-    return Fraction(1, packets)
+    return Fraction(1, len(transcript.rounds[round_no - 1].answer))
 
 
 def rank_profile(transcript: Transcript) -> tuple[tuple[int, int], ...]:
     """(round, rank of that round's packet coefficients) for every round.
 
     The rank is summed block by block, exact only because the blocks
-    partition [1..K]: _check_rounds refuses what posterior refuses, any
-    round that is no partition included.  A block's rank is
-    min(len(columns), len(block)): every square minor of a Cauchy matrix
+    partition [1..K], which the transcript's verdict checks.  A block's rank
+    is min(len(columns), len(block)): every square minor of a Cauchy matrix
     with distinct points is a nonzero Cauchy determinant.  check_points
     refuses the points build_cauchy refuses, and no matrix is built.
     """
-    _check_rounds(transcript)
+    transcript.owners  # the verdict: InconsistentTranscript unless well formed
     params = transcript.params
     check_points(params.k, params.m, params.l, params.q, transcript.cauchy_x, transcript.cauchy_y)
     profile = []

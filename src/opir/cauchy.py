@@ -19,8 +19,9 @@ and the l+1 possible rounds together consume exactly the Ml+1 columns.
 A CauchyMatrix stores M, its points and its entries, nothing else: K is
 the number of x-points, q is the entries' modulus, and l is derive_l(K, M),
 so none of them can disagree with the matrix they describe.  check_points is
-the one point rule (build_cauchy and audit.rank_profile call it); it and
-ProtocolParams call check_field_size, the one rule q >= K + Ml + 1.
+the one point rule (build_cauchy, audit.rank_profile and wire's
+Hello.session call it); it and ProtocolParams call check_field_size, the
+one rule q >= K + Ml + 1.
 """
 
 from __future__ import annotations

@@ -21,9 +21,10 @@ mod q with fifteen whole-int operations, without a loop over the
 symbols, and `split_row` reads the reduced slots out.  `is_canonical_packed`
 is the packed form of the residue rule, for rows that stay packed from the
 server's combination to the client's decode.  `solve_linear_system`
-takes and returns packed rows, so a caller can keep its data packed from
-one solve to the next.  The slot bounds that make this exact are stated
-next to `pack_row`.
+(a dense solve on packed rows, which the client no longer calls) is the
+tests' reference for the merge-tree decode and a point the benchmark's
+tracer wraps.  The slot bounds that make this exact are stated next to
+`pack_row`.
 """
 
 from __future__ import annotations

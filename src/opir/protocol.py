@@ -63,9 +63,11 @@ from .errors import (
     AnswerMismatch,
     DemandKnown,
     FieldTooSmall,
+    InconsistentTranscript,
     InvalidParams,
     MalformedQuery,
     ProtocolOrder,
+    RoundOutOfRange,
     RoundsExhausted,
     SingularMatrix,
     SingularSystem,
@@ -391,7 +393,13 @@ class TranscriptRound:
 
 @dataclass(frozen=True)
 class Transcript:
-    """Everything the server saw: parameters, coding points, and all rounds."""
+    """Everything the server saw: parameters, coding points, and all rounds.
+
+    owners is the one transcript verdict, judged once and cached outside
+    the fields (dataclasses.replace makes a fresh, unjudged copy): the
+    transcript reader and every auditor read it.  Pairing is the
+    posterior's to judge, and the coding points check_points'.
+    """
 
     params: ProtocolParams
     cauchy_x: tuple[int, ...]
@@ -401,6 +409,31 @@ class Transcript:
     @property
     def costs(self) -> tuple[int, ...]:
         return tuple(len(r.answer) for r in self.rounds)
+
+    @cached_property
+    def owners(self) -> tuple[list[int], ...]:
+        """Each round's block_owners: InconsistentTranscript unless the rounds
+        are numbered 1, 2, ..., each partitions [1..K] and, once every round
+        has, each answer passes the one answer rule (check_answer)."""
+        if not self.rounds:
+            raise InconsistentTranscript("transcript has no rounds")
+        k = self.params.k
+        owners = []
+        for j, rnd in enumerate(self.rounds, start=1):
+            if rnd.query.round_no != j:
+                raise InconsistentTranscript(f"transcript rounds not contiguous at position {j}")
+            try:
+                owners.append(block_owners(k, rnd.query.blocks))
+            except MalformedQuery as exc:
+                raise InconsistentTranscript(
+                    f"round {j} does not partition [1..{k}]: {exc}"
+                ) from None
+        for j, rnd in enumerate(self.rounds, start=1):
+            try:
+                check_answer(self.params, rnd.query, rnd.answer)
+            except (AnswerMismatch, RoundOutOfRange) as exc:
+                raise InconsistentTranscript(f"round {j}: {exc}") from None
+        return tuple(owners)
 
     def cauchy(self) -> CauchyMatrix:
         p = self.params
@@ -841,8 +874,7 @@ class Server:
         rows: list[int] = []
         for block, columns in packet_layout(self.params, query):
             messages = [packed[idx - 1] for idx in block]
-            for col in columns:
-                coeffs = [self.cauchy.coeff(idx, col) for idx in block]
+            for coeffs in _coefficients(self.cauchy, block, columns):
                 rows.append(reduce_packed(packed_sum(coeffs, messages, q), symbols, q))
         self._prev = query
         return RoundAnswer.from_packed(query.round_no, tuple(rows), symbols)

@@ -18,12 +18,13 @@ Payloads:
 * BYE: empty.
 
 Decoders check format only: lengths, a round >= 1, indices ascending within
-a block, residues below q.  protocol.block_owners judges whether a query
-partitions [1..K] (the server through validate_query, transcript_from_bytes
-directly), protocol.check_answer an answer's round, count and width (the
-client and transcript_from_bytes); cauchy.check_points judges a HELLO's
-points in Hello.session, so a repeated point is a DecodeError before any
-matrix is built.  Pairing stays out: the audit refuses a mis-paired round.
+a block, residues below q.  transcript_from_bytes keeps no rules of its
+own: it reads the transcript's one verdict, protocol.Transcript.owners
+(rounds numbered 1, 2, ..., each a partition of [1..K] whose answer passes
+protocol.check_answer), which the auditors then read from its cache, and
+cauchy.check_points judges a HELLO's points in Hello.session, so a
+repeated point is a DecodeError before any matrix is built.  Pairing stays
+out: the audit refuses a mis-paired round.
 
 A transcript file is a HELLO frame (fully specified, with points) followed
 by alternating QUERY/ANSWER frames: exactly the server-visible bytes.
@@ -40,13 +41,12 @@ from dataclasses import dataclass
 
 from .cauchy import check_points, derive_l
 from .errors import (
-    AnswerMismatch,
     DecodeError,
+    InconsistentTranscript,
     InvalidParams,
     MalformedQuery,
     ParamMismatch,
     ProtocolOrder,
-    RoundOutOfRange,
     RoundsExhausted,
 )
 from .field import is_canonical
@@ -57,8 +57,6 @@ from .protocol import (
     RoundAnswer,
     Transcript,
     TranscriptRound,
-    block_owners,
-    check_answer,
 )
 
 MAGIC = b"OPIR"
@@ -410,30 +408,21 @@ def transcript_from_bytes(data: bytes) -> Transcript:
             if pending is not None:
                 raise DecodeError("two queries without an answer between them")
             pending = decode_query(payload)
-            try:
-                block_owners(params.k, pending.blocks)
-            except MalformedQuery as exc:
-                raise DecodeError(f"query does not partition [1..{params.k}]: {exc}") from None
         elif frame_type == FRAME_ANSWER:
             if pending is None:
                 raise DecodeError("answer without a preceding query")
-            answer = decode_answer(payload, params.q)
-            try:
-                check_answer(params, pending, answer)
-            except (AnswerMismatch, RoundOutOfRange) as exc:
-                raise DecodeError(str(exc)) from None
-            rounds.append(TranscriptRound(pending, answer))
+            rounds.append(TranscriptRound(pending, decode_answer(payload, params.q)))
             pending = None
         else:
             raise DecodeError("transcript may only contain query/answer frames")
     if pending is not None:
         raise DecodeError("transcript ends with an unanswered query")
-    return Transcript(
-        params=params,
-        cauchy_x=x_points,
-        cauchy_y=y_points,
-        rounds=tuple(rounds),
-    )
+    transcript = Transcript(params, x_points, y_points, tuple(rounds))
+    try:
+        transcript.owners  # judged once here; the auditors read the cache
+    except InconsistentTranscript as exc:
+        raise DecodeError(str(exc)) from None
+    return transcript
 
 
 def write_database(database: Database, path: str) -> None:

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from opir import audit, cauchy, field, protocol
+from opir import audit, cauchy, field, protocol, wire
 from opir.wire import transcript_from_bytes, transcript_to_bytes
 from opir import (
     AnswerMismatch,
@@ -352,13 +352,15 @@ def test_measured_rate_golden(golden):
 
 
 def test_measured_rate_refuses_empty_answer(golden):
+    """measured_rate reads the transcript's verdict: a round-2 answer with no
+    packets leaves no round of the transcript a rate, round 1 included."""
     _, _, result = golden
     rounds = list(result.transcript.rounds)
     rounds[1] = dataclasses.replace(rounds[1], answer=RoundAnswer(2, ()))
     transcript = dataclasses.replace(result.transcript, rounds=tuple(rounds))
-    assert measured_rate(transcript, 1) == Fraction(1, 4)
-    with pytest.raises(InconsistentTranscript):
-        measured_rate(transcript, 2)
+    for round_no in (1, 2):
+        with pytest.raises(InconsistentTranscript, match="round 2: expected 4 packets, got 0"):
+            measured_rate(transcript, round_no)
 
 
 def test_measured_rate_matches_capacity_across_grid():
@@ -483,7 +485,7 @@ def test_rank_profile_matches_k_wide_reference_on_odd_blocks(k, m, q):
 def reference_rank_profile(transcript):
     """Reference: every block's coefficient matrix (a row per packet, a column
     per member) built from the coding matrix and eliminated."""
-    audit._check_rounds(transcript)
+    transcript.owners  # the verdict rank_profile reads
     params = transcript.params
     coding = transcript.cauchy()
     profile = []
@@ -588,6 +590,31 @@ def test_audit_of_a_huge_shape_builds_no_matrix(monkeypatch):
     assert elapsed < 10.0, elapsed
 
 
+def test_a_read_transcript_is_judged_once(monkeypatch):
+    """Reading a 5-round K=32 transcript and running every auditor on it
+    runs the partition rule and the answer rule once per round: the reader
+    judges, and the auditors read its cached verdict."""
+    *_, result = random_session(32, 1, seed=5)
+    data = transcript_to_bytes(result.transcript)
+    calls = {"block_owners": 0, "check_answer": 0}
+    for name in calls:
+        rule = getattr(protocol, name)
+
+        def counted(*args, _rule=rule, _name=name):
+            calls[_name] += 1
+            return _rule(*args)
+
+        for module in (audit, protocol, wire):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    transcript = transcript_from_bytes(data)
+    posterior(transcript)
+    rank_profile(transcript)
+    for round_no in range(1, 6):
+        measured_rate(transcript, round_no)
+    assert calls == {"block_owners": 5, "check_answer": 5}
+
+
 @pytest.mark.parametrize("fault", sorted(ANSWER_FAULTS))
 def test_auditors_judge_answers_by_the_answer_rule(fault):
     """A library-built transcript whose answers the client and the transcript
@@ -600,7 +627,7 @@ def test_auditors_judge_answers_by_the_answer_rule(fault):
     with pytest.raises(AnswerMismatch) as refused:
         protocol.check_answer(params, bad.query, bad.answer)
     expected = f"round {bad.query.round_no}: {refused.value}"
-    for check in (posterior, rank_profile, enumerate_hypotheses):
+    for check in (posterior, rank_profile, enumerate_hypotheses, lambda t: measured_rate(t, 1)):
         with pytest.raises(InconsistentTranscript) as judged:
             check(transcript)
         assert str(judged.value) == expected

@@ -11,6 +11,7 @@ from opir import (
     Client,
     Database,
     DecodeError,
+    InconsistentTranscript,
     InvalidParams,
     MalformedQuery,
     ParamMismatch,
@@ -19,6 +20,7 @@ from opir import (
     ProtocolParams,
     RoundsExhausted,
     SideInformation,
+    posterior,
     run_session,
 )
 from opir.protocol import RoundAnswer, session_cauchy
@@ -586,7 +588,8 @@ def test_transcript_round_past_the_schedule_is_a_decode_error(golden):
 
 def test_client_and_reader_judge_answers_alike():
     """Each answer the client refuses by protocol.check_answer the transcript
-    reader refuses in the same words, and both take the honest answer."""
+    reader refuses in the auditors' words, "round 1: " and the rule's text,
+    and both take the honest answer."""
     params, database, side_indices, demands, result = two_symbol_session()
     query, honest = result.transcript.rounds[0].query, result.transcript.rounds[0].answer
     packets = honest.packets
@@ -615,7 +618,36 @@ def test_client_and_reader_judge_answers_alike():
             client().decode_answer(answer)
         with pytest.raises(DecodeError) as unread:
             read(answer)
-        assert str(unread.value) == str(refused.value)
+        assert str(unread.value) == f"round 1: {refused.value}"
+
+
+def test_reader_refuses_what_the_auditors_refuse(golden):
+    """Every fault of the one transcript verdict -- a round that is no
+    partition, an answer the answer rule refuses, rounds not numbered from
+    1, no rounds -- is the reader's DecodeError and posterior's
+    InconsistentTranscript in the same words."""
+    t = golden[2].transcript
+    bad = [
+        dataclasses.replace(t, rounds=(
+            dataclasses.replace(t.rounds[0], query=PartitionQuery.of(1, blocks)),
+        ) + t.rounds[1:])
+        for blocks, _ in NON_PARTITIONS
+    ]
+    honest = two_symbol_session()[-1].transcript
+    bad += [fault(honest) for fault in ANSWER_FAULTS.values()]
+    bad += [dataclasses.replace(t, rounds=t.rounds[1:]), dataclasses.replace(t, rounds=())]
+    texts = []
+    for transcript in bad:
+        with pytest.raises(InconsistentTranscript) as judged:
+            posterior(transcript)
+        with pytest.raises(DecodeError) as unread:
+            transcript_from_bytes(transcript_to_bytes(transcript))
+        assert str(unread.value) == str(judged.value)
+        texts.append(str(judged.value))
+    assert texts[-2:] == [
+        "transcript rounds not contiguous at position 1",
+        "transcript has no rounds",
+    ]
 
 
 # ---------------------------------------------------------------------------
