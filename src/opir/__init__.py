@@ -19,7 +19,6 @@ from .audit import (
     rank_profile,
 )
 from .cauchy import (
-    all_merge_systems_invertible,
     build_cauchy,
     round_column_indices,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "SideInformation",
     "SingularMatrix",
     "SingularSystem",
-    "all_merge_systems_invertible",
     "build_cauchy",
     "capacity",
     "create_server",

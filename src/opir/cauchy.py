@@ -6,11 +6,12 @@ x_1..x_K and y_1..y_{Ml+1}.  Every square submatrix of a Cauchy matrix is
 itself a Cauchy matrix and hence invertible; that alone makes the second
 round's decode systems solvable.
 
-The systems solved at round 3 are not plain submatrices: their first-round
-rows are zero outside one half of the merged block.  Such mixed systems can
-be singular even though the matrix is Cauchy, so decode-safety of a matrix
-has to be checked, not assumed; all_merge_systems_invertible derives the
-residue-sum criterion it checks.
+The systems solved from round 3 on are not plain submatrices: their
+first-round rows are zero outside one half of the merged block.  Such mixed
+systems can be singular even though the matrix is Cauchy, and nothing here
+rules that out: a point set's decode safety is a property the tests check
+(tests/test_cauchy.py holds the round-3 criterion and its derivation), and
+a singular system met in a session is protocol.SingularSystem.
 
 Round 1 uses column 1 alone; round i >= 2 uses the M-column block
 (i-2)M+2 .. (i-1)M+1.  Successive rounds therefore draw on disjoint columns,
@@ -26,8 +27,6 @@ one rule q >= K + Ml + 1.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -162,81 +161,3 @@ def round_column_indices(m: int, l: int, round_no: int) -> tuple[int, ...]:
     raise RoundOutOfRange(
         f"round {round_no} out of range: only {m * l + 1} columns exist (rounds 1..{l + 1})"
     )
-
-
-def all_merge_systems_invertible(cauchy: CauchyMatrix) -> bool:
-    """Whether every possible round-3 decode system for this matrix is solvable.
-
-    Covers every block a third round could be asked to decode, that is every
-    union of two disjoint (M+1)-blocks, regardless of side information,
-    demands or random choices.  For l <= 2 this covers all rounds (round-2
-    systems are genuine Cauchy submatrices, hence always invertible); the
-    systems of rounds 4 and later are not checked.
-
-    The system for a merged block with halves A | B has 2(M+1) unknowns and
-    rows: the round-1 column restricted to each half, plus the full columns
-    2..2M+1 over the union U.  Row-reducing the two masked rows against the
-    unmasked Cauchy columns shows it is invertible iff the residue sum
-
-        sum over i in A of w_i / prod_{k in U, k != i} (x_i - x_k),
-        w_i = prod_{j=2..2M+1} (x_i - y_j),
-
-    is nonzero: the terms are the residues of w(z) / prod_{k in U}(z - x_k),
-    whose residues over all of U sum to zero, so the test is symmetric in
-    the halves.  Write A = H and B = R + {c, d} with |R| = M - 1, and let
-
-        G_R(z) = sum over i in H of
-            w_i / (prod_{k in H+R, k != i} (x_i - x_k) * (x_i - z)).
-
-    The partial fraction 1/((x_i - x_c)(x_i - x_d)) =
-    (1/(x_i - x_c) - 1/(x_i - x_d)) / (x_c - x_d) turns the residue sum into
-    (G_R(x_c) - G_R(x_d)) / (x_c - x_d).  So the matrix is safe iff, for
-    every H and R, the values G_R(x_c) are pairwise distinct over the c
-    outside H + R.  Each split is visited once: H holds the union's first
-    index and R the M - 1 first indices of the other half, so R and c range
-    above min H and c above max R.  The same partial fraction with x_r
-    builds G_{R+r} from G_R, one subtraction and product per c:
-
-        G_{R+r}(x_c) = (G_R(x_r) - G_R(x_c)) / (x_r - x_c).
-
-    One batch inversion gives every 1/(x_i - x_k), and each c costs one set
-    insertion instead of a loop over the pairs it completes.
-
-    The canonical equally-spaced points fail this check for every prime:
-    e.g. K=8, M=1 has a merged block whose residue sum is identically zero
-    over the integers.  Safe defaults therefore use searched point sets.
-    """
-    xs, ys, m = cauchy.x_points, cauchy.y_points, cauchy.m
-    k = len(xs)
-    if derive_l(k, m) < 2:
-        return True
-    q = cauchy.matrix.q
-    pairs = list(itertools.combinations(range(k), 2))
-    inv = [[0] * k for _ in range(k)]  # inv[i][j] = 1/(x_i - x_j)
-    for (i, j), d in zip(pairs, _batch_inverse([xs[i] - xs[j] for i, j in pairs], q)):
-        inv[i][j], inv[j][i] = d, q - d
-    w = [math.prod(x - y for y in ys[1 : 2 * m + 1]) % q for x in xs]
-    for half in itertools.combinations(range(k), m + 1):
-        others = [c for c in range(half[0] + 1, k) if c not in half]
-        terms = []
-        for i in half:
-            row = inv[i]
-            gamma = w[i]
-            for j in half:
-                if j != i:
-                    gamma = gamma * row[j] % q
-            terms.append([gamma * row[c] for c in others])
-        # (points, G_R at each point) for every R chosen so far
-        level = [(others, [sum(column) % q for column in zip(*terms)])]
-        for _ in range(m - 1):
-            deeper = []
-            for points, values in level:
-                for pos in range(len(points) - 2):
-                    row, g_r, later = inv[points[pos]], values[pos], points[pos + 1 :]
-                    deeper.append(
-                        (later, [(g_r - g) * row[c] % q for g, c in zip(values[pos + 1 :], later)])
-                    )
-            level = deeper
-        if any(len(set(values)) < len(values) for _, values in level):
-            return False
-    return True

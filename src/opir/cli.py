@@ -203,7 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a full session in process")
     sim.add_argument("--k", type=int, required=True, help="number of messages")
     sim.add_argument("--m", type=int, required=True, help="side information size")
-    sim.add_argument("--q", type=int, default=None, help="field modulus (default: decode-safe choice for the shape)")
+    sim.add_argument(
+        "--q", type=int, default=None,
+        help="field modulus (default: the smallest admissible prime when l = 1,"
+        " else 2^31-1 with seeded coding points)",
+    )
     sim.add_argument("--symbols", type=int, default=1, help="symbols per message")
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--demands", type=_int_list, required=True, metavar="i,j,k")

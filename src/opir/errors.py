@@ -43,8 +43,10 @@ class AnswerMismatch(OpirError):
 
 class SingularSystem(OpirError):
     """Decoding hit a singular system, which the partitions and coding points
-    fix, not the packets: a valid session at an explicit small q, on
-    uncertified points or past round 3 can end here on an unlucky partition."""
+    fix, not the packets.  From round 3 on a valid session can end here on an
+    unlucky partition: likely at an explicit small q, rare at the default
+    field, and ruled out only through round 3 for the shapes whose default
+    points the test suite certifies."""
 
 
 class InconsistentTranscript(OpirError):

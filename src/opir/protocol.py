@@ -33,12 +33,14 @@ the target.  Each level costs O(|B|·M^2) residue operations and about
 |B|·M whole-message multiply-adds, where one square system over the whole
 history would cost O(|T|^3) and |T|^2.  A singular step is SingularSystem.
 
-Round-3 systems mix masked first-round rows with plain Cauchy columns and
-can be singular over small fields, so sessions with three or more rounds
-default to q = SESSION_PRIME with point sets certified decode-safe (see
-session_cauchy).  Explicit q keeps the canonical matrix:  useful for
-reproducing fixed examples, at the documented risk that an unlucky
-partition makes a later round undecodable.
+Systems from round 3 on mix masked first-round rows with plain Cauchy
+columns and can be singular; for the canonical points some are, at every
+prime.  Sessions with three or more rounds therefore default to
+q = SESSION_PRIME and seeded random points (see session_cauchy), where a
+singular system is rare but not ruled out.  Explicit q keeps the
+canonical matrix:  useful for reproducing fixed examples, at the
+documented risk that an unlucky partition makes a later round
+undecodable.
 
 Message indices are 1-based throughout, matching the wire format.
 """
@@ -53,7 +55,6 @@ from itertools import compress
 
 from .cauchy import (
     CauchyMatrix,
-    all_merge_systems_invertible,
     build_cauchy,
     check_field_size,
     derive_l,
@@ -62,7 +63,6 @@ from .cauchy import (
 from .errors import (
     AnswerMismatch,
     DemandKnown,
-    FieldTooSmall,
     InconsistentTranscript,
     InvalidParams,
     MalformedQuery,
@@ -91,25 +91,10 @@ Message = tuple[int, ...]
 # Default field for schedules with three or more rounds.  The canonical
 # equally-spaced points admit merged blocks whose round-3 decode system is
 # singular -- for some shapes identically in the integers, so no prime
-# rescues them.  Sessions therefore default to a large field and searched
-# point sets that pass all_merge_systems_invertible on every merged block.
+# rescues them.  Sessions therefore default to a large field and seeded
+# random point sets (_default_cauchy), on which any one split is singular
+# with probability about 1/q.
 SESSION_PRIME = 2147483647  # 2^31 - 1
-
-# The point set _certified_cauchy's search returns for K=16, M=3 (its
-# attempt 0), pinned because certifying it takes ~0.3 s, paid before
-# `opir serve` listens, and it is the shape of the TCP benchmark.  Smaller
-# shapes certify in milliseconds and are searched.  The test suite
-# re-verifies the pin against a split-by-split enumeration.
-_SAFE_POINTS: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {
-    (16, 3): (
-        (58117088, 253515402, 713856209, 445833048, 672927510, 1280701199,
-         1886002980, 1447989846, 2034641911, 851575410, 2093243109, 837799413,
-         1566311499, 2124602916, 1914081214, 1662350221),
-        (158966112, 728203836, 1133100519, 1484321534, 1447318132,
-         2059715231, 92089322),
-    ),
-}
-
 
 def _check_coding_matrix(cauchy: CauchyMatrix, params: "ProtocolParams") -> None:
     """InvalidParams unless the coding matrix has the parameters' K, M and q (l follows)."""
@@ -152,11 +137,12 @@ class ProtocolParams:
         """Pick a default field when q is omitted.
 
         Two-round schedules (l = 1) default to the smallest admissible
-        prime.  Longer schedules default to SESSION_PRIME so the session
-        matrix can use decode-safe point sets; at small q some merged
-        blocks are undecodable no matter which points are chosen (for the
-        canonical points, no prime at all avoids this).  Passing q
-        explicitly always wins, with the documented decode risk at l >= 2.
+        prime.  Longer schedules default to SESSION_PRIME, where the
+        session matrix's random points make a singular decode system rare;
+        at small q some merged blocks are undecodable no matter which
+        points are chosen (for the canonical points, no prime at all
+        avoids this).  Passing q explicitly always wins.  At l >= 2 any
+        field keeps some decode risk (see session_cauchy).
         """
         l = derive_l(k, m)
         if q is None:
@@ -189,44 +175,29 @@ class ProtocolParams:
 
 
 @cache
-def _certified_cauchy(k: int, m: int) -> CauchyMatrix:
-    """The decode-safe matrix at SESSION_PRIME: the first point set of a
-    deterministic search that all_merge_systems_invertible passes (pinned at (16, 3)).
-
-    For M=1 about 3 * C(K, 4) / q round-3 splits of a random point set are
-    singular, so attempt 0 wins at small K but the odds fall fast as K grows:
-    (512, 1) takes attempt 55, and near K = 1024 every one of the 64
-    attempts is expected to fail (FieldTooSmall).
-    """
+def _default_cauchy(k: int, m: int) -> CauchyMatrix:
+    """The matrix at SESSION_PRIME on a point set drawn from a seed that
+    names the shape, built once per shape and process."""
     l, q = derive_l(k, m), SESSION_PRIME
-    if (k, m) in _SAFE_POINTS:
-        return build_cauchy(k, m, l, q, *_SAFE_POINTS[k, m])
-    for attempt in range(64):
-        rng = random.Random(f"cauchy-points:{k}:{m}:{l}:{q}:{attempt}")
-        pts = rng.sample(range(q), k + m * l + 1)
-        cauchy = build_cauchy(k, m, l, q, tuple(pts[:k]), tuple(pts[k:]))
-        if all_merge_systems_invertible(cauchy):
-            return cauchy
-    raise FieldTooSmall(
-        f"found no decode-safe point set for K={k}, M={m} over q={q}; "
-        "use a larger field"
-    )
+    rng = random.Random(f"cauchy-points:{k}:{m}:{l}:{q}:0")
+    pts = rng.sample(range(q), k + m * l + 1)
+    return build_cauchy(k, m, l, q, tuple(pts[:k]), tuple(pts[k:]))
 
 
 def session_cauchy(params: ProtocolParams) -> CauchyMatrix:
     """The coding matrix a session uses when the caller does not supply one.
 
-    For two-round schedules any point set is safe, so this returns the
-    canonical matrix.  For longer schedules run at the default field
-    (q = SESSION_PRIME) it returns a point set certified by
-    all_merge_systems_invertible: a deterministic search, pinned for the
-    one shape whose search is slow.  Longer schedules at an explicitly
-    chosen q keep the canonical matrix; there a singular decode system
-    stays possible and is treated as a fatal error.
+    Two-round schedules, and longer ones at an explicitly chosen q, use the
+    canonical matrix.  Longer schedules at the default field
+    (q = SESSION_PRIME) use _default_cauchy's seeded points, a constant of
+    (K, M) that nothing checks here: the test suite certifies round 3 for
+    the shapes it and the benchmark run.  At other shapes, past round 3
+    and at an explicit q a singular decode system stays possible, and it
+    is a fatal error (SingularSystem).
     """
     if params.l < 2 or params.q != SESSION_PRIME:
         return build_cauchy(params.k, params.m, params.l, params.q)
-    return _certified_cauchy(params.k, params.m)
+    return _default_cauchy(params.k, params.m)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from opir import Database, PartitionQuery, ProtocolParams, run_session, wire
 from opir import cli
 from opir.cli import main
 from opir.wire import read_database, transcript_from_bytes, transcript_to_bytes, write_database
-from opir.protocol import _SAFE_POINTS, SESSION_PRIME, session_cauchy
+from opir.protocol import SESSION_PRIME, session_cauchy
 from conftest import (
     ANSWER_FAULTS,
     GOLDEN_SEED,
@@ -475,14 +475,13 @@ def test_serve_client_end_to_end(tmp_path, capsys):
         assert "PASS" in capsys.readouterr().out
 
 
-def test_serve_certifies_an_unpinned_default_field_shape(tmp_path, capsys):
-    """`opir serve` at K=32, M=1 with no q searches and certifies its coding
-    points at start-up (no pinned set exists for that shape); a five-round
-    session then reaches capacity, audits PASS and carries session_cauchy's
-    points in its HELLO."""
+def test_serve_sends_default_field_points_at_k32(tmp_path, capsys):
+    """`opir serve` at K=32, M=1 with no q: a five-round remote session
+    reaches capacity, its transcript equals the in-process one byte for
+    byte, it audits PASS, and its HELLO carries session_cauchy's default
+    points."""
     params, database, side, demands, local = random_session(32, 1, seed=5)
     assert (params.k, params.m, params.q, params.l) == (32, 1, SESSION_PRIME, 4)
-    assert (32, 1) not in _SAFE_POINTS
     db_path = tmp_path / "db.bin"
     write_database(database, str(db_path))
     transcript_path = tmp_path / "remote.bin"

@@ -131,12 +131,10 @@ def test_tree_raises_on_a_planted_singular_split():
 
 @pytest.mark.parametrize("k", [128, 256])
 def test_tree_matches_dense_decode_on_deep_sessions(k):
-    """K=128 and K=256, M=1 sessions (7 and 8 rounds) on the uncertified
-    points of the certification search's attempt 0."""
+    """K=128 and K=256, M=1 sessions (7 and 8 rounds) on session_cauchy's
+    default points, which nothing certifies past round 3."""
     params = ProtocolParams.create(k, 1)
-    rng = random.Random(f"cauchy-points:{k}:1:{params.l}:{params.q}:0")
-    points = rng.sample(range(params.q), k + params.l + 1)
-    cauchy = build_cauchy(k, 1, params.l, params.q, tuple(points[:k]), tuple(points[k:]))
+    cauchy = protocol.session_cauchy(params)
     for seed in range(2):
         compare_session(params, cauchy, seed)
 

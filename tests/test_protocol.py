@@ -61,7 +61,7 @@ def test_create_default_field_policy():
     # two-round schedules stay in the smallest admissible field
     assert ProtocolParams.create(4, 1).q == 7
     assert ProtocolParams.create(8, 3).q == 13
-    # three-round schedules need room for decode-safe point sets
+    # three-round schedules default to a field where random points rarely fail
     assert ProtocolParams.create(8, 1).q == SESSION_PRIME
     assert ProtocolParams.create(12, 2).q == SESSION_PRIME
     assert ProtocolParams.create(16, 3).q == SESSION_PRIME
@@ -281,6 +281,30 @@ def test_multi_symbol_messages(k, m, symbols):
             assert len(value) == symbols
             assert value == db.message(idx)
     assert set(side).union(*result.recovered) == set(range(1, k + 1))
+
+
+def test_default_field_session_at_k1024_is_fast():
+    """K=1024, M=1 at the default field, in process: drawing and building the
+    coding matrix plus all 10 rounds (l = 9) recover every message in under 0.5 s.
+    The cache is cleared first, so the draw and the build are timed too."""
+    params = ProtocolParams.create(1024, 1)
+    assert (params.q, params.max_rounds) == (SESSION_PRIME, 10)
+    rng = random.Random(7)
+    database = Database.random(params.k, params.symbols, params.q, rng)
+    side = rng.sample(range(1, params.k + 1), params.m)
+    protocol._default_cauchy.cache_clear()
+    start = time.perf_counter()
+    cauchy = protocol.session_cauchy(params)
+    client = Client(params, SideInformation.from_database(database, side), cauchy, seed=7)
+    server = Server(database, params, cauchy)
+    recovered = {}
+    for _ in range(params.max_rounds):
+        demand = rng.choice([u for u in range(1, params.k + 1) if u not in client.known])
+        recovered.update(client.decode_answer(server.answer(client.build_query(demand))))
+    elapsed = time.perf_counter() - start
+    assert set(recovered) | set(side) == set(range(1, params.k + 1))
+    assert all(value == database.message(u) for u, value in recovered.items())
+    assert elapsed < 0.5, elapsed
 
 
 @pytest.mark.parametrize("symbols", [1, 3])
