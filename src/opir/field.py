@@ -17,10 +17,11 @@ componentwise; no extension-field multiplication is ever needed or provided.
 To combine whole messages at once, `pack_row` lays a row out as one Python
 int with a 128-bit slot per symbol, so sum_j c_j·m_j over packed rows is one
 big-int multiply-add per message.  `reduce_packed` then takes every slot
-mod q with fifteen whole-int operations, without a loop over the
-symbols, and `split_row` reads the reduced slots out.  `is_canonical_packed`
-is the packed form of the residue rule, for rows that stay packed from the
-server's combination to the client's decode.  `solve_linear_system`
+mod q with 5, 10 or 15 whole-int operations and no loop over the
+symbols: its caller passes the slot bound it has proven, and only the
+folds that bound needs run.  `split_row` reads the reduced slots out.
+`is_canonical_packed` is the packed form of the residue rule, for rows
+that stay packed from the server's combination to the client's decode.  `solve_linear_system`
 (a dense solve on packed rows, which the client no longer calls) is the
 tests' reference for the merge-tree decode and a point the benchmark's
 tracer wraps.  The slot bounds that make this exact are stated next to
@@ -147,12 +148,23 @@ class FieldMatrix:
 # solution p unreduced.  A round-1 block's p is a packet times an inverse
 # (< 2^62), and each level of the tree adds at most M products of reduced
 # residues.  There are at most l levels and M·l < 2^16, because
-# (M+1)·2^l = K <= 65535, so p < 2^78.  A coordinate z of a level combines
-# at most K/2 + M such values and packets with reduced coefficients, so it
-# stays below 2^16 · 2^31 · 2^78 = 2^125 before its reduce_packed.  A
-# round's right-hand sides carry the unreduced subtraction of the known
-# messages (< 2^78) within the same bound; at round 1, one such value
-# times an inverse is the demand (< 2^109).
+# (M+1)·2^l = K <= 65535, so p sums at most 1 + M·l < 2^16 products and
+# p < 2^78.  A coordinate z of a level combines at most K/2 + M such values
+# and packets with reduced coefficients, so it stays below
+# 2^16 · 2^31 · 2^78 = 2^125 before its reduce_packed.  A round's
+# right-hand sides carry the unreduced subtraction of the known messages
+# (< 2^78) within the same bound; at round 1, one such value times an
+# inverse is the demand (< 2^109).
+#
+# So each reduce_packed call passes, as `bits`, a bound that follows from
+# public shape alone (block size and round), never from the values:
+#   - Server.answer: a packet of a |B|-message block sums |B| products,
+#     < |B|·2^62 <= 2^bits with bits = 62 + (|B| - 1).bit_length(), which
+#     is 63 (no fold) for a round-1 block at M = 1 and at most 78;
+#   - Client._decode_merge_round: a recovered message is a p row, bits 78,
+#     from round 2 on, and the demand, bits 126, at round 1;
+#   - protocol._constrain's z coordinates and solve_linear_system's rows:
+#     bits 126.
 _SLOT_BYTES = 16
 
 # array("Q") words are in native byte order while the packed int is read and
@@ -219,36 +231,50 @@ def is_canonical_packed(row: int, symbols: int, q: int) -> bool:
     return row & low64 == row and not (row + offset) & carry
 
 
-def reduce_packed(value: int, symbols: int, q: int) -> int:
+def reduce_packed(value: int, symbols: int, q: int, bits: int) -> int:
     """`value` with each of its `symbols` slots reduced into [0, q).
 
-    Exact for every slot below 2^126 and every prime q < 2^31, with a fixed
-    number of whole-int operations and no loop over the symbols:
+    `bits` is the caller's proven bound: every slot of `value` is below
+    2^bits, and bits <= 126 (ValueError above that).  The reduction runs
+    only the folds that bound needs, so the work is 5, 10 or 15 whole-int
+    operations with no loop over the symbols, and it depends on `bits`
+    alone, never on the values.  Exact for every prime q < 2^31:
 
-    - fold at 64 bits: x = lo + hi·(2^64 mod q) < 2^64 + 2^62·(q - 1),
-      so x >> 62 <= q + 2;
-    - fold at 62 bits: y < 2^62 + (q + 2)·(q - 1) < 2^63;
-    - exact quotient (division by an invariant integer): with
-      b = q.bit_length(), k = 63 + b and mu = ceil(2^k / q) <= 2^64,
+    - bits <= 63: no fold; the slot is already a y < 2^63 for the
+      quotient step;
+    - bits <= 93: fold at 62 bits alone: the slot's bits from 62 up are
+      below 2^31, times 2^62 mod q < 2^31, so y < 2^62 + 2^62 = 2^63;
+    - bits <= 126: fold at 64 bits, x = lo + hi·(2^64 mod q) <
+      2^64 + 2^62·(q - 1), so x >> 62 <= q + 2, then fold x at 62 bits:
+      y < 2^62 + (q + 2)·(q - 1) < 2^63;
+    - exact quotient (division by an invariant integer), for any y < 2^63:
+      with b = q.bit_length(), k = 63 + b and mu = ceil(2^k / q) <= 2^64,
       y·mu / 2^k exceeds y/q by y·(q·mu - 2^k)/(q·2^k) < y/2^k < 1/q, so
       its floor is floor(y/q) < 2^(65 - b), and y·mu < 2^127.
 
     Every intermediate slot stays below 2^128, so no step carries or
     borrows across slots.
     """
+    if bits > 126:
+        raise ValueError(f"reduce_packed is exact for slots below 2^126, not 2^{bits}")
     low62, low64, low_quotient, wrap64, wrap62, shift, mu = _reduction_constants(symbols, q)
-    x = (value & low64) + (value >> 64 & low64) * wrap64
-    y = (x & low62) + (x >> 62 & low64) * wrap62
-    return y - (y * mu >> shift & low_quotient) * q
+    if bits > 93:
+        value = (value & low64) + (value >> 64 & low64) * wrap64
+    if bits > 63:
+        value = (value & low62) + (value >> 62 & low64) * wrap62
+    return value - (value * mu >> shift & low_quotient) * q
 
 
 def packed_sum(coeffs: Sequence[int], packed: Sequence[int], q: int) -> int:
     """sum_j coeffs[j]·packed[j] over packed rows, left unreduced.
 
     Any integer coefficient is accepted; each is reduced into [0, q) first,
-    so a negative one subtracts without a slot going negative.
+    so a negative one subtracts without a slot going negative.  The sum
+    starts from its first product, not from 0, which would copy that
+    product once more.
     """
-    return sum(c % q * p for c, p in zip(coeffs, packed))
+    terms = (c % q * p for c, p in zip(coeffs, packed))
+    return sum(terms, next(terms, 0))
 
 
 def _gauss_jordan(cells: list[list[int]], q: int) -> tuple[list[list[int]], list[tuple[int, int]]]:
@@ -344,7 +370,8 @@ def solve_linear_system(matrix: FieldMatrix, rhs: Sequence[int], symbols: int) -
         raise ValueError(f"right-hand side rows must be packed rows of {symbols} symbols")
     q = matrix.q
     _, _, inverse, _ = eliminate([matrix.row(r) for r in range(matrix.rows)], q)
-    return [reduce_packed(packed_sum(row, rhs, q), symbols, q) for row in inverse]
+    # A combination of n <= 65535 rows below 2^78 with reduced coefficients: < 2^125.
+    return [reduce_packed(packed_sum(row, rhs, q), symbols, q, 126) for row in inverse]
 
 
 def matrix_rank(matrix: FieldMatrix) -> int:

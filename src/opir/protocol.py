@@ -654,7 +654,10 @@ class Client:
             solution = [rhs[0] * pow(rows[0][0], -1, q)]
         else:
             raise _singular(round_no, 1)
-        values = dict(zip(members, (reduce_packed(v, symbols, q) for v in solution)))
+        # A p row sums at most 1 + M·l < 2^16 products (< 2^78) from round 2
+        # on; at round 1 the demand is a packet times an inverse (field.pack_row).
+        bits = 78 if round_no > 1 else 126
+        values = dict(zip(members, (reduce_packed(v, symbols, q, bits) for v in solution)))
         self._packed.update(values)
         return {u: tuple(split_row(values[u], symbols)) for u in target}
 
@@ -780,7 +783,8 @@ def _constrain(parts, rows, rhs, q: int, symbols: int) -> tuple[list[int], list[
         weights = [-e[0] * a for a in picked[0]]  # -e·rows on the nonzero p rows
         for c, row in zip(e[1:], picked[1:]):
             weights = [w - c * a for w, a in zip(weights, row)]
-        z.append(reduce_packed(packed_sum(e + weights, values, q), symbols, q))
+        # rhs and p rows (< 2^78) with reduced coefficients: < 2^125 (field.pack_row)
+        z.append(reduce_packed(packed_sum(e + weights, values, q), symbols, q, 126))
     # A column c of G is column c % width of part c // width's N.
     moves = [[] for _ in parts]  # each part's (pivot row k, its N column)
     for k, c in enumerate(pivot_cols):
@@ -845,8 +849,10 @@ class Server:
         rows: list[int] = []
         for block, columns in packet_layout(self.params, query):
             messages = [packed[idx - 1] for idx in block]
+            # |B| products of residues, each < 2^62: a slot < 2^bits (field.pack_row)
+            bits = 62 + (len(block) - 1).bit_length()
             for coeffs in _coefficients(self.cauchy, block, columns):
-                rows.append(reduce_packed(packed_sum(coeffs, messages, q), symbols, q))
+                rows.append(reduce_packed(packed_sum(coeffs, messages, q), symbols, q, bits))
         self._prev = query
         return RoundAnswer.from_packed(query.round_no, tuple(rows), symbols)
 

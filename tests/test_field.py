@@ -177,13 +177,29 @@ def test_solve_rejects_ragged_block():
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 65521, 2**31 - 1])
 def test_reduce_packed_matches_mod(q, symbols):
     """Every slot comes back as slot % q, compared as packed rows so a slot
-    left at or above q, or above 2^64, shows.  Slots run from 0 to 2^126 - 1,
-    past the 2^78 bound of a packed sum and the 2^125 of a solver
-    combination; half the random ones are moved to residue q - 1, where a
-    quotient too large by a fraction of 1/q would round up.  Rounding the
-    quotient multiplier down instead of up fails this test, and so does
-    leaving out the fold at 62 bits."""
+    left at or above q, or above 2^64, shows.  At bits 126, slots run from 0
+    to 2^126 - 1, past the 2^78 bound of a packed sum and the 2^125 of a
+    solver combination; half the random ones are moved to residue q - 1,
+    where a quotient too large by a fraction of 1/q would round up.
+    Rounding the quotient multiplier down instead of up fails this test,
+    and so does leaving out the fold at 62 bits.  Each fold path (bits 63,
+    93 and 126, and 64, the first bound that needs a fold) also runs at its
+    edges 0, q - 1 and 2^bits - 1 and at random slots moved to residue
+    q - 1, and a bound above 126 is refused.  The bound each call site
+    passes is checked on its worst case: the server's |B|-term packet at
+    62 + (|B| - 1).bit_length() (no fold at |B| <= 2) and a 2^16-term p row
+    at 78."""
     rng = random.Random(q * symbols)
+
+    def check(slots, bits):
+        for trial in range(len(slots)):
+            # each value in every slot position, then random mixtures
+            row = [slots[(trial + j) % len(slots)] for j in range(symbols)]
+            if trial % 2:
+                rng.shuffle(row)
+            value = sum(v << 128 * j for j, v in enumerate(row))
+            assert reduce_packed(value, symbols, q, bits) == pack_row([v % q for v in row]), row
+
     edges = [
         0, q - 1, q, 2 * q - 1, 2**62, 2**64 - 1, 2**64, 2**78 - 1,
         65535 * (q - 1) ** 2, 2**125, 2**126 - 1,
@@ -191,19 +207,23 @@ def test_reduce_packed_matches_mod(q, symbols):
     randoms = [rng.randrange(2**78) for _ in range(20)] + [
         rng.randrange(q, 2**126 - q) for _ in range(20)
     ]
-    slots = edges + randoms + [v - v % q + q - 1 for v in randoms]
-    for trial in range(len(slots)):
-        # each edge value in every slot position, then random mixtures
-        row = [slots[(trial + j) % len(slots)] for j in range(symbols)]
-        if trial % 2:
-            rng.shuffle(row)
-        value = sum(v << 128 * j for j, v in enumerate(row))
-        assert reduce_packed(value, symbols, q) == pack_row([v % q for v in row]), row
+    check(edges + randoms + [v - v % q + q - 1 for v in randoms], 126)
+    for bits in (63, 64, 93, 126):
+        randoms = [rng.randrange(2**bits) for _ in range(10)]
+        check([0, q - 1, 2**bits - 1] + randoms + [v - v % q + q - 1 for v in randoms], bits)
+    with pytest.raises(ValueError):
+        reduce_packed(0, symbols, q, 127)
+
+    top = pack_row([q - 1] * symbols)
+    packets = [(n, 62 + (n - 1).bit_length()) for n in (1, 2, 3, 4, 5, 65535)]
+    for n, bits in packets + [(1 << 16, 78)]:
+        value = packed_sum([q - 1] * n, [top] * n, q)
+        assert reduce_packed(value, symbols, q, bits) == pack_row([n * (q - 1) ** 2 % q] * symbols)
 
 
 def combine(coeffs, packed, symbols, q):
     """The residues of sum_j coeffs[j]·packed[j] mod q, as the server makes a packet."""
-    return split_row(reduce_packed(packed_sum(coeffs, packed, q), symbols, q), symbols)
+    return split_row(reduce_packed(packed_sum(coeffs, packed, q), symbols, q, 126), symbols)
 
 
 def test_combine_rows_reduces_to_residues():

@@ -283,6 +283,43 @@ def test_multi_symbol_messages(k, m, symbols):
     assert set(side).union(*result.recovered) == set(range(1, k + 1))
 
 
+@pytest.mark.parametrize("k,m", GRID)
+def test_reduction_bounds_follow_public_shape_only(monkeypatch, k, m):
+    """Every reduce_packed call in protocol passes a slot bound read from
+    public shape (block size and round), never from a value: two 3-symbol
+    sessions with the same seed, side set and demands over different
+    databases make the same calls with the same bounds.  A bound chosen by
+    a value's magnitude would let the decode time follow the messages."""
+    reduce = protocol.reduce_packed
+    calls = []
+
+    def record(value, symbols, q, bits):
+        calls.append(bits)
+        return reduce(value, symbols, q, bits)
+
+    monkeypatch.setattr(protocol, "reduce_packed", record)
+    params = ProtocolParams.create(k, m, symbols=3)
+    side = sorted(random.Random(k * m).sample(range(1, k + 1), m))
+    sessions = []
+    for db_seed in (1, 2):
+        database = Database.random(k, 3, params.q, random.Random(db_seed))
+        server = Server(database, params)
+        side_info = SideInformation.from_database(database, side)
+        client = Client(params, side_info, server.cauchy, seed=5)
+        rng = random.Random(5)
+        calls.clear()
+        demands = []
+        for _ in range(params.max_rounds):
+            demand = rng.choice([u for u in range(1, k + 1) if u not in client.known])
+            demands.append(demand)
+            recovered = client.decode_answer(server.answer(client.build_query(demand)))
+            assert all(value == database.message(u) for u, value in recovered.items())
+        sessions.append((database.messages, demands, list(calls)))
+    (first_db, *first), (second_db, *second) = sessions
+    assert first_db != second_db
+    assert first == second and first[1]
+
+
 def test_default_field_session_at_k1024_is_fast():
     """K=1024, M=1 at the default field, in process: drawing and building the
     coding matrix plus all 10 rounds (l = 9) recover every message in under 0.5 s.
