@@ -19,7 +19,9 @@ and the l+1 possible rounds together consume exactly the Ml+1 columns.
 
 A CauchyMatrix stores M, its points and its entries, nothing else: K is
 the number of x-points, q is the entries' modulus, and l is derive_l(K, M),
-so none of them can disagree with the matrix they describe.  check_points is
+so none of them can disagree with the matrix they describe.  It is never
+changed once built, so build_cauchy hands one matrix per point set to
+every caller in the process (the last four sets are kept).  check_points is
 the one point rule (build_cauchy, audit.rank_profile and wire's
 Hello.session call it); it and ProtocolParams call check_field_size, the
 one rule q >= K + Ml + 1.
@@ -28,7 +30,7 @@ one rule q >= K + Ml + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import FieldTooSmall, InvalidParams, RoundOutOfRange
 from .field import FieldMatrix, check_modulus, is_canonical
@@ -143,9 +145,20 @@ def build_cauchy(
     """The K x (M*l + 1) coding matrix over F_q on check_points' point sets.
 
     One field inversion (_batch_inverse) covers all K(Ml+1) entries; a zero
-    difference or a composite q would break it, so check_points runs first.
+    difference or a composite q would break it, so check_points runs first,
+    on every call.  A point set built before returns the same matrix.
     """
     x_points, y_points = check_points(k, m, l, q, x_points, y_points)
+    return _cauchy_on(m, q, x_points, y_points)
+
+
+# One matrix per point set per process: a server, each connection's
+# RemoteSession and Transcript.cauchy() share it and its columns.  A matrix
+# holds K(Ml+1) entries and a peer's HELLO names the points, so only the
+# last four point sets are kept.
+@lru_cache(maxsize=4)
+def _cauchy_on(m: int, q: int, x_points: Points, y_points: Points) -> CauchyMatrix:
+    """build_cauchy's matrix on points that check_points has accepted."""
     flat, cols = _batch_inverse([x - y for x in x_points for y in y_points], q), len(y_points)
     entries = [flat[i : i + cols] for i in range(0, len(flat), cols)]
     return CauchyMatrix(m, x_points, y_points, FieldMatrix(q, entries))

@@ -1,4 +1,4 @@
-"""TCP transport: a threaded server and a socket client for the protocol.
+"""TCP transport: a worker-pool server and a socket client for the protocol.
 
 Connection lifecycle: the client sends a HELLO naming the parameters it
 expects (zeros mean "whatever you have"; by default a RemoteSession names
@@ -12,6 +12,14 @@ frame with its reason code before the close; a socket error, or a read or
 write that waits longer than SERVER_TIMEOUT, just closes.  A server's shape is
 its ProtocolParams, which read_config reads from a JSON file.
 
+A server runs SERVER_WORKERS threads, each of which accepts one connection
+and serves its session to the end before it accepts the next, so at most
+that many sessions run at once and further connections wait in the listen
+backlog.  A client builds its coding matrix with build_cauchy, which keeps
+one matrix per point set, so connections to one server build it once; a
+HELLO that names a matrix of more than MAX_UNASKED_ENTRIES entries is
+refused before it is built unless the client's expect named that K.
+
 The server never learns anything beyond the queries; side information and
 demands live only in the client process.
 """
@@ -21,6 +29,7 @@ from __future__ import annotations
 import json
 import socket
 import socketserver
+import threading
 
 from .cauchy import build_cauchy
 from .errors import DecodeError, InvalidParams, MalformedQuery, OpirError, ParamMismatch
@@ -40,6 +49,12 @@ from . import wire
 CLIENT_TIMEOUT = 10.0
 # Seconds a server session waits for each read or write before it closes.
 SERVER_TIMEOUT = 30.0
+# Sessions a server runs at once, one per worker thread.
+SERVER_WORKERS = 16
+# Most coding-matrix entries a RemoteSession builds for a server whose K it
+# did not name in its HELLO (at SESSION_PRIME, 2^20 entries and their
+# columns hold about 50 MB, and building them peaks near 120 MB).
+MAX_UNASKED_ENTRIES = 2**20
 
 
 def read_config(path: str) -> tuple[ProtocolParams, str]:
@@ -70,11 +85,13 @@ def read_config(path: str) -> tuple[ProtocolParams, str]:
     return ProtocolParams.create(raw["k"], raw["m"], q=q, symbols=symbols), raw["database"]
 
 
-class OpirTCPServer(socketserver.ThreadingTCPServer):
-    """One session per connection; database and session_cauchy matrix shared read-only."""
+class OpirTCPServer(socketserver.TCPServer):
+    """One session per connection, served by a fixed pool of accept-loop
+    workers; database and session_cauchy matrix shared read-only."""
 
     allow_reuse_address = True
-    daemon_threads = True
+    # Connections beyond the SERVER_WORKERS in session wait in the kernel.
+    request_queue_size = 64
 
     def __init__(
         self,
@@ -87,15 +104,83 @@ class OpirTCPServer(socketserver.ThreadingTCPServer):
         self.cauchy = session_cauchy(params)
         # A peer's frame may not claim more than a legal client frame holds.
         self.frame_limit = wire.max_client_payload(params)
-        # Fail before accepting connections, not inside a handler thread.
+        # Fail before accepting connections, not inside a worker.
         ProtocolServer(database, params, self.cauchy)
+        self._stopping = threading.Event()
+        self._stopped = threading.Event()
+        self._accepting = threading.Lock()
         super().__init__(address, _SessionHandler)
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """Serve on SERVER_WORKERS threads, this one included, until shutdown().
+
+        Each worker waits at most poll_interval in accept before it looks
+        for a shutdown, and returns once its session in progress ends.  An
+        exception here (KeyboardInterrupt) does not wait for the other
+        workers: they are daemon threads and stop after their sessions.
+        """
+        self._stopped.clear()
+        self.socket.settimeout(poll_interval)
+        workers = [
+            threading.Thread(target=self._work, args=(poll_interval,),
+                             name=f"opir-worker-{n}", daemon=True)
+            for n in range(1, SERVER_WORKERS)
+        ]
+        try:
+            for worker in workers:
+                worker.start()
+            self._work(poll_interval)
+            self._stopping.set()  # the listener may have closed: stop them all
+            for worker in workers:
+                worker.join()
+            self._stopping.clear()
+        except BaseException:
+            self._stopping.set()
+            raise
+        finally:
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Stop serve_forever and wait for it; call it from another thread."""
+        self._stopping.set()
+        self._stopped.wait()
+
+    def _work(self, poll_interval: float) -> None:
+        """Accept and serve connections one at a time until shutdown() or
+        until the listener is closed; no failure of one connection ends it."""
+        while not self._stopping.is_set():
+            # Idle workers take turns in accept: all of them polling the
+            # listener would wake every one for each connection.
+            if not self._accepting.acquire(timeout=poll_interval):
+                continue
+            try:
+                request, client_address = self.get_request()
+            except TimeoutError:
+                continue
+            except OSError:
+                if self.socket.fileno() < 0:
+                    return
+                # ECONNABORTED, EMFILE and the like: wait a little, go on.
+                self._stopping.wait(poll_interval)
+                continue
+            finally:
+                self._accepting.release()
+            try:
+                self.process_request(request, client_address)
+            except Exception:
+                # As socketserver does; _SessionHandler has already handled
+                # every OpirError and OSError.
+                self.handle_error(request, client_address)
+                self.shutdown_request(request)
+            except BaseException:
+                self.shutdown_request(request)
+                raise
 
 
 class _SessionHandler(socketserver.StreamRequestHandler):
     server: OpirTCPServer
     # setup() puts this on the socket: a read or write that waits longer
-    # raises TimeoutError, an OSError, so a stalled peer frees its thread.
+    # raises TimeoutError, an OSError, so a stalled peer frees its worker.
     timeout = SERVER_TIMEOUT
 
     def handle(self) -> None:
@@ -172,11 +257,18 @@ class RemoteSession:
                 raise DecodeError("server did not answer the hello")
             reply = wire.decode_hello(payload)
             # The server names K and M, and build_cauchy's cost grows with
-            # K·M, so a shape other than the requested one is refused first.
+            # K·M, so a shape other than the requested one is refused first,
+            # and so is a large matrix whose K the client did not name.
             hello.require(reply)
             self.params, x_points, y_points = reply.session()
             self._limit = wire.max_server_payload(self.params)
             p = self.params
+            entries = p.k * (p.m * p.l + 1)
+            if not hello.k and entries > MAX_UNASKED_ENTRIES:
+                raise ParamMismatch(
+                    f"server has K={p.k}, M={p.m}: its {entries}-entry coding matrix "
+                    f"exceeds {MAX_UNASKED_ENTRIES}; name its k to accept it"
+                )
             cauchy = build_cauchy(p.k, p.m, p.l, p.q, x_points, y_points)
             self.client = Client(self.params, side, cauchy, seed=seed)
         except BaseException:

@@ -161,6 +161,8 @@ def test_build_makes_one_inversion(monkeypatch):
     monkeypatch.setattr(cauchy_module, "pow", counting_pow, raising=False)
     points = session_cauchy(ProtocolParams.create(32, 1))
     q = SESSION_PRIME
+    # session_cauchy has built this point set already; count a fresh build.
+    cauchy_module._cauchy_on.cache_clear()
     calls.clear()
     cauchy = build_cauchy(32, 1, 4, q, points.x_points, points.y_points)
     assert len(calls) == 1
@@ -171,6 +173,34 @@ def test_build_makes_one_inversion(monkeypatch):
     with pytest.raises(InvalidParams):
         build_cauchy(4, 1, 1, q=11, x_points=(1, 2, 3, 4), y_points=(4, 5))
     assert calls == []
+
+
+def test_same_points_return_the_same_matrix():
+    """A point set is built once per process, whether its points are
+    supplied or canonical, and the columns built on first read are shared."""
+    xs, ys = canonical_points(17, 12, 2, 2)
+    first = build_cauchy(12, 2, 2, 17, xs, ys)
+    assert build_cauchy(12, 2, 2, 17, list(xs), list(ys)) is first
+    assert build_cauchy(12, 2, 2, 17) is first
+    assert first.columns is build_cauchy(12, 2, 2, 17).columns
+    # another field or another point set is another matrix
+    assert build_cauchy(12, 2, 2, 19) is not first
+    assert build_cauchy(12, 2, 2, 17, xs[::-1], ys) is not first
+
+
+def test_cached_points_do_not_pass_later_checks():
+    """check_points runs on every call: once a good set is cached, a bad set
+    sharing its key fields, or the good set under another shape, is refused."""
+    xs, ys = canonical_points(17, 12, 2, 2)
+    build_cauchy(12, 2, 2, 17, xs, ys)
+    with pytest.raises(InvalidParams, match="distinct"):
+        build_cauchy(12, 2, 2, 17, xs[:-1] + (ys[0],), ys)
+    with pytest.raises(InvalidParams, match="residues"):
+        build_cauchy(12, 2, 2, 17, xs[:-1] + (17,), ys)
+    with pytest.raises(InvalidParams, match="imply l=2"):
+        build_cauchy(12, 2, 3, 17, xs, ys)
+    with pytest.raises(FieldTooSmall):
+        build_cauchy(12, 2, 2, 13, xs, ys)
 
 
 @given(

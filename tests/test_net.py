@@ -1,9 +1,12 @@
 """TCP transport: loopback equivalence, error frames, session lifecycle."""
 
+import contextlib
 import json
 import random
+import select
 import socket
 import socketserver
+import sys
 import threading
 
 import pytest
@@ -21,6 +24,7 @@ from opir import (
     run_remote_session,
     run_session,
 )
+from opir import cauchy as cauchy_module
 from opir.cauchy import canonical_points
 from opir.protocol import session_cauchy
 from opir.net import RemoteSession, read_config
@@ -28,21 +32,28 @@ from opir import net, wire
 from conftest import GOLDEN_SEED, counting_database
 
 
-@pytest.fixture
-def golden_server():
-    """A live loopback server holding the 12-message counting database."""
-    params = ProtocolParams.create(12, 2, q=17)
-    server = create_server(counting_database(), params)
+@contextlib.contextmanager
+def serving(database, params):
+    """A live loopback server on a free port, shut down and closed on exit."""
+    server = create_server(database, params)
     thread = threading.Thread(
         target=lambda: server.serve_forever(poll_interval=0.05), daemon=True
     )
     thread.start()
     try:
-        yield server.server_address, params
+        yield server
     finally:
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+
+
+@pytest.fixture
+def golden_server():
+    """A live loopback server holding the 12-message counting database."""
+    params = ProtocolParams.create(12, 2, q=17)
+    with serving(counting_database(), params) as server:
+        yield server.server_address, params
 
 
 def _raw_hello(address):
@@ -102,12 +113,7 @@ def test_full_remote_run_recovers_whole_database():
     params = ProtocolParams.create(8, 1, symbols=2)
     rng = random.Random(42)
     database = Database.random(8, 2, params.q, rng)
-    server = create_server(database, params)
-    thread = threading.Thread(
-        target=lambda: server.serve_forever(poll_interval=0.05), daemon=True
-    )
-    thread.start()
-    try:
+    with serving(database, params) as server:
         side_indices = [3]
         side = SideInformation.from_database(database, side_indices)
         with RemoteSession(server.server_address, side, seed=7) as session:
@@ -120,10 +126,6 @@ def test_full_remote_run_recovers_whole_database():
         assert known == {
             i: database.message(i) for i in range(1, 9)
         }
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
 
 
 def test_sequential_sessions_on_one_server(golden_server):
@@ -234,6 +236,64 @@ def test_client_refuses_unexpected_server_shape_before_building(monkeypatch):
     assert isinstance(exc, ParamMismatch)
     assert str(exc) == "k=16 requested, server has 2048"
     assert builds == []
+
+
+def test_client_refuses_a_huge_matrix_it_did_not_ask_for(monkeypatch):
+    """A client with 100 side messages names M=100 but no K, so a valid
+    K=51,712, M=100 (l=9) HELLO would cost a 46.6-million-entry matrix: it
+    is ParamMismatch before build_cauchy runs."""
+    builds = []
+    monkeypatch.setattr(net, "build_cauchy", lambda *args: builds.append(args))
+    k, m, l = 51_712, 100, 9
+    reply = wire.Hello(
+        k=k, m=m, l=l, q=2**31 - 1, symbols=1,
+        x_points=tuple(range(1, k + 1)), y_points=tuple(range(k + 1, k + m * l + 2)),
+    )
+    database = Database.random(128, 1, 2**31 - 1, random.Random(1))
+    side = SideInformation.from_database(database, range(1, 101))
+    exc = _refuse_hello_from_fake_server(reply, side)
+    assert isinstance(exc, ParamMismatch)
+    assert "46592512-entry" in str(exc)
+    assert k * (m * l + 1) > net.MAX_UNASKED_ENTRIES
+    assert builds == []
+
+
+def test_client_builds_a_large_matrix_whose_k_it_named(monkeypatch):
+    """The bound is for a K the client did not name: a shape past it that
+    `expect` asks for reaches build_cauchy."""
+    builds = []
+    monkeypatch.setattr(net, "build_cauchy", lambda *args: builds.append(args))
+    monkeypatch.setattr(net, "MAX_UNASKED_ENTRIES", 12 * 5 - 1)
+    xs, ys = canonical_points(17, 12, 2, 2)
+    reply = wire.Hello(k=12, m=2, l=2, q=17, symbols=1, x_points=xs, y_points=ys)
+    side = SideInformation.from_database(counting_database(), [2, 3])
+    assert isinstance(_refuse_hello_from_fake_server(reply, side), ParamMismatch)
+    assert builds == []
+    _refuse_hello_from_fake_server(reply, side, expect={"k": 12})
+    assert builds == [(12, 2, 2, 17, xs, ys)]
+
+
+def test_remote_sessions_share_one_matrix(monkeypatch):
+    """A server and every connection to it use one coding matrix, built
+    with one batch inversion."""
+    inversions = []
+    batch_inverse = cauchy_module._batch_inverse
+
+    def counting(values, q):
+        inversions.append(len(values))
+        return batch_inverse(values, q)
+
+    monkeypatch.setattr(cauchy_module, "_batch_inverse", counting)
+    cauchy_module._cauchy_on.cache_clear()
+    database = counting_database()
+    side = SideInformation.from_database(database, [2, 3])
+    with serving(database, ProtocolParams.create(12, 2, q=17)) as server:
+        with RemoteSession(server.server_address, side, seed=1) as a:
+            a.retrieve(1)
+        with RemoteSession(server.server_address, side, seed=2) as b:
+            b.retrieve(5)
+    assert inversions == [12 * 5]
+    assert a.client.cauchy is b.client.cauchy is server.cauchy
 
 
 def test_client_hello_names_the_shape_of_its_side_information(monkeypatch):
@@ -451,6 +511,181 @@ def test_bye_closes_the_connection(golden_server):
         assert f.read(1) == b""
     finally:
         sock.close()
+
+
+# ---------------------------------------------------------------------------
+# the worker pool
+# ---------------------------------------------------------------------------
+
+def _workers():
+    return [t for t in threading.enumerate() if t.name.startswith("opir-worker-")]
+
+
+def test_pool_bounds_concurrent_sessions(monkeypatch):
+    """With two workers, a third connection's HELLO waits in the backlog
+    until one of the two sessions in progress closes."""
+    monkeypatch.setattr(net, "SERVER_WORKERS", 2)
+    database = counting_database()
+    side = SideInformation.from_database(database, [2, 3])
+    with serving(database, ProtocolParams.create(12, 2, q=17)) as server:
+        address = server.server_address
+        with RemoteSession(address, side, seed=1) as first:
+            with RemoteSession(address, side, seed=2):
+                assert len(_workers()) == 1  # the serving thread is the other
+                third = socket.create_connection(address, timeout=5.0)
+                with third, third.makefile("rwb") as f:
+                    _send_frame(f, wire.FRAME_HELLO, wire.encode_hello(wire.Hello()))
+                    assert select.select([third], [], [], 0.3)[0] == []
+                    first.close()
+                    assert select.select([third], [], [], 5.0)[0] == [third]
+                    assert wire.read_frame(f)[0] == wire.FRAME_HELLO
+
+
+def test_shutdown_stops_every_worker(monkeypatch):
+    """Three sessions at once keep all three workers busy; once they end,
+    shutdown() and server_close() leave no worker alive."""
+    monkeypatch.setattr(net, "SERVER_WORKERS", 3)
+    database = counting_database()
+    side = SideInformation.from_database(database, [2, 3])
+    with serving(database, ProtocolParams.create(12, 2, q=17)) as server:
+        with contextlib.ExitStack() as sessions:
+            for seed in range(3):
+                sessions.enter_context(RemoteSession(server.server_address, side, seed=seed))
+            assert len(_workers()) == 2
+    assert _workers() == []
+
+
+def test_interrupt_does_not_wait_for_sessions_in_progress(monkeypatch):
+    """A KeyboardInterrupt in serve_forever's own thread ends it at once,
+    though a peer that went silent after its HELLO holds the other worker;
+    that worker stops when its session ends."""
+    monkeypatch.setattr(net, "SERVER_WORKERS", 2)
+    work = net.OpirTCPServer._work
+    peer_waiting = threading.Event()
+
+    def interrupted_work(server, poll_interval):
+        if threading.current_thread().name.startswith("opir-worker-"):
+            return work(server, poll_interval)
+        peer_waiting.wait(5)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(net.OpirTCPServer, "_work", interrupted_work)
+    server = create_server(counting_database(), ProtocolParams.create(12, 2, q=17))
+    raised = []
+
+    def serve():
+        try:
+            server.serve_forever(poll_interval=0.05)
+        except KeyboardInterrupt as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    peer = socket.create_connection(server.server_address, timeout=5.0)
+    with server, peer, peer.makefile("rwb") as f:
+        _send_frame(f, wire.FRAME_HELLO, wire.encode_hello(wire.Hello()))
+        assert wire.read_frame(f)[0] == wire.FRAME_HELLO
+        peer_waiting.set()
+        thread.join(timeout=5)
+        assert raised and not thread.is_alive()
+        assert len(_workers()) == 1
+    for worker in _workers():
+        worker.join(timeout=5)
+    assert _workers() == []
+
+
+def test_concurrent_sessions_under_a_short_switch_interval(monkeypatch):
+    """Eight client threads share four workers, one freshly built coding
+    matrix and its lazily built columns while the interpreter switches
+    threads every microsecond: every session's transcript and recovered
+    values equal the in-process session's."""
+    monkeypatch.setattr(net, "SERVER_WORKERS", 4)
+    cauchy_module._cauchy_on.cache_clear()
+    params = ProtocolParams.create(12, 2, q=17)
+    database = counting_database()
+    jobs = []
+    for seed in range(16):
+        # each round demands the smallest message the seed's session lacks
+        demands = []
+        for _ in range(params.max_rounds):
+            known = {2, 3}.union(*run_session(params, database, [2, 3], demands, seed).recovered)
+            demands.append(min(set(range(1, 13)) - known))
+        jobs.append(([2, 3], demands, seed))
+    expected = [run_session(params, database, *job) for job in jobs]
+    got = [None] * len(jobs)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with serving(database, params) as server:
+
+            def client(n):
+                for i in range(n, len(jobs), 8):
+                    side, demands, seed = jobs[i]
+                    side_info = SideInformation.from_database(database, side)
+                    got[i] = run_remote_session(server.server_address, side_info, demands, seed)
+
+            threads = [threading.Thread(target=client, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    for remote, local in zip(got, expected):
+        assert remote is not None
+        assert remote.recovered == local.recovered
+        assert wire.transcript_to_bytes(remote.transcript) == wire.transcript_to_bytes(
+            local.transcript
+        )
+
+
+def test_failed_session_does_not_shrink_the_pool(monkeypatch):
+    """A handler that raises something other than OpirError or OSError costs
+    its connection, not the worker: one worker serves the next session."""
+    monkeypatch.setattr(net, "SERVER_WORKERS", 1)
+    monkeypatch.setattr(net, "CLIENT_TIMEOUT", 2.0)  # a dead pool fails, not hangs
+    session = net._SessionHandler._session
+    failures = []
+
+    def fail_once(handler):
+        if not failures:
+            failures.append(handler)
+            raise RuntimeError("handler bug")
+        return session(handler)
+
+    monkeypatch.setattr(net._SessionHandler, "_session", fail_once)
+    database = counting_database()
+    side = SideInformation.from_database(database, [2, 3])
+    with serving(database, ProtocolParams.create(12, 2, q=17)) as server:
+        # The worker closes the connection before or after the client's HELLO.
+        with pytest.raises((DecodeError, ConnectionError)):
+            RemoteSession(server.server_address, side, seed=1)
+        result = run_remote_session(server.server_address, side, [1], seed=1)
+    assert len(failures) == 1
+    assert result.recovered[0][1] == (1,)
+
+
+def test_accept_error_does_not_shrink_the_pool(monkeypatch):
+    """An accept that fails (a peer that reset before it was accepted, or no
+    file descriptor left) costs one wait, not the worker."""
+    monkeypatch.setattr(net, "SERVER_WORKERS", 1)
+    monkeypatch.setattr(net, "CLIENT_TIMEOUT", 2.0)
+    get_request = socketserver.TCPServer.get_request
+    failures = []
+
+    def abort_once(server):
+        if not failures:
+            failures.append(server)
+            raise ConnectionAbortedError("peer reset before accept")
+        return get_request(server)
+
+    monkeypatch.setattr(net.OpirTCPServer, "get_request", abort_once)
+    database = counting_database()
+    side = SideInformation.from_database(database, [2, 3])
+    with serving(database, ProtocolParams.create(12, 2, q=17)) as server:
+        result = run_remote_session(server.server_address, side, [1], seed=1)
+    assert len(failures) == 1
+    assert result.recovered[0][1] == (1,)
 
 
 # ---------------------------------------------------------------------------
