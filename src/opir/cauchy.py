@@ -21,10 +21,11 @@ A CauchyMatrix stores M, its points and its entries, nothing else: K is
 the number of x-points, q is the entries' modulus, and l is derive_l(K, M),
 so none of them can disagree with the matrix they describe.  It is never
 changed once built, so build_cauchy hands one matrix per point set to
-every caller in the process (the last four sets are kept).  check_points is
-the one point rule (build_cauchy, audit.rank_profile and wire's
-Hello.session call it); it and ProtocolParams call check_field_size, the
-one rule q >= K + Ml + 1.
+every caller in the process (the last four sets whose matrices hold at most
+MEMO_MAX_ENTRIES entries are kept; larger ones are built on every call).
+check_points is the one point rule (build_cauchy, audit.rank_profile and
+wire's Hello.session call it); it and ProtocolParams call check_field_size,
+the one rule q >= K + Ml + 1.
 """
 
 from __future__ import annotations
@@ -146,22 +147,33 @@ def build_cauchy(
 
     One field inversion (_batch_inverse) covers all K(Ml+1) entries; a zero
     difference or a composite q would break it, so check_points runs first,
-    on every call.  A point set built before returns the same matrix.
+    on every call.  A point set built before returns the same matrix if
+    it holds at most MEMO_MAX_ENTRIES entries.
     """
     x_points, y_points = check_points(k, m, l, q, x_points, y_points)
+    if len(x_points) * len(y_points) > MEMO_MAX_ENTRIES:
+        return _cauchy_matrix(m, q, x_points, y_points)
     return _cauchy_on(m, q, x_points, y_points)
 
 
-# One matrix per point set per process: a server, each connection's
-# RemoteSession and Transcript.cauchy() share it and its columns.  A matrix
-# holds K(Ml+1) entries and a peer's HELLO names the points, so only the
-# last four point sets are kept.
-@lru_cache(maxsize=4)
-def _cauchy_on(m: int, q: int, x_points: Points, y_points: Points) -> CauchyMatrix:
+# Most entries of a matrix that build_cauchy keeps.  A matrix and its
+# columns hold about 50 B per entry, so the four kept hold at most ~13 MB
+# however many servers a process talks to; the benchmark's session shapes
+# hold at most a few hundred entries.
+MEMO_MAX_ENTRIES = 2**16
+
+
+def _cauchy_matrix(m: int, q: int, x_points: Points, y_points: Points) -> CauchyMatrix:
     """build_cauchy's matrix on points that check_points has accepted."""
     flat, cols = _batch_inverse([x - y for x in x_points for y in y_points], q), len(y_points)
     entries = [flat[i : i + cols] for i in range(0, len(flat), cols)]
     return CauchyMatrix(m, x_points, y_points, FieldMatrix(q, entries))
+
+
+# One matrix per point set per process: a server, each connection's
+# RemoteSession and Transcript.cauchy() share it and its columns.  A peer's
+# HELLO names the points, so only the last four point sets are kept.
+_cauchy_on = lru_cache(maxsize=4)(_cauchy_matrix)
 
 
 def round_column_indices(m: int, l: int, round_no: int) -> tuple[int, ...]:

@@ -15,10 +15,13 @@ its ProtocolParams, which read_config reads from a JSON file.
 A server runs SERVER_WORKERS threads, each of which accepts one connection
 and serves its session to the end before it accepts the next, so at most
 that many sessions run at once and further connections wait in the listen
-backlog.  A client builds its coding matrix with build_cauchy, which keeps
-one matrix per point set, so connections to one server build it once; a
-HELLO that names a matrix of more than MAX_UNASKED_ENTRIES entries is
-refused before it is built unless the client's expect named that K.
+backlog.  A peer gets HELLO_TIMEOUT, not SERVER_TIMEOUT, to send its first
+frame, so peers that connect and stay silent hold a worker only briefly.
+shutdown() cuts every session in progress, so it returns within about
+poll_interval.  A client builds its coding matrix with build_cauchy, which
+keeps small matrices per point set, so connections to one server build it
+once; a HELLO that names a matrix of more than MAX_UNASKED_ENTRIES entries
+is refused before it is built unless the client's expect named that K.
 
 The server never learns anything beyond the queries; side information and
 demands live only in the client process.
@@ -49,7 +52,15 @@ from . import wire
 CLIENT_TIMEOUT = 10.0
 # Seconds a server session waits for each read or write before it closes.
 SERVER_TIMEOUT = 30.0
-# Sessions a server runs at once, one per worker thread.
+# Seconds a server session waits for the peer's first frame.  A
+# RemoteSession sends its HELLO as soon as it connects, so the frame is
+# normally waiting when the connection is accepted; 2 s leaves room for one
+# lost segment.  A client queued behind up to 4 * SERVER_WORKERS silent
+# peers is still answered within its CLIENT_TIMEOUT.
+HELLO_TIMEOUT = 2.0
+# Sessions a server runs at once, one per worker thread.  No measured
+# concurrent traffic sets this value; the listen backlog (request_queue_size)
+# holds the connections beyond it.
 SERVER_WORKERS = 16
 # Most coding-matrix entries a RemoteSession builds for a server whose K it
 # did not name in its HELLO (at SESSION_PRIME, 2^20 entries and their
@@ -109,15 +120,18 @@ class OpirTCPServer(socketserver.TCPServer):
         self._stopping = threading.Event()
         self._stopped = threading.Event()
         self._accepting = threading.Lock()
+        # Connections in session, so that _stop() can cut them.
+        self._sessions: set[socket.socket] = set()
+        self._sessions_lock = threading.Lock()
         super().__init__(address, _SessionHandler)
 
     def serve_forever(self, poll_interval: float = 0.5) -> None:
         """Serve on SERVER_WORKERS threads, this one included, until shutdown().
 
         Each worker waits at most poll_interval in accept before it looks
-        for a shutdown, and returns once its session in progress ends.  An
-        exception here (KeyboardInterrupt) does not wait for the other
-        workers: they are daemon threads and stop after their sessions.
+        for a shutdown.  However this thread stops (shutdown(), a closed
+        listener, KeyboardInterrupt), every session in progress is cut, so
+        no session outlives serve_forever.
         """
         self._stopped.clear()
         self.socket.settimeout(poll_interval)
@@ -127,23 +141,40 @@ class OpirTCPServer(socketserver.TCPServer):
             for n in range(1, SERVER_WORKERS)
         ]
         try:
-            for worker in workers:
-                worker.start()
-            self._work(poll_interval)
-            self._stopping.set()  # the listener may have closed: stop them all
+            try:
+                for worker in workers:
+                    worker.start()
+                self._work(poll_interval)
+            finally:
+                self._stop()
             for worker in workers:
                 worker.join()
             self._stopping.clear()
-        except BaseException:
-            self._stopping.set()
-            raise
         finally:
             self._stopped.set()
 
     def shutdown(self) -> None:
         """Stop serve_forever and wait for it; call it from another thread."""
-        self._stopping.set()
+        self._stop()
         self._stopped.wait()
+
+    def _stop(self) -> None:
+        """Tell every worker to stop and cut the sessions in progress: a
+        worker's blocked read then sees the end of its stream."""
+        self._stopping.set()
+        with self._sessions_lock:
+            for request in self._sessions:
+                try:
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # the peer has already gone
+
+    def shutdown_request(self, request: socket.socket) -> None:
+        # Forget the connection before it is closed, under the lock that
+        # _stop() holds, so _stop() never touches a closed socket.
+        with self._sessions_lock:
+            self._sessions.discard(request)
+        super().shutdown_request(request)
 
     def _work(self, poll_interval: float) -> None:
         """Accept and serve connections one at a time until shutdown() or
@@ -165,6 +196,14 @@ class OpirTCPServer(socketserver.TCPServer):
                 continue
             finally:
                 self._accepting.release()
+            with self._sessions_lock:
+                # A connection accepted as _stop() ran is not served.
+                stopping = self._stopping.is_set()
+                if not stopping:
+                    self._sessions.add(request)
+            if stopping:
+                self.shutdown_request(request)
+                return
             try:
                 self.process_request(request, client_address)
             except Exception:
@@ -181,6 +220,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
     server: OpirTCPServer
     # setup() puts this on the socket: a read or write that waits longer
     # raises TimeoutError, an OSError, so a stalled peer frees its worker.
+    # The first frame gets HELLO_TIMEOUT instead.
     timeout = SERVER_TIMEOUT
 
     def handle(self) -> None:
@@ -202,7 +242,9 @@ class _SessionHandler(socketserver.StreamRequestHandler):
     def _session(self) -> None:
         """HELLO, then QUERY frames until BYE; any refusal raises."""
         params, cauchy, limit = self.server.params, self.server.cauchy, self.server.frame_limit
+        self.connection.settimeout(HELLO_TIMEOUT)
         frame_type, payload = wire.read_frame(self.rfile, limit)
+        self.connection.settimeout(self.timeout)
         if frame_type != wire.FRAME_HELLO:
             raise ParamMismatch("expected a hello frame first")
         wire.decode_hello(payload).require(params)

@@ -188,6 +188,19 @@ def test_same_points_return_the_same_matrix():
     assert build_cauchy(12, 2, 2, 17, xs[::-1], ys) is not first
 
 
+def test_large_matrices_are_not_kept(monkeypatch):
+    """A matrix of more than MEMO_MAX_ENTRIES entries is built on every call
+    and never enters the memo, so a process keeps no large matrix it no
+    longer uses."""
+    monkeypatch.setattr(cauchy_module, "MEMO_MAX_ENTRIES", 12 * 5 - 1)
+    cauchy_module._cauchy_on.cache_clear()
+    first = build_cauchy(12, 2, 2, 17)
+    assert build_cauchy(12, 2, 2, 17) is not first
+    assert build_cauchy(12, 2, 2, 17).coeff(3, 4) == first.coeff(3, 4)
+    assert cauchy_module._cauchy_on.cache_info().currsize == 0
+    assert build_cauchy(8, 1, 2, 17) is build_cauchy(8, 1, 2, 17)  # 8 x 3 entries
+
+
 def test_cached_points_do_not_pass_later_checks():
     """check_points runs on every call: once a good set is cached, a bad set
     sharing its key fields, or the good set under another shape, is refused."""

@@ -8,6 +8,7 @@ import socket
 import socketserver
 import sys
 import threading
+import time
 
 import pytest
 
@@ -555,10 +556,21 @@ def test_shutdown_stops_every_worker(monkeypatch):
     assert _workers() == []
 
 
+def _silent_peer(address, hello=True):
+    """A connected socket that sends its HELLO (or nothing) and then
+    nothing more; its reader, and whether it got the HELLO reply."""
+    peer = socket.create_connection(address, timeout=5.0)
+    f = peer.makefile("rwb")
+    if hello:
+        _send_frame(f, wire.FRAME_HELLO, wire.encode_hello(wire.Hello()))
+        assert wire.read_frame(f)[0] == wire.FRAME_HELLO
+    return peer, f
+
+
 def test_interrupt_does_not_wait_for_sessions_in_progress(monkeypatch):
     """A KeyboardInterrupt in serve_forever's own thread ends it at once,
-    though a peer that went silent after its HELLO holds the other worker;
-    that worker stops when its session ends."""
+    though a peer that went silent after its HELLO holds the other worker:
+    that session is cut and its worker stops."""
     monkeypatch.setattr(net, "SERVER_WORKERS", 2)
     work = net.OpirTCPServer._work
     peer_waiting = threading.Event()
@@ -581,17 +593,69 @@ def test_interrupt_does_not_wait_for_sessions_in_progress(monkeypatch):
 
     thread = threading.Thread(target=serve)
     thread.start()
-    peer = socket.create_connection(server.server_address, timeout=5.0)
-    with server, peer, peer.makefile("rwb") as f:
-        _send_frame(f, wire.FRAME_HELLO, wire.encode_hello(wire.Hello()))
-        assert wire.read_frame(f)[0] == wire.FRAME_HELLO
+    peer, f = _silent_peer(server.server_address)
+    with server, peer, f:
         peer_waiting.set()
         thread.join(timeout=5)
         assert raised and not thread.is_alive()
-        assert len(_workers()) == 1
+        assert f.read(1) == b""
     for worker in _workers():
         worker.join(timeout=5)
     assert _workers() == []
+
+
+def _wait_for_sessions(server, n):
+    """Wait until the server has accepted n connections that are in session."""
+    deadline = time.monotonic() + 5.0
+    while len(server._sessions) < n:
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+
+
+@pytest.mark.parametrize("hello", [True, False], ids=["after-hello", "before-hello"])
+def test_shutdown_cuts_silent_sessions(monkeypatch, hello):
+    """shutdown() returns within a few poll intervals while silent peers
+    hold every worker, serve_forever's own thread included: it cuts their
+    sessions, and no worker is left alive."""
+    monkeypatch.setattr(net, "SERVER_WORKERS", 2)
+    with contextlib.ExitStack() as stack:
+        with serving(counting_database(), ProtocolParams.create(12, 2, q=17)) as server:
+            peers = []
+            for _ in range(2):
+                peer, f = _silent_peer(server.server_address, hello)
+                stack.enter_context(peer)
+                peers.append(stack.enter_context(f))
+            _wait_for_sessions(server, 2)
+            started = time.monotonic()
+            server.shutdown()
+            assert time.monotonic() - started < 1.0
+        for f in peers:
+            assert f.read(1) == b""
+    assert _workers() == []
+
+
+def test_silent_peers_do_not_deny_service(monkeypatch):
+    """Peers that connect and send nothing hold a worker only for
+    HELLO_TIMEOUT: with every worker held by one, a further client is still
+    served well within its own timeout, and the silent peers are closed."""
+    assert net.HELLO_TIMEOUT < net.CLIENT_TIMEOUT
+    monkeypatch.setattr(net, "SERVER_WORKERS", 2)
+    monkeypatch.setattr(net, "HELLO_TIMEOUT", 0.2)
+    monkeypatch.setattr(net, "CLIENT_TIMEOUT", 3.0)  # far below SERVER_TIMEOUT
+    database = counting_database()
+    side = SideInformation.from_database(database, [2, 3])
+    with serving(database, ProtocolParams.create(12, 2, q=17)) as server:
+        with contextlib.ExitStack() as stack:
+            silent = []
+            for _ in range(2):
+                peer, f = _silent_peer(server.server_address, hello=False)
+                stack.enter_context(peer)
+                silent.append(stack.enter_context(f))
+            _wait_for_sessions(server, 2)
+            result = run_remote_session(server.server_address, side, [1], seed=1)
+            for f in silent:
+                assert f.read(1) == b""
+    assert result.recovered[0][1] == (1,)
 
 
 def test_concurrent_sessions_under_a_short_switch_interval(monkeypatch):
