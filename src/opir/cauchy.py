@@ -17,12 +17,15 @@ Round 1 uses column 1 alone; round i >= 2 uses the M-column block
 (i-2)M+2 .. (i-1)M+1.  Successive rounds therefore draw on disjoint columns,
 and the l+1 possible rounds together consume exactly the Ml+1 columns.
 
-A CauchyMatrix stores M, its points and its entries, nothing else: K is
-the number of x-points, q is the entries' modulus, and l is derive_l(K, M),
-so none of them can disagree with the matrix they describe.  It is never
-changed once built, so build_cauchy hands one matrix per point set to
-every caller in the process (the last four sets whose matrices hold at most
-MEMO_MAX_ENTRIES entries are kept; larger ones are built on every call).
+A CauchyMatrix stores M, q, its points and its entries, once and column
+by column as coding and decoding read them (its row form `matrix` is
+built only when read).  K is the number of x-points and l is
+derive_l(K, M), so neither can disagree with the matrix; q is stored
+because no entry names it.  A matrix is never changed once built, so
+build_cauchy hands one matrix per point set to every caller in the
+process from the package's one matrix cache (the last four sets whose
+matrices hold at most MEMO_MAX_ENTRIES entries are kept; larger ones are
+built on every call).
 check_points is the one point rule (build_cauchy, audit.rank_profile and
 wire's Hello.session call it); it and ProtocolParams call check_field_size,
 the one rule q >= K + Ml + 1.
@@ -58,19 +61,20 @@ class CauchyMatrix:
     """The K x (M*l + 1) coding matrix together with its generating points."""
 
     m: int
+    q: int
     x_points: tuple[int, ...]
     y_points: tuple[int, ...]
-    matrix: FieldMatrix
+    # columns[column - 1][index - 1] is coeff(index, column), a residue in [0, q)
+    columns: tuple[tuple[int, ...], ...]
 
     def coeff(self, index: int, column: int) -> int:
         """Entry for message `index` and coding column `column`, both 1-based."""
-        return self.matrix.at(index - 1, column - 1)
+        return self.columns[column - 1][index - 1]
 
     @cached_property
-    def columns(self) -> tuple[tuple[int, ...], ...]:
-        """The entries column by column, built on first read:
-        columns[column - 1][index - 1] is coeff(index, column)."""
-        return tuple(zip(*(self.matrix.row(r) for r in range(self.matrix.rows))))
+    def matrix(self) -> FieldMatrix:
+        """The entries row by row, message i in row i - 1, built on first read."""
+        return FieldMatrix(self.q, list(zip(*self.columns)))
 
 
 def canonical_points(q: int, k: int, m: int, l: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -156,23 +160,24 @@ def build_cauchy(
     return _cauchy_on(m, q, x_points, y_points)
 
 
-# Most entries of a matrix that build_cauchy keeps.  A matrix and its
-# columns hold about 50 B per entry, so the four kept hold at most ~13 MB
-# however many servers a process talks to; the benchmark's session shapes
-# hold at most a few hundred entries.
+# Most entries of a matrix that build_cauchy keeps.  A matrix holds about
+# 40 B per entry (tracemalloc; its row form `matrix`, once read, as much
+# again), so the four kept hold at most ~11 MB however many servers a
+# process talks to; the benchmark's session shapes hold at most a few
+# hundred entries.
 MEMO_MAX_ENTRIES = 2**16
 
 
 def _cauchy_matrix(m: int, q: int, x_points: Points, y_points: Points) -> CauchyMatrix:
-    """build_cauchy's matrix on points that check_points has accepted."""
-    flat, cols = _batch_inverse([x - y for x in x_points for y in y_points], q), len(y_points)
-    entries = [flat[i : i + cols] for i in range(0, len(flat), cols)]
-    return CauchyMatrix(m, x_points, y_points, FieldMatrix(q, entries))
+    """build_cauchy's matrix on points that check_points has accepted: the
+    differences column by column, inverted at once and cut into columns."""
+    flat = iter(_batch_inverse([x - y for y in y_points for x in x_points], q))
+    return CauchyMatrix(m, q, x_points, y_points, tuple(zip(*[flat] * len(x_points))))
 
 
-# One matrix per point set per process: a server, each connection's
-# RemoteSession and Transcript.cauchy() share it and its columns.  A peer's
-# HELLO names the points, so only the last four point sets are kept.
+# The one matrix cache: a server, session_cauchy, each connection's
+# RemoteSession and Transcript.cauchy() share one matrix per point set.  A
+# peer's HELLO names the points, so only the last four point sets are kept.
 _cauchy_on = lru_cache(maxsize=4)(_cauchy_matrix)
 
 

@@ -202,19 +202,16 @@ def _every_slot(value: int, symbols: int) -> int:
 # symbols), and a peer chooses the symbol count and q, so the constants of
 # only four (symbols, q) pairs are kept.
 @functools.lru_cache(maxsize=4)
-def _reduction_constants(symbols: int, q: int) -> tuple[int, ...]:
-    """reduce_packed's masks (2^62 - 1, 2^64 - 1 and 2^(65 - b) - 1 in every
-    slot, b = q.bit_length()) and scalars (2^64 mod q, 2^62 mod q, the
-    quotient shift k = 63 + b and multiplier ceil(2^k / q))."""
+def _slot_constants(symbols: int, q: int) -> tuple[int, ...]:
+    """The packed-row constants of (symbols, q): is_canonical_packed's masks
+    (2^64 - 1, 2^64 - q and 2^64 in every slot), reduce_packed's other
+    masks (2^62 - 1 and 2^(65 - b) - 1 in every slot, b = q.bit_length())
+    and its scalars (2^64 mod q, 2^62 mod q, the quotient shift k = 63 + b
+    and multiplier ceil(2^k / q))."""
     shift = 63 + q.bit_length()
-    masks = (_every_slot((1 << bits) - 1, symbols) for bits in (62, 64, 128 - shift))
-    return (*masks, (1 << 64) % q, (1 << 62) % q, shift, -(-(1 << shift) // q))
-
-
-@functools.lru_cache(maxsize=4)
-def _residue_masks(symbols: int, q: int) -> tuple[int, ...]:
-    """is_canonical_packed's masks: 2^64 - 1, 2^64 - q and 2^64 in every slot."""
-    return tuple(_every_slot(v, symbols) for v in ((1 << 64) - 1, (1 << 64) - q, 1 << 64))
+    masks = ((1 << 64) - 1, (1 << 64) - q, 1 << 64, (1 << 62) - 1, (1 << 128 - shift) - 1)
+    scalars = ((1 << 64) % q, (1 << 62) % q, shift, -(-(1 << shift) // q))
+    return (*(_every_slot(v, symbols) for v in masks), *scalars)
 
 
 def is_canonical_packed(row: int, symbols: int, q: int) -> bool:
@@ -227,8 +224,8 @@ def is_canonical_packed(row: int, symbols: int, q: int) -> bool:
     v >= q, and stays below 2^65, so no slot carries into the next.  Two
     whole-int operations and a compare, with no loop over the symbols.
     """
-    low64, offset, carry = _residue_masks(symbols, q)
-    return row & low64 == row and not (row + offset) & carry
+    constants = _slot_constants(symbols, q)
+    return row & constants[0] == row and not (row + constants[1]) & constants[2]
 
 
 def reduce_packed(value: int, symbols: int, q: int, bits: int) -> int:
@@ -257,7 +254,7 @@ def reduce_packed(value: int, symbols: int, q: int, bits: int) -> int:
     """
     if bits > 126:
         raise ValueError(f"reduce_packed is exact for slots below 2^126, not 2^{bits}")
-    low62, low64, low_quotient, wrap64, wrap62, shift, mu = _reduction_constants(symbols, q)
+    low64, _, _, low62, low_quotient, wrap64, wrap62, shift, mu = _slot_constants(symbols, q)
     if bits > 93:
         value = (value & low64) + (value >> 64 & low64) * wrap64
     if bits > 63:

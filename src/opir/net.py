@@ -63,8 +63,8 @@ HELLO_TIMEOUT = 2.0
 # holds the connections beyond it.
 SERVER_WORKERS = 16
 # Most coding-matrix entries a RemoteSession builds for a server whose K it
-# did not name in its HELLO (at SESSION_PRIME, 2^20 entries and their
-# columns hold about 50 MB, and building them peaks near 120 MB).
+# did not name in its HELLO (at SESSION_PRIME, 2^20 entries hold about
+# 42 MB, and building them peaks near 125 MB, by tracemalloc).
 MAX_UNASKED_ENTRIES = 2**20
 
 

@@ -50,7 +50,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass, field as dataclass_field
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import compress
 
 from .cauchy import (
@@ -92,13 +92,13 @@ Message = tuple[int, ...]
 # equally-spaced points admit merged blocks whose round-3 decode system is
 # singular -- for some shapes identically in the integers, so no prime
 # rescues them.  Sessions therefore default to a large field and seeded
-# random point sets (_default_cauchy), on which any one split is singular
+# random point sets (session_cauchy), on which any one split is singular
 # with probability about 1/q.
 SESSION_PRIME = 2147483647  # 2^31 - 1
 
 def _check_coding_matrix(cauchy: CauchyMatrix, params: "ProtocolParams") -> None:
     """InvalidParams unless the coding matrix has the parameters' K, M and q (l follows)."""
-    have = (len(cauchy.x_points), cauchy.m, cauchy.matrix.q)
+    have = (len(cauchy.x_points), cauchy.m, cauchy.q)
     want = (params.k, params.m, params.q)
     if have != want:
         raise InvalidParams(
@@ -174,30 +174,22 @@ class ProtocolParams:
         return self.block_count(round_no) * len(round_column_indices(self.m, self.l, round_no))
 
 
-@cache
-def _default_cauchy(k: int, m: int) -> CauchyMatrix:
-    """The matrix at SESSION_PRIME on a point set drawn from a seed that
-    names the shape, built once per shape and process."""
-    l, q = derive_l(k, m), SESSION_PRIME
-    rng = random.Random(f"cauchy-points:{k}:{m}:{l}:{q}:0")
-    pts = rng.sample(range(q), k + m * l + 1)
-    return build_cauchy(k, m, l, q, tuple(pts[:k]), tuple(pts[k:]))
-
-
 def session_cauchy(params: ProtocolParams) -> CauchyMatrix:
     """The coding matrix a session uses when the caller does not supply one.
 
     Two-round schedules, and longer ones at an explicitly chosen q, use the
     canonical matrix.  Longer schedules at the default field
-    (q = SESSION_PRIME) use _default_cauchy's seeded points, a constant of
-    (K, M) that nothing checks here: the test suite certifies round 3 for
-    the shapes it and the benchmark run.  At other shapes, past round 3
-    and at an explicit q a singular decode system stays possible, and it
-    is a fatal error (SingularSystem).
+    (q = SESSION_PRIME) use points drawn from a seed that names the shape,
+    a constant of (K, M) that nothing checks here: the test suite certifies
+    round 3 for the shapes it and the benchmark run.  At other shapes, past
+    round 3 and at an explicit q a singular decode system stays possible,
+    and it is a fatal error (SingularSystem).  build_cauchy keeps the matrix.
     """
-    if params.l < 2 or params.q != SESSION_PRIME:
-        return build_cauchy(params.k, params.m, params.l, params.q)
-    return _default_cauchy(params.k, params.m)
+    k, m, l, q = params.k, params.m, params.l, params.q
+    if l < 2 or q != SESSION_PRIME:
+        return build_cauchy(k, m, l, q)
+    pts = random.Random(f"cauchy-points:{k}:{m}:{l}:{q}:0").sample(range(q), k + m * l + 1)
+    return build_cauchy(k, m, l, q, tuple(pts[:k]), tuple(pts[k:]))
 
 
 @dataclass(frozen=True)
@@ -650,10 +642,8 @@ class Client:
                 solution, _ = _constrain([solved], rows, rhs, q, symbols)
             except SingularMatrix:
                 raise _singular(round_no, len(members)) from None
-        elif rows[0][0]:  # one packet on one unknown
+        else:  # one packet on one unknown, with a nonzero Cauchy coefficient
             solution = [rhs[0] * pow(rows[0][0], -1, q)]
-        else:
-            raise _singular(round_no, 1)
         # A p row sums at most 1 + M·l < 2^16 products (< 2^78) from round 2
         # on; at round 1 the demand is a packet times an inverse (field.pack_row).
         bits = 78 if round_no > 1 else 126
@@ -703,25 +693,18 @@ def _solve_history(
     states = []
     for pos in levels[0]:
         block, columns = layout[pos]
-        solved = _leaf(_coefficients(cauchy, block, columns)[0], packets[pos], q)
-        if solved is None:
-            raise _singular(round_no, len(block))
-        states.append((list(block), solved))
+        coeffs = _coefficients(cauchy, block, columns)[0]
+        states.append((list(block), _leaf(coeffs, packets[pos], q)))
     for rnd, positions in zip(rounds[1:], levels[1:]):
         layout, packets = packet_layout(params, rnd.query), rnd.answer.packed
         merged = []
         for (left, a), (right, b), pos in zip(states[::2], states[1::2], positions):
             _, columns = layout[pos]
             first = pos * len(columns)  # every block has the round's columns
-            members = left + right
+            members, rhs = left + right, packets[first : first + len(columns)]
+            rows = _coefficients(cauchy, members, columns)
             try:
-                solved = _constrain(
-                    [a, b],
-                    _coefficients(cauchy, members, columns),
-                    packets[first : first + len(columns)],
-                    q,
-                    symbols,
-                )
+                solved = _constrain([a, b], rows, rhs, q, symbols)
             except SingularMatrix:
                 raise _singular(round_no, len(members)) from None
             merged.append((members, solved))
@@ -729,23 +712,18 @@ def _solve_history(
     return states[0]
 
 
-def _leaf(coeffs, packet: int, q: int) -> tuple[list[int], list[list[int]]] | None:
+def _leaf(coeffs, packet: int, q: int) -> tuple[list[int], list[list[int]]]:
     """(p, N) for a round-1 block: one packet, coefficients coeffs over its
-    M+1 members.  p sets the first member with a nonzero coefficient (every
-    Cauchy entry is nonzero), and N's M columns free one other member each.
-    None when every coefficient is zero."""
-    t = next(compress(range(len(coeffs)), coeffs), None)
-    if t is None:
-        return None
-    inv = pow(coeffs[t], -1, q)
-    p = [0] * len(coeffs)
-    p[t] = packet * inv
+    M+1 members.  Every coefficient is a Cauchy entry, nonzero because
+    check_points makes every x - y nonzero, so p sets the first member and
+    N's M columns free one other member each."""
+    inv = pow(coeffs[0], -1, q)
+    p = [packet * inv] + [0] * (len(coeffs) - 1)
     null = []
-    for j, a in enumerate(coeffs):
-        if j != t:
-            column = [0] * len(coeffs)
-            column[j], column[t] = 1, -a * inv % q
-            null.append(column)
+    for j in range(1, len(coeffs)):
+        column = [0] * len(coeffs)
+        column[j], column[0] = 1, -coeffs[j] * inv % q
+        null.append(column)
     return p, null
 
 
@@ -754,28 +732,25 @@ def _constrain(parts, rows, rhs, q: int, symbols: int) -> tuple[list[int], list[
     down to those that also solve rows·x = rhs; SingularMatrix when
     G = rows·diag(N_1, ...) has rank < len(rows).
 
-    Every N_h has the same number of columns.  Each row is over the parts'
-    members in order, each rhs a packed row.  eliminate splits G at its
-    pivots S: z_S = G_S^-1·(rhs - rows·p) with z_F = 0 moves p, and each
-    free column f of G gives the null column N·(e_f - G_S^-1·G_f).  G_S^-1
-    is folded into the coefficients, so each z coordinate is one packed_sum
-    over rhs and the nonzero p rows and one reduce_packed, and only the p
-    rows whose N row meets a pivot move.  p stays unreduced: see pack_row
+    Each row is over the parts' members in order, each rhs a packed row.
+    The parts' null columns form one basis list of (offset in p, column):
+    a column is zero outside its part's slice of p, so a row of G is one
+    dot product of a row slice with a column per entry.  eliminate splits
+    G at its pivots S: z_S = G_S^-1·(rhs - rows·p) with z_F = 0 moves p, in
+    each pivot column's slice, and each free column f of G gives the null
+    column N·(e_f - G_S^-1·G_f): its basis column less r times each pivot
+    column, in that column's slice.  G_S^-1 is folded into the
+    coefficients, so each z coordinate is one packed_sum over rhs and the
+    nonzero p rows and one reduce_packed.  p stays unreduced: see pack_row
     for the slot bound.
     """
-    width = len(parts[0][1])
-    g = []
-    for row in rows:
-        gk, start = [], 0
-        for p_part, null in parts:
-            end = start + len(p_part)
-            piece = row[start:end]
-            gk += [sum(map(operator.mul, piece, column)) for column in null]
-            start = end
-        g.append(gk)
+    p, basis = [], []
+    for p_part, null in parts:
+        basis += [(len(p), column) for column in null]
+        p += p_part
+    g = [[sum(map(operator.mul, row[at : at + len(n)], n)) for at, n in basis] for row in rows]
     pivot_cols, free, inverse, rest = eliminate(g, q)
 
-    p = [v for p_part, _ in parts for v in p_part]
     values = [*rhs, *compress(p, p)]  # the nonzero p rows
     picked = [list(compress(row, p)) for row in rows]
     z = []
@@ -785,25 +760,20 @@ def _constrain(parts, rows, rhs, q: int, symbols: int) -> tuple[list[int], list[
             weights = [w - c * a for w, a in zip(weights, row)]
         # rhs and p rows (< 2^78) with reduced coefficients: < 2^125 (field.pack_row)
         z.append(reduce_packed(packed_sum(e + weights, values, q), symbols, q, 126))
-    # A column c of G is column c % width of part c // width's N.
-    moves = [[] for _ in parts]  # each part's (pivot row k, its N column)
-    for k, c in enumerate(pivot_cols):
-        moves[c // width].append((k, parts[c // width][1][c % width]))
-    p, null_out = [], [[] for _ in free]
-    for h, (p_part, null) in enumerate(parts):
-        for k, column in moves[h]:
-            zk = z[k]
-            p_part = [v + n * zk if n else v for v, n in zip(p_part, column)]
-        p += p_part
-        for out, f, reduced in zip(null_out, free, zip(*rest)):
-            seg = null[f % width] if f // width == h else None
-            for k, column in moves[h]:
-                r = reduced[k]
-                if r and seg is None:
-                    seg = [-r * n % q for n in column]
-                elif r:
-                    seg = [(v - r * n) % q for v, n in zip(seg, column)]
-            out += [0] * len(p_part) if seg is None else seg
+    pivots = [basis[c] for c in pivot_cols]
+    for zk, (at, column) in zip(z, pivots):
+        end = at + len(column)
+        p[at:end] = [v + n * zk if n else v for v, n in zip(p[at:end], column)]
+    null_out = []
+    for f, reduced in zip(free, zip(*rest)):
+        out = [0] * len(p)
+        at, column = basis[f]
+        out[at : at + len(column)] = column
+        for r, (at, column) in zip(reduced, pivots):
+            if r:
+                end = at + len(column)
+                out[at:end] = [(v - r * n) % q for v, n in zip(out[at:end], column)]
+        null_out.append(out)
     return p, null_out
 
 

@@ -100,7 +100,8 @@ def test_points_are_never_reduced(x1):
 def test_build_refuses_other_l_and_composite_modulus():
     """l is derived from K and M, so any other l is refused; a composite q
     is InvalidParams from check_modulus, before pow(·, -1, q) could raise
-    ValueError.  Neither is a CauchyMatrix field: K, q and l derive."""
+    ValueError.  Neither l nor K is a CauchyMatrix field, since both derive;
+    q is stored because no entry, a plain residue, names it."""
     for l in (0, 1, 3):
         with pytest.raises(InvalidParams):
             build_cauchy(12, 2, l, q=17)
@@ -108,7 +109,7 @@ def test_build_refuses_other_l_and_composite_modulus():
         with pytest.raises(InvalidParams):
             build_cauchy(4, 1, 1, q=q)
     cauchy = build_cauchy(12, 2, 2, q=17)
-    assert [f.name for f in dataclasses.fields(cauchy)] == ["m", "x_points", "y_points", "matrix"]
+    assert [f.name for f in dataclasses.fields(cauchy)] == ["m", "q", "x_points", "y_points", "columns"]
 
 
 def test_round_column_indices():
@@ -169,6 +170,7 @@ def test_build_makes_one_inversion(monkeypatch):
     for i, x in enumerate(cauchy.x_points, start=1):
         for j, y in enumerate(cauchy.y_points, start=1):
             assert cauchy.coeff(i, j) == pow(x - y, -1, q)
+            assert cauchy.matrix.at(i - 1, j - 1) == cauchy.coeff(i, j)
     calls.clear()
     with pytest.raises(InvalidParams):
         build_cauchy(4, 1, 1, q=11, x_points=(1, 2, 3, 4), y_points=(4, 5))
@@ -177,12 +179,12 @@ def test_build_makes_one_inversion(monkeypatch):
 
 def test_same_points_return_the_same_matrix():
     """A point set is built once per process, whether its points are
-    supplied or canonical, and the columns built on first read are shared."""
+    supplied or canonical, and the row form built on first read is shared."""
     xs, ys = canonical_points(17, 12, 2, 2)
     first = build_cauchy(12, 2, 2, 17, xs, ys)
     assert build_cauchy(12, 2, 2, 17, list(xs), list(ys)) is first
     assert build_cauchy(12, 2, 2, 17) is first
-    assert first.columns is build_cauchy(12, 2, 2, 17).columns
+    assert first.matrix is build_cauchy(12, 2, 2, 17).matrix
     # another field or another point set is another matrix
     assert build_cauchy(12, 2, 2, 19) is not first
     assert build_cauchy(12, 2, 2, 17, xs[::-1], ys) is not first
@@ -457,7 +459,7 @@ def test_session_cauchy_policy():
     # explicit q keeps canonical points regardless of schedule length
     golden = session_cauchy(ProtocolParams.create(12, 2, q=17))
     assert golden.x_points == canonical_points(17, 12, 2, 2)[0]
-    # the seeded default is built once per shape
+    # the seeded default draws the same points, so the matrix cache returns one matrix
     a = session_cauchy(ProtocolParams.create(12, 2))
     b = session_cauchy(ProtocolParams.create(12, 2))
     assert a is b

@@ -89,7 +89,7 @@ def compare_session(params, cauchy, seed, demands=None):
     return None, client, demands
 
 
-SMALL_FIELD_SHAPES = GRID + [(16, 1), (24, 2), (32, 1)]
+SMALL_FIELD_SHAPES = GRID + [(16, 1), (24, 2), (32, 1), (32, 3)]
 
 
 @pytest.mark.parametrize("symbols", [1, 2])

@@ -297,6 +297,26 @@ def test_remote_sessions_share_one_matrix(monkeypatch):
     assert a.client.cauchy is b.client.cauchy is server.cauchy
 
 
+def test_live_sessions_read_the_columns_alone():
+    """Coding and decoding read only the matrix's column table: after a
+    loopback RemoteSession and an in-process session, each to the last
+    round, the one shared matrix has never built its row form."""
+    cauchy_module._cauchy_on.cache_clear()  # the memo shares one matrix across tests
+    params = ProtocolParams.create(16, 3, symbols=2)
+    database = Database.random(params.k, params.symbols, params.q, random.Random(4))
+    side = SideInformation.from_database(database, [2, 3, 5])
+    demands = []
+    with serving(database, params) as server:
+        with RemoteSession(server.server_address, side, seed=1) as remote:
+            for _ in range(params.max_rounds):
+                demands.append(min(set(range(1, params.k + 1)) - set(remote.client.known)))
+                remote.retrieve(demands[-1])
+    local = run_session(params, database, [2, 3, 5], demands, seed=1)
+    assert local.transcript == remote.transcript()
+    assert remote.client.cauchy is server.cauchy is session_cauchy(params)
+    assert "matrix" not in vars(server.cauchy)
+
+
 def test_client_hello_names_the_shape_of_its_side_information(monkeypatch):
     """Without `expect`, a client holding M=2 one-symbol messages asks for
     M=2 and one symbol, so a valid K=2048, M=1023 HELLO with matching points
@@ -659,9 +679,8 @@ def test_silent_peers_do_not_deny_service(monkeypatch):
 
 
 def test_concurrent_sessions_under_a_short_switch_interval(monkeypatch):
-    """Eight client threads share four workers, one freshly built coding
-    matrix and its lazily built columns while the interpreter switches
-    threads every microsecond: every session's transcript and recovered
+    """Eight client threads share four workers and one freshly built coding
+    matrix while the interpreter switches threads every microsecond: every session's transcript and recovered
     values equal the in-process session's."""
     monkeypatch.setattr(net, "SERVER_WORKERS", 4)
     cauchy_module._cauchy_on.cache_clear()
