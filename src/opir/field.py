@@ -20,6 +20,8 @@ big-int multiply-add per message.  `reduce_packed` then takes every slot
 mod q with 5, 10 or 15 whole-int operations and no loop over the
 symbols: its caller passes the slot bound it has proven, and only the
 folds that bound needs run.  `split_row` reads the reduced slots out.
+A one-symbol row is its residue itself, so at one slot each of these is
+plain residue arithmetic: the reduction is one `%`.
 `is_canonical_packed` is the packed form of the residue rule, for rows
 that stay packed from the server's combination to the client's decode.  `solve_linear_system`
 (a dense solve on packed rows, which the client no longer calls) is the
@@ -31,9 +33,10 @@ tracer wraps.  The slot bounds that make this exact are stated next to
 from __future__ import annotations
 
 import functools
+import operator
 import sys
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import InvalidParams, SingularMatrix
 
@@ -179,7 +182,16 @@ _LOW_WORDS = slice(None, None, -2 if _BIG_ENDIAN else 2)
 
 
 def pack_row(row: Sequence[int]) -> int:
-    """One int holding `row`'s residues, one 128-bit slot per symbol."""
+    """One int holding `row`'s residues, one 128-bit slot per symbol.
+
+    OverflowError for a value outside [0, 2^64), which no slot holds.  A
+    one-slot row is its residue.
+    """
+    if len(row) == 1:
+        value = operator.index(row[0])  # TypeError for a non-integer, as array's
+        if 0 <= value < 1 << 64:
+            return value
+        raise OverflowError(f"{value} does not fit a 64-bit slot")
     words = array("Q", bytes(_SLOT_BYTES * len(row)))
     words[::2] = array("Q", row)
     if _BIG_ENDIAN:
@@ -189,6 +201,8 @@ def pack_row(row: Sequence[int]) -> int:
 
 def split_row(value: int, symbols: int) -> list[int]:
     """The slots of a packed row whose slots are residues: pack_row's inverse."""
+    if symbols == 1:
+        return [value]
     data = value.to_bytes(_SLOT_BYTES * symbols, sys.byteorder)
     return memoryview(data).cast("Q")[_LOW_WORDS].tolist()
 
@@ -222,8 +236,11 @@ def is_canonical_packed(row: int, symbols: int, q: int) -> bool:
     a slot at or above 2^64: each has a bit outside the slots' low 64 bits.
     A slot v < 2^64 plus 2^64 - q sets the slot's bit 64 exactly when
     v >= q, and stays below 2^65, so no slot carries into the next.  Two
-    whole-int operations and a compare, with no loop over the symbols.
+    whole-int operations and a compare, with no loop over the symbols; at
+    one slot, the same rule is 0 <= row < q.
     """
+    if symbols == 1:
+        return 0 <= row < q
     constants = _slot_constants(symbols, q)
     return row & constants[0] == row and not (row + constants[1]) & constants[2]
 
@@ -235,7 +252,8 @@ def reduce_packed(value: int, symbols: int, q: int, bits: int) -> int:
     2^bits, and bits <= 126 (ValueError above that).  The reduction runs
     only the folds that bound needs, so the work is 5, 10 or 15 whole-int
     operations with no loop over the symbols, and it depends on `bits`
-    alone, never on the values.  Exact for every prime q < 2^31:
+    alone, never on the values.  A one-slot row is one `% q` whatever the
+    bound.  Exact for every prime q < 2^31:
 
     - bits <= 63: no fold; the slot is already a y < 2^63 for the
       quotient step;
@@ -254,6 +272,8 @@ def reduce_packed(value: int, symbols: int, q: int, bits: int) -> int:
     """
     if bits > 126:
         raise ValueError(f"reduce_packed is exact for slots below 2^126, not 2^{bits}")
+    if symbols == 1:
+        return value % q
     low64, _, _, low62, low_quotient, wrap64, wrap62, shift, mu = _slot_constants(symbols, q)
     if bits > 93:
         value = (value & low64) + (value >> 64 & low64) * wrap64
@@ -262,15 +282,16 @@ def reduce_packed(value: int, symbols: int, q: int, bits: int) -> int:
     return value - (value * mu >> shift & low_quotient) * q
 
 
-def packed_sum(coeffs: Sequence[int], packed: Sequence[int], q: int) -> int:
+def packed_sum(coeffs: Iterable[int], packed: Iterable[int], q: int) -> int:
     """sum_j coeffs[j]·packed[j] over packed rows, left unreduced.
 
     Any integer coefficient is accepted; each is reduced into [0, q) first,
     so a negative one subtracts without a slot going negative.  The sum
     starts from its first product, not from 0, which would copy that
-    product once more.
+    product once more.  The products are mapped at C speed, with no Python
+    frame per term.
     """
-    terms = (c % q * p for c, p in zip(coeffs, packed))
+    terms = map(operator.mul, map(q.__rmod__, coeffs), packed)
     return sum(terms, next(terms, 0))
 
 

@@ -64,7 +64,7 @@ HELLO_TIMEOUT = 2.0
 SERVER_WORKERS = 16
 # Most coding-matrix entries a RemoteSession builds for a server whose K it
 # did not name in its HELLO (at SESSION_PRIME, 2^20 entries hold about
-# 42 MB, and building them peaks near 125 MB, by tracemalloc).
+# 42 MB, and building them peaks near 47 MB, by tracemalloc).
 MAX_UNASKED_ENTRIES = 2**20
 
 
@@ -117,6 +117,10 @@ class OpirTCPServer(socketserver.TCPServer):
         self.frame_limit = wire.max_client_payload(params)
         # Fail before accepting connections, not inside a worker.
         ProtocolServer(database, params, self.cauchy)
+        # Every session's HELLO reply is the same payload, so it is encoded once.
+        self.hello_reply = wire.encode_hello(
+            wire.Hello.for_params(params, self.cauchy.x_points, self.cauchy.y_points)
+        )
         self._stopping = threading.Event()
         self._stopped = threading.Event()
         self._accepting = threading.Lock()
@@ -248,8 +252,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
         if frame_type != wire.FRAME_HELLO:
             raise ParamMismatch("expected a hello frame first")
         wire.decode_hello(payload).require(params)
-        reply = wire.Hello.for_params(params, cauchy.x_points, cauchy.y_points)
-        self._send(wire.FRAME_HELLO, wire.encode_hello(reply))
+        self._send(wire.FRAME_HELLO, self.server.hello_reply)
         session = ProtocolServer(self.server.database, params, cauchy)
         while True:
             frame_type, payload = wire.read_frame(self.rfile, limit)

@@ -636,14 +636,14 @@ class Client:
             packet + packed_sum([q - c for c in coeffs], known, q)
             for packet, coeffs in zip(packets, _coefficients(self.cauchy, chain, columns))
         ]
-        rows = _coefficients(self.cauchy, members, columns)
         if round_no > 1:
+            rows = _coefficients(self.cauchy, members, columns)
             try:
                 solution, _ = _constrain([solved], rows, rhs, q, symbols)
             except SingularMatrix:
                 raise _singular(round_no, len(members)) from None
-        else:  # one packet on one unknown, with a nonzero Cauchy coefficient
-            solution = [rhs[0] * pow(rows[0][0], -1, q)]
+        else:  # one packet on one unknown: times its Cauchy entry's inverse
+            solution = [rhs[0] * self.cauchy.inverse(members[0], columns[0])]
         # A p row sums at most 1 + M·l < 2^16 products (< 2^78) from round 2
         # on; at round 1 the demand is a packet times an inverse (field.pack_row).
         bits = 78 if round_no > 1 else 126
@@ -692,9 +692,8 @@ def _solve_history(
     layout, packets = packet_layout(params, rounds[0].query), rounds[0].answer.packed
     states = []
     for pos in levels[0]:
-        block, columns = layout[pos]
-        coeffs = _coefficients(cauchy, block, columns)[0]
-        states.append((list(block), _leaf(coeffs, packets[pos], q)))
+        block, (column,) = layout[pos]
+        states.append((list(block), _leaf(cauchy, block, column, packets[pos])))
     for rnd, positions in zip(rounds[1:], levels[1:]):
         layout, packets = packet_layout(params, rnd.query), rnd.answer.packed
         merged = []
@@ -712,18 +711,22 @@ def _solve_history(
     return states[0]
 
 
-def _leaf(coeffs, packet: int, q: int) -> tuple[list[int], list[list[int]]]:
-    """(p, N) for a round-1 block: one packet, coefficients coeffs over its
-    M+1 members.  Every coefficient is a Cauchy entry, nonzero because
+def _leaf(
+    cauchy: CauchyMatrix, block: Block, column: int, packet: int
+) -> tuple[list[int], list[list[int]]]:
+    """(p, N) for a round-1 block: its one packet, coded with Cauchy column
+    `column` over its M+1 members.  The first member's entry 1/(x - y) has
+    the inverse x - y mod q (CauchyMatrix.inverse), nonzero because
     check_points makes every x - y nonzero, so p sets the first member and
     N's M columns free one other member each."""
-    inv = pow(coeffs[0], -1, q)
-    p = [packet * inv] + [0] * (len(coeffs) - 1)
+    q, entries = cauchy.q, cauchy.columns[column - 1]
+    inv = cauchy.inverse(block[0], column)
+    p = [packet * inv] + [0] * (len(block) - 1)
     null = []
-    for j in range(1, len(coeffs)):
-        column = [0] * len(coeffs)
-        column[j], column[0] = 1, -coeffs[j] * inv % q
-        null.append(column)
+    for j in range(1, len(block)):
+        free = [0] * len(block)
+        free[j], free[0] = 1, -entries[block[j] - 1] * inv % q
+        null.append(free)
     return p, null
 
 
@@ -744,11 +747,15 @@ def _constrain(parts, rows, rhs, q: int, symbols: int) -> tuple[list[int], list[
     nonzero p rows and one reduce_packed.  p stays unreduced: see pack_row
     for the slot bound.
     """
-    p, basis = [], []
+    p, basis, halves = [], [], []
     for p_part, null in parts:
+        halves.append((slice(len(p), len(p) + len(p_part)), null))
         basis += [(len(p), column) for column in null]
         p += p_part
-    g = [[sum(map(operator.mul, row[at : at + len(n)], n)) for at, n in basis] for row in rows]
+    g = [
+        [sum(map(operator.mul, seg, n)) for at, null in halves for seg in [row[at]] for n in null]
+        for row in rows
+    ]
     pivot_cols, free, inverse, rest = eliminate(g, q)
 
     values = [*rhs, *compress(p, p)]  # the nonzero p rows
@@ -815,14 +822,17 @@ class Server:
         validate_query(self.params, query, self._prev)
         q = self.params.q
         symbols = self.params.symbols
-        packed = self.database.packed
+        packed, table = self.database.packed, self.cauchy.columns
         rows: list[int] = []
         for block, columns in packet_layout(self.params, query):
-            messages = [packed[idx - 1] for idx in block]
+            # A block holds M + 1 >= 2 messages, so pick returns a tuple.
+            pick = operator.itemgetter(*[idx - 1 for idx in block])
+            messages = pick(packed)
             # |B| products of residues, each < 2^62: a slot < 2^bits (field.pack_row)
             bits = 62 + (len(block) - 1).bit_length()
-            for coeffs in _coefficients(self.cauchy, block, columns):
-                rows.append(reduce_packed(packed_sum(coeffs, messages, q), symbols, q, bits))
+            for c in columns:
+                packet = packed_sum(pick(table[c - 1]), messages, q)
+                rows.append(reduce_packed(packet, symbols, q, bits))
         self._prev = query
         return RoundAnswer.from_packed(query.round_no, tuple(rows), symbols)
 

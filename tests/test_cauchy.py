@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -149,8 +150,8 @@ def test_every_m_plus_1_submatrix_invertible(golden_cauchy):
             assert matrix_rank(sub) == 3, (rows, cols)
 
 
-def test_build_makes_one_inversion(monkeypatch):
-    """Every entry comes out of one batch inversion, and bad points are
+def test_build_makes_one_inversion_per_column(monkeypatch):
+    """Every column comes out of one batch inversion, and bad points are
     refused before it: a zero difference would corrupt every entry."""
     calls = []
 
@@ -166,7 +167,7 @@ def test_build_makes_one_inversion(monkeypatch):
     cauchy_module._cauchy_on.cache_clear()
     calls.clear()
     cauchy = build_cauchy(32, 1, 4, q, points.x_points, points.y_points)
-    assert len(calls) == 1
+    assert len(calls) == len(cauchy.y_points) == 5
     for i, x in enumerate(cauchy.x_points, start=1):
         for j, y in enumerate(cauchy.y_points, start=1):
             assert cauchy.coeff(i, j) == pow(x - y, -1, q)
@@ -175,6 +176,49 @@ def test_build_makes_one_inversion(monkeypatch):
     with pytest.raises(InvalidParams):
         build_cauchy(4, 1, 1, q=11, x_points=(1, 2, 3, 4), y_points=(4, 5))
     assert calls == []
+
+
+def test_build_peak_stays_near_what_the_matrix_keeps():
+    """A K=8192, M=1 build (106,496 entries, past the memo's bound) peaks at
+    60 B per entry or less under tracemalloc: the matrix keeps 40 B per
+    entry, and only one column's working lists live beside it.  Inverting
+    every entry in one pass held three full lists and peaked near 119 B."""
+    params = ProtocolParams.create(8192, 1)
+    pts = random.Random(1).sample(range(params.q), 8192 + params.l + 1)
+    x_points, y_points = tuple(pts[:8192]), tuple(pts[8192:])
+    entries = 8192 * (params.l + 1)
+    assert entries > cauchy_module.MEMO_MAX_ENTRIES
+    tracemalloc.start()
+    try:
+        cauchy = build_cauchy(8192, 1, params.l, params.q, x_points, y_points)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cauchy.coeff(8192, params.l + 1) == pow(x_points[-1] - y_points[-1], -1, params.q)
+    assert kept <= 44 * entries
+    assert peak <= 60 * entries
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_cauchy(16, 3, 2, 101),
+        lambda: session_cauchy(ProtocolParams.create(16, 3)),
+        lambda: build_cauchy(12, 2, 2, 17),
+    ],
+    ids=["canonical", "session", "small-q"],
+)
+def test_inverse_is_the_point_difference(make):
+    """The decode inverts an entry as x - y mod q, with no field inversion:
+    for every entry of a canonical matrix, a seeded session_cauchy matrix
+    and one over F_17, that residue is nonzero and is the entry's inverse."""
+    cauchy = make()
+    q = cauchy.q
+    for u, x in enumerate(cauchy.x_points, start=1):
+        for c, y in enumerate(cauchy.y_points, start=1):
+            inverse = cauchy.inverse(u, c)
+            assert inverse == (x - y) % q and 0 < inverse < q
+            assert cauchy.coeff(u, c) * inverse % q == 1, (u, c)
 
 
 def test_same_points_return_the_same_matrix():

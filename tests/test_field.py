@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from opir import InvalidParams, SingularMatrix, is_prime, matrix_rank
+from opir import AnswerMismatch, InvalidParams, SingularMatrix, is_prime, matrix_rank
 from opir.field import (
     FieldMatrix,
     check_modulus,
@@ -16,6 +16,14 @@ from opir.field import (
     reduce_packed,
     solve_linear_system,
     split_row,
+)
+from opir.protocol import (
+    Client,
+    Database,
+    ProtocolParams,
+    RoundAnswer,
+    Server,
+    SideInformation,
 )
 
 
@@ -173,6 +181,14 @@ def test_solve_rejects_ragged_block():
         solve_linear_system(matrix, [pack_row([1]), -1], 1)
 
 
+def reduce_edges(q):
+    """Slot values at the edges of reduce_packed's paths and call-site bounds."""
+    return [
+        0, q - 1, q, 2 * q - 1, 2**62, 2**64 - 1, 2**64, 2**78 - 1,
+        65535 * (q - 1) ** 2, 2**125, 2**126 - 1,
+    ]
+
+
 @pytest.mark.parametrize("symbols", [1, 2, 256])
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 65521, 2**31 - 1])
 def test_reduce_packed_matches_mod(q, symbols):
@@ -200,10 +216,7 @@ def test_reduce_packed_matches_mod(q, symbols):
             value = sum(v << 128 * j for j, v in enumerate(row))
             assert reduce_packed(value, symbols, q, bits) == pack_row([v % q for v in row]), row
 
-    edges = [
-        0, q - 1, q, 2 * q - 1, 2**62, 2**64 - 1, 2**64, 2**78 - 1,
-        65535 * (q - 1) ** 2, 2**125, 2**126 - 1,
-    ]
+    edges = reduce_edges(q)
     randoms = [rng.randrange(2**78) for _ in range(20)] + [
         rng.randrange(q, 2**126 - q) for _ in range(20)
     ]
@@ -219,6 +232,61 @@ def test_reduce_packed_matches_mod(q, symbols):
     for n, bits in packets + [(1 << 16, 78)]:
         value = packed_sum([q - 1] * n, [top] * n, q)
         assert reduce_packed(value, symbols, q, bits) == pack_row([n * (q - 1) ** 2 % q] * symbols)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 65521, 2**31 - 1])
+def test_one_slot_reduction_is_slot_zero_of_two(q):
+    """At one symbol reduce_packed takes its own path (one % q); for every
+    edge value and every fold bound that holds it, the result is slot 0 of
+    the general path's two-symbol result, whatever slot 1 holds, and a
+    bound above 126 is refused on both paths."""
+    edges = reduce_edges(q)
+    for bits in (63, 64, 93, 126):
+        fits = [v for v in edges if v < 2**bits]
+        for v, other in zip(fits, fits[::-1]):
+            two = reduce_packed(v + (other << 128), 2, q, bits)
+            assert reduce_packed(v, 1, q, bits) == split_row(two, 2)[0] == v % q, (v, bits)
+    for symbols in (1, 2):
+        with pytest.raises(ValueError):
+            reduce_packed(0, symbols, q, 127)
+
+
+@pytest.mark.parametrize("q", [17, 2**31 - 1])
+def test_one_slot_row_is_its_residue(q):
+    """A one-symbol row packs to its residue and splits back to it, and
+    the packed residue rule at one slot agrees with the two-slot rule on
+    slot 0."""
+    for v in (0, 1, q - 1):
+        assert pack_row([v]) == v
+        assert split_row(v, 1) == [v]
+        assert split_row(pack_row([v, q - 1]), 2)[0] == v
+    for v in (-1, 0, q - 1, q, 2**64 - 1, 2**64, 1 << 128):
+        assert is_canonical_packed(v, 1, q) == (0 <= v < q)
+        if 0 <= v < 2**64:
+            assert is_canonical_packed(v, 1, q) == is_canonical_packed(v + (1 << 128), 2, q)
+
+
+@pytest.mark.parametrize("row", [[-1], [2**64], [0, -1], [2**64, 0]])
+def test_pack_row_refuses_values_outside_a_slot(row):
+    """OverflowError for a value outside [0, 2^64), at one symbol as at
+    two: RoundAnswer.packed turns that error into a row no check accepts."""
+    with pytest.raises(OverflowError):
+        pack_row(row)
+
+
+@pytest.mark.parametrize("bad", [-1, 17, 2**64 - 1, 2**64, 2**70])
+def test_one_symbol_answer_out_of_range_is_refused(bad):
+    """A caller's one-symbol RoundAnswer holding a value outside [0, q)
+    decodes to AnswerMismatch, not to a residue reduced from it."""
+    params = ProtocolParams.create(12, 2, q=17)
+    database = Database.random(12, 1, 17, random.Random(3))
+    server = Server(database, params)
+    client = Client(params, SideInformation.from_database(database, [2, 3]), server.cauchy)
+    answer = server.answer(client.build_query(1))
+    packets = ((bad,),) + answer.packets[1:]
+    with pytest.raises(AnswerMismatch, match="residues mod q"):
+        client.decode_answer(RoundAnswer(1, packets))
+    assert client.decode_answer(answer)
 
 
 def combine(coeffs, packed, symbols, q):

@@ -276,7 +276,7 @@ def test_client_builds_a_large_matrix_whose_k_it_named(monkeypatch):
 
 def test_remote_sessions_share_one_matrix(monkeypatch):
     """A server and every connection to it use one coding matrix, built
-    with one batch inversion."""
+    once, with one batch inversion per column."""
     inversions = []
     batch_inverse = cauchy_module._batch_inverse
 
@@ -293,7 +293,7 @@ def test_remote_sessions_share_one_matrix(monkeypatch):
             a.retrieve(1)
         with RemoteSession(server.server_address, side, seed=2) as b:
             b.retrieve(5)
-    assert inversions == [12 * 5]
+    assert inversions == [12] * 5
     assert a.client.cauchy is b.client.cauchy is server.cauchy
 
 
