@@ -64,7 +64,7 @@ HELLO_TIMEOUT = 2.0
 SERVER_WORKERS = 16
 # Most coding-matrix entries a RemoteSession builds for a server whose K it
 # did not name in its HELLO (at SESSION_PRIME, 2^20 entries hold about
-# 42 MB, and building them peaks near 47 MB, by tracemalloc).
+# 42 MB, and building them peaks near 48 MB, by tracemalloc).
 MAX_UNASKED_ENTRIES = 2**20
 
 

@@ -737,8 +737,9 @@ def _constrain(parts, rows, rhs, q: int, symbols: int) -> tuple[list[int], list[
 
     Each row is over the parts' members in order, each rhs a packed row.
     The parts' null columns form one basis list of (offset in p, column):
-    a column is zero outside its part's slice of p, so a row of G is one
-    dot product of a row slice with a column per entry.  eliminate splits
+    a column is zero outside its part's slice of p, so each row is sliced
+    once per part and an entry of G is the dot product of that slice with
+    one of the part's columns.  eliminate splits
     G at its pivots S: z_S = G_S^-1·(rhs - rows·p) with z_F = 0 moves p, in
     each pivot column's slice, and each free column f of G gives the null
     column N·(e_f - G_S^-1·G_f): its basis column less r times each pivot
@@ -747,13 +748,13 @@ def _constrain(parts, rows, rhs, q: int, symbols: int) -> tuple[list[int], list[
     nonzero p rows and one reduce_packed.  p stays unreduced: see pack_row
     for the slot bound.
     """
-    p, basis, halves = [], [], []
+    p, basis, spans = [], [], []
     for p_part, null in parts:
-        halves.append((slice(len(p), len(p) + len(p_part)), null))
+        spans.append((slice(len(p), len(p) + len(p_part)), null))
         basis += [(len(p), column) for column in null]
         p += p_part
     g = [
-        [sum(map(operator.mul, seg, n)) for at, null in halves for seg in [row[at]] for n in null]
+        [sum(map(operator.mul, seg, n)) for span, null in spans for seg in [row[span]] for n in null]
         for row in rows
     ]
     pivot_cols, free, inverse, rest = eliminate(g, q)
