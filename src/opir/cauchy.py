@@ -23,9 +23,9 @@ built only when read).  K is the number of x-points and l is
 derive_l(K, M), so neither can disagree with the matrix; q is stored
 because no entry names it.  A matrix is never changed once built, so
 build_cauchy hands one matrix per point set to every caller in the
-process from the package's one matrix cache (the last four sets whose
-matrices hold at most MEMO_MAX_ENTRIES entries are kept; larger ones are
-built on every call).
+process from the package's one matrix cache (the last four calls whose
+matrices hold at most MEMO_MAX_ENTRIES entries are kept, and only a call
+not kept is checked; larger ones are checked and built on every call).
 check_points is the one point rule (build_cauchy, audit.rank_profile and
 wire's Hello.session call it); it and ProtocolParams call check_field_size,
 the one rule q >= K + Ml + 1.
@@ -101,7 +101,7 @@ def _batch_inverse(values: list[int], q: int) -> list[int]:
     once, and a backward pass peels one value off at a time.  A single zero
     would zero the product and make every result wrong, not just its own,
     so callers rule zeros out first.  The values, the prefix products and
-    the results are three lists alive at once, so _cauchy_matrix passes one
+    the results are three lists alive at once, so _checked_matrix passes one
     column at a time: a K=8192, M=1 build then peaks at ~46 B per entry
     under tracemalloc, where one call over every entry peaked at ~119 B
     beside the 40 B per entry the matrix keeps.
@@ -160,13 +160,18 @@ def build_cauchy(
 
     One field inversion (_batch_inverse) covers each column's K entries; a
     zero difference or a composite q would break it, so check_points runs
-    first, on every call.  A point set built before returns the same matrix if
-    it holds at most MEMO_MAX_ENTRIES entries.
+    first.  A matrix of at most MEMO_MAX_ENTRIES entries is kept by the
+    whole call, K, M, l, q and both point tuples, and a call found there
+    repeats one that passed check_points, so supplied points are checked
+    only on a new call (omitted ones are canonical_points', which
+    check_points supplies on every call).
     """
-    x_points, y_points = check_points(k, m, l, q, x_points, y_points)
-    if len(x_points) * len(y_points) > MEMO_MAX_ENTRIES:
-        return _cauchy_matrix(m, q, x_points, y_points)
-    return _cauchy_on(m, q, x_points, y_points)
+    if x_points is None or y_points is None:
+        x_points, y_points = check_points(k, m, l, q, x_points, y_points)
+    call = (k, m, l, q, tuple(x_points), tuple(y_points))
+    if len(call[4]) * len(call[5]) > MEMO_MAX_ENTRIES:
+        return _checked_matrix(*call)
+    return _cauchy_on(*call)
 
 
 # Most entries of a matrix that build_cauchy keeps.  A matrix holds 40 B
@@ -177,18 +182,22 @@ def build_cauchy(
 MEMO_MAX_ENTRIES = 2**16
 
 
-def _cauchy_matrix(m: int, q: int, x_points: Points, y_points: Points) -> CauchyMatrix:
-    """build_cauchy's matrix on points that check_points has accepted, built
+def _checked_matrix(
+    k: int, m: int, l: int, q: int, x_points: Points, y_points: Points
+) -> CauchyMatrix:
+    """build_cauchy's matrix once check_points accepts the call, built
     column by column: one batch inversion of each column's differences, so
     only one column's working lists are alive beside the finished ones."""
+    x_points, y_points = check_points(k, m, l, q, x_points, y_points)
     columns = tuple(tuple(_batch_inverse([x - y for x in x_points], q)) for y in y_points)
     return CauchyMatrix(m, q, x_points, y_points, columns)
 
 
 # The one matrix cache: a server, session_cauchy, each connection's
 # RemoteSession and Transcript.cauchy() share one matrix per point set.  A
-# peer's HELLO names the points, so only the last four point sets are kept.
-_cauchy_on = lru_cache(maxsize=4)(_cauchy_matrix)
+# peer's HELLO names the points, so only the last four calls are kept;
+# typed=True keeps 17.0 and True apart from 17 and 1, so those are checked.
+_cauchy_on = lru_cache(maxsize=4, typed=True)(_checked_matrix)
 
 
 def round_column_indices(m: int, l: int, round_no: int) -> tuple[int, ...]:

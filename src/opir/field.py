@@ -147,27 +147,29 @@ class FieldMatrix:
 # be such combinations, which stays below 2^16 · 2^31 · 2^78 = 2^125;
 # reduce_packed is exact for any slot below 2^126.
 #
-# The client's merge-tree decode (protocol._constrain) keeps a particular
-# solution p unreduced.  A round-1 block's p is a packet times an inverse
-# (< 2^62), and each level of the tree adds at most M products of reduced
-# residues.  There are at most l levels and M·l < 2^16, because
-# (M+1)·2^l = K <= 65535, so p sums at most 1 + M·l < 2^16 products and
-# p < 2^78.  A coordinate z of a level combines at most K/2 + M such values
-# and packets with reduced coefficients, so it stays below
-# 2^16 · 2^31 · 2^78 = 2^125 before its reduce_packed.  A round's
-# right-hand sides carry the unreduced subtraction of the known messages
-# (< 2^78) within the same bound; at round 1, one such value times an
-# inverse is the demand (< 2^109).
+# The client's merge-tree decode (protocol._decode_tree) keeps each node's
+# responses s to the columns still ahead unreduced.  A leaf's s is a
+# reduced coefficient times its packet (< 2^62), and a merge adds its
+# halves' s and M products of reduced residues, so a block's s sums fewer
+# than |B| <= K < 2^16 products and stays below 2^78.  A merge's t
+# combines M packets and M sums of both halves' s, and the root's z
+# combines M right-hand sides (this round's packets less the chain's
+# messages, < 2^78) and M values of s, each with reduced coefficients and
+# 2M < 2^16, so both stay below 2^16 · 2^31 · 2^78 = 2^125.  Going down
+# the tree combines reduced values only: w_S is t less M products H·z, and
+# a leaf's first member is its packet times an inverse less M products,
+# so M + 1 products stay below 2^(62 + M.bit_length()).  At round 1, a
+# right-hand side times an inverse is the demand (< 2^109).
 #
 # So each reduce_packed call passes, as `bits`, a bound that follows from
-# public shape alone (block size and round), never from the values:
+# public shape alone (block size, M and round), never from the values:
 #   - Server.answer: a packet of a |B|-message block sums |B| products,
 #     < |B|·2^62 <= 2^bits with bits = 62 + (|B| - 1).bit_length(), which
 #     is 63 (no fold) for a round-1 block at M = 1 and at most 78;
-#   - Client._decode_merge_round: a recovered message is a p row, bits 78,
-#     from round 2 on, and the demand, bits 126, at round 1;
-#   - protocol._constrain's z coordinates and solve_linear_system's rows:
-#     bits 126.
+#   - Client._decode_merge_round: the demand, bits 126, at round 1;
+#   - protocol._decode_tree: a merge's t and the root's z, bits 126, and
+#     each w_S and each leaf's first member, bits 62 + M.bit_length();
+#   - solve_linear_system's rows: bits 126.
 _SLOT_BYTES = 16
 
 # array("Q") words are in native byte order while the packed int is read and

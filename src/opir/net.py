@@ -19,9 +19,12 @@ backlog.  A peer gets HELLO_TIMEOUT, not SERVER_TIMEOUT, to send its first
 frame, so peers that connect and stay silent hold a worker only briefly.
 shutdown() cuts every session in progress, so it returns within about
 poll_interval.  A client builds its coding matrix with build_cauchy, which
-keeps small matrices per point set, so connections to one server build it
-once; a HELLO that names a matrix of more than MAX_UNASKED_ENTRIES entries
-is refused before it is built unless the client's expect named that K.
+keeps small matrices per call, so connections to one server build it and
+check its points there once; a HELLO that names a matrix of more than
+MAX_UNASKED_ENTRIES entries is refused before it is built unless the
+client's expect named that K.  Both ends' sockets block and time out in
+the kernel (_kernel_timeouts), and a connection's frames go out with one
+sendall each and come in through one buffer that recv fills (_Connection).
 
 The server never learns anything beyond the queries; side information and
 demands live only in the client process.
@@ -32,6 +35,8 @@ from __future__ import annotations
 import json
 import socket
 import socketserver
+import struct
+import sys
 import threading
 
 from .cauchy import build_cauchy
@@ -220,14 +225,58 @@ class OpirTCPServer(socketserver.TCPServer):
                 raise
 
 
-class _SessionHandler(socketserver.StreamRequestHandler):
+def _kernel_timeouts(sock: socket.socket, seconds: float) -> None:
+    """Make a connection socket block, and time out its reads and writes
+    in the kernel after `seconds` (SO_RCVTIMEO and SO_SNDTIMEO), where a
+    CPython timeout polls before every recv and send.  Linux and macOS take
+    a struct timeval, Windows a DWORD of milliseconds, each at least 1.
+    ValueError unless seconds > 0: a kernel timeout of 0 means "never"."""
+    if not seconds > 0:
+        raise ValueError(f"a socket timeout must be positive, got {seconds}")
+    sock.settimeout(None)
+    if sys.platform == "win32":
+        value = struct.pack("@L", max(1, round(seconds * 1000)))
+    else:
+        value = struct.pack("@ll", *divmod(max(1, round(seconds * 1_000_000)), 1_000_000))
+    for option in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO):
+        sock.setsockopt(socket.SOL_SOCKET, option, value)
+
+
+class _Connection:
+    """Frame I/O on one connection socket: a frame goes out with one
+    sendall, and wire.read_frame reads through read(), whose one buffer
+    recv fills with whatever the kernel holds.  A kernel timeout fails
+    the call with EAGAIN, which is raised as TimeoutError."""
+
+    def __init__(self, sock: socket.socket):
+        self.sock, self._buffer = sock, b""
+
+    def read(self, n: int) -> bytes:
+        """At most n bytes, and none only once the peer has closed."""
+        data = self._buffer
+        if not data:
+            try:
+                data = self.sock.recv(max(n, 1 << 16))
+            except BlockingIOError:
+                raise TimeoutError("timed out") from None
+        self._buffer = data[n:]
+        return data[:n]
+
+    def send(self, frame_type: int, payload: bytes = b"") -> None:
+        try:
+            self.sock.sendall(wire.encode_frame(frame_type, payload))
+        except BlockingIOError:
+            raise TimeoutError("timed out") from None
+
+
+class _SessionHandler(socketserver.BaseRequestHandler):
     server: OpirTCPServer
-    # setup() puts this on the socket: a read or write that waits longer
-    # raises TimeoutError, an OSError, so a stalled peer frees its worker.
-    # The first frame gets HELLO_TIMEOUT instead.
+    # A read or write that waits longer raises TimeoutError, an OSError, so
+    # a stalled peer frees its worker.  The first frame gets HELLO_TIMEOUT.
     timeout = SERVER_TIMEOUT
 
     def handle(self) -> None:
+        self.frames = _Connection(self.request)
         try:
             try:
                 self._session()
@@ -235,27 +284,24 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                 return  # a bad, oversized or truncated frame: close unanswered
             except OpirError as exc:
                 reply = wire.encode_error(wire.error_code_for(exc), str(exc))
-                self._send(wire.FRAME_ERROR, reply)
+                self.frames.send(wire.FRAME_ERROR, reply)
         except OSError:
             return  # the peer vanished or stalled past the timeout
-
-    def _send(self, frame_type: int, payload: bytes = b"") -> None:
-        self.wfile.write(wire.encode_frame(frame_type, payload))
-        self.wfile.flush()
 
     def _session(self) -> None:
         """HELLO, then QUERY frames until BYE; any refusal raises."""
         params, cauchy, limit = self.server.params, self.server.cauchy, self.server.frame_limit
-        self.connection.settimeout(HELLO_TIMEOUT)
-        frame_type, payload = wire.read_frame(self.rfile, limit)
-        self.connection.settimeout(self.timeout)
+        frames = self.frames
+        _kernel_timeouts(self.request, HELLO_TIMEOUT)
+        frame_type, payload = wire.read_frame(frames, limit)
+        _kernel_timeouts(self.request, self.timeout)
         if frame_type != wire.FRAME_HELLO:
             raise ParamMismatch("expected a hello frame first")
         wire.decode_hello(payload).require(params)
-        self._send(wire.FRAME_HELLO, self.server.hello_reply)
+        frames.send(wire.FRAME_HELLO, self.server.hello_reply)
         session = ProtocolServer(self.server.database, params, cauchy)
         while True:
-            frame_type, payload = wire.read_frame(self.rfile, limit)
+            frame_type, payload = wire.read_frame(frames, limit)
             if frame_type == wire.FRAME_BYE:
                 return
             if frame_type != wire.FRAME_QUERY:
@@ -264,7 +310,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                 query = wire.decode_query(payload)
             except DecodeError as exc:
                 raise MalformedQuery(str(exc)) from None
-            self._send(wire.FRAME_ANSWER, wire.encode_answer(session.answer(query)))
+            frames.send(wire.FRAME_ANSWER, wire.encode_answer(session.answer(query)))
 
 
 def create_server(
@@ -287,14 +333,14 @@ class RemoteSession:
         seed: int | None = None,
         expect: dict[str, int] | None = None,
     ):
-        self._sock = socket.create_connection(address, timeout=CLIENT_TIMEOUT)
-        self._file = self._sock.makefile("rwb")
+        self._frames = _Connection(socket.create_connection(address, timeout=CLIENT_TIMEOUT))
         try:
+            _kernel_timeouts(self._frames.sock, CLIENT_TIMEOUT)
             # The side information fixes M and the symbol count, so the
             # HELLO names them too; keys in `expect` override them.
             symbols = len(side.values[0][1]) if side.values else 0
             hello = wire.Hello(**{"m": len(side.values), "symbols": symbols, **(expect or {})})
-            self._write(wire.FRAME_HELLO, wire.encode_hello(hello))
+            self._frames.send(wire.FRAME_HELLO, wire.encode_hello(hello))
             # A frame longer than the longest legal one is refused unread.
             self._limit = wire.max_hello_reply(hello.k, hello.m)
             frame_type, payload = self._read()
@@ -320,12 +366,8 @@ class RemoteSession:
             self.close()
             raise
 
-    def _write(self, frame_type: int, payload: bytes = b"") -> None:
-        self._file.write(wire.encode_frame(frame_type, payload))
-        self._file.flush()
-
     def _read(self) -> tuple[int, bytes]:
-        frame_type, payload = wire.read_frame(self._file, self._limit)
+        frame_type, payload = wire.read_frame(self._frames, self._limit)
         if frame_type == wire.FRAME_ERROR:
             code, reason = wire.decode_error(payload)
             raise wire.exception_for(code, reason)
@@ -334,7 +376,7 @@ class RemoteSession:
     def retrieve(self, demand: int) -> dict[int, tuple[int, ...]]:
         """Run one round for one demand; returns the newly recovered messages."""
         query = self.client.build_query(demand)
-        self._write(wire.FRAME_QUERY, wire.encode_query(query))
+        self._frames.send(wire.FRAME_QUERY, wire.encode_query(query))
         frame_type, payload = self._read()
         if frame_type != wire.FRAME_ANSWER:
             raise DecodeError("server did not answer the query")
@@ -345,13 +387,10 @@ class RemoteSession:
 
     def close(self) -> None:
         try:
-            self._write(wire.FRAME_BYE)
-        except (OpirError, ConnectionError, OSError, ValueError):
-            pass
-        try:
-            self._file.close()
-        finally:
-            self._sock.close()
+            self._frames.send(wire.FRAME_BYE)
+        except OSError:
+            pass  # the server has gone
+        self._frames.sock.close()
 
     def __enter__(self) -> "RemoteSession":
         return self

@@ -25,13 +25,17 @@ RoundAnswer builds residue tuples only for a reader that wants them.
 A round decodes its target, the previous block holding the demand (the
 demand alone at round 1), along the target's merge tree.  The history of
 a block B, the packets of the earlier blocks inside it, leaves M degrees
-of freedom: its solutions are p_B + N_B·z, z in F_q^M.  A round-1 block's
-one packet gives p and N directly; a merged block B1 + B2 cuts its
-halves' solutions down by its own M packets, an M x 2M elimination.  The
-round's own M packets, less the chain's known messages, then fix z for
-the target.  Each level costs O(|B|·M^2) residue operations and about
-|B|·M whole-message multiply-adds, where one square system over the whole
-history would cost O(|T|^3) and |T|^2.  A singular step is SingularSystem.
+of freedom, its coordinates z in F_q^M, so B's response to any later
+column is s_B + r_B·z: a node keeps only those responses, over the
+columns still ahead.  A round-1 block's one packet gives them directly;
+a merged block B1 + B2 fixes M of its halves' 2M coordinates with its
+own M packets, an M x 2M elimination, and keeps the rest.  The round's
+own M packets, less the chain's known messages, then fix the target's
+z, and one pass down the tree recovers every member.  A merge costs
+O(M^2) residue operations and M whole-message multiply-adds per column
+still ahead, and the pass down about M multiply-adds per member, where
+one square system over the whole history would cost O(|T|^3) and |T|^2.
+A singular step is SingularSystem.
 
 Systems from round 3 on mix masked first-round rows with plain Cauchy
 columns and can be singular; for the canonical points some are, at every
@@ -51,7 +55,6 @@ import operator
 import random
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
-from itertools import compress
 
 from .cauchy import (
     CauchyMatrix,
@@ -591,198 +594,144 @@ class Client:
         """Decode a round's packets; returns the newly recovered messages.
 
         Every round recovers the whole previous block containing the demand
-        (the demand alone at round 1).  The target's merge tree is solved
-        from its round-1 blocks up (_solve_history), then this round's
-        packets fix the target's M remaining degrees of freedom; no system
-        has more than M rows.  SingularSystem names the round and the size
-        of the block whose system is singular.
+        (the demand alone at round 1).  The target's merge tree is reduced
+        from its round-1 blocks up, this round's packets fix the target's
+        M remaining degrees of freedom, and back-substitution down the
+        tree recovers its members (_decode_tree); no system has more than
+        M rows.  SingularSystem names the round and the size of the block
+        whose system is singular.
         """
         if self._pending is None:
             raise ProtocolOrder("no outstanding query to decode an answer for")
-        query, target = self._pending
-        check_answer(self.params, query, answer)
-        symbols, q = self.params.symbols, self.params.q
+        (query, target), params = self._pending, self.params
+        check_answer(params, query, answer)
+        symbols, q = params.symbols, params.q
         if not all(is_canonical_packed(row, symbols, q) for row in answer.packed):
             raise AnswerMismatch("packet symbols must be residues mod q")
-        current = TranscriptRound(query, answer)
-        recovered = self._decode_merge_round(current, target)
-        self.known.update(recovered)
-        self._rounds.append(current)
-        self._pending = None
-        return recovered
-
-    def _decode_merge_round(self, current: TranscriptRound, target: Block) -> dict[int, Message]:
-        params, q, symbols = self.params, self.params.q, self.params.symbols
-        round_no = current.query.round_no
-        if round_no > 1:
-            # The merge tree reads the owner arrays of rounds 1 .. round_no - 2.
-            while len(self._owners) < round_no - 2:
-                blocks = self._rounds[len(self._owners)].query.blocks
-                self._owners.append(block_owners(params.k, blocks))
-            members, solved = _solve_history(
-                params, self.cauchy, self._rounds, self._owners, target
-            )
-        else:
-            members = list(target)  # the demand alone, with no history
         # This round's block is the target merged with the chain: its
         # packets less the chain's known messages, left unreduced, are the
         # last equations on the target.
-        pos = next(pos for pos, block in enumerate(current.query.blocks) if target[0] in block)
-        block, columns = packet_layout(params, current.query)[pos]
+        pos = next(pos for pos, block in enumerate(query.blocks) if target[0] in block)
+        block, columns = packet_layout(params, query)[pos]
         chain = [u for u in block if u in self._packed]
         known = [self._packed[u] for u in chain]
-        packets = current.answer.packed[pos * len(columns) : (pos + 1) * len(columns)]
+        packets = answer.packed[pos * len(columns) : (pos + 1) * len(columns)]
+        table = self.cauchy.columns
         rhs = [
-            packet + packed_sum([q - c for c in coeffs], known, q)
-            for packet, coeffs in zip(packets, _coefficients(self.cauchy, chain, columns))
+            packet + packed_sum([q - table[c - 1][u - 1] for u in chain], known, q)
+            for packet, c in zip(packets, columns)
         ]
-        if round_no > 1:
-            rows = _coefficients(self.cauchy, members, columns)
-            try:
-                solution, _ = _constrain([solved], rows, rhs, q, symbols)
-            except SingularMatrix:
-                raise _singular(round_no, len(members)) from None
-        else:  # one packet on one unknown: times its Cauchy entry's inverse
-            solution = [rhs[0] * self.cauchy.inverse(members[0], columns[0])]
-        # A p row sums at most 1 + M·l < 2^16 products (< 2^78) from round 2
-        # on; at round 1 the demand is a packet times an inverse (field.pack_row).
-        bits = 78 if round_no > 1 else 126
-        values = dict(zip(members, (reduce_packed(v, symbols, q, bits) for v in solution)))
+        if query.round_no > 1:
+            # The merge tree reads the owner arrays of rounds 1 .. round_no - 2.
+            while len(self._owners) < query.round_no - 2:
+                blocks = self._rounds[len(self._owners)].query.blocks
+                self._owners.append(block_owners(params.k, blocks))
+            values = _decode_tree(params, self.cauchy, self._rounds, self._owners, target, rhs)
+        else:  # one packet on the demand: times its Cauchy entry's inverse (< 2^109)
+            demand = target[0]
+            value = rhs[0] * self.cauchy.inverse(demand, columns[0])
+            values = {demand: reduce_packed(value, symbols, q, 126)}
         self._packed.update(values)
-        return {u: tuple(split_row(values[u], symbols)) for u in target}
+        recovered = {u: tuple(split_row(values[u], symbols)) for u in target}
+        self.known.update(recovered)
+        self._rounds.append(TranscriptRound(query, answer))
+        self._pending = None
+        return recovered
 
 
-def _singular(round_no: int, size: int) -> SingularSystem:
-    return SingularSystem(
-        f"round {round_no} cannot decode: the system of a {size}-message block is singular"
-    )
+def _decode_tree(
+    params: ProtocolParams, cauchy: CauchyMatrix, rounds: list[TranscriptRound],
+    owners: list[list[int]], target: Block, rhs: list[int]
+) -> dict[int, int]:
+    """The target's members as reduced packed rows, by index: the one
+    solution of its history's packets and of rhs, this round's packets on
+    it less the chain's messages.
 
-
-def _coefficients(cauchy: CauchyMatrix, members, columns) -> list[list[int]]:
-    """One coefficient row per column, over the members."""
-    table = cauchy.columns
-    return [[table[c - 1][u - 1] for u in members] for c in columns]
-
-
-def _solve_history(
-    params: ProtocolParams,
-    cauchy: CauchyMatrix,
-    rounds: list[TranscriptRound],
-    owners: list[list[int]],
-    target: Block,
-) -> tuple[list[int], tuple[list[int], list[list[int]]]]:
-    """(members, (p, N)) for the target, a block of the last decoded round:
-    x over the members solves every packet of the target's history exactly
-    when x = p + N·z for some z in F_q^M.
-
-    The history is the packets of the target's merge tree, the blocks of
-    each earlier round that lie inside it: found from the top with the one
-    merge rule, read with the one packet rule and solved from the leaves
-    up.  A round-1 block's one packet gives p and N directly (_leaf); a
-    merged block cuts its halves' solutions down by its own M packets
-    (_constrain).  owners[j - 1] is block_owners of round j.
+    The history, the packets of the target's merge tree, is found from the
+    top with the one merge rule.  Each node keeps M coordinate rows
+    (residues) and one packed row s over the columns still ahead of it: its
+    block's response to column c is s[c] + sum_i rows[i][c]·z_i over its
+    coordinates z.  A leaf's coordinates are its members but the first; a
+    merge keeps the free ones (F) of its halves' 2M and records eliminate's
+    split (S, F, H) and t, so that w_S = t - H·w_F.  The target's rows fix
+    its z, and one pass down the tree recovers the members.  owners[j - 1]
+    is block_owners of round j.  Slot bounds: see field.pack_row.
     """
-    q, symbols, round_no = params.q, params.symbols, len(rounds) + 1
+    q, m, symbols, round_no = params.q, params.m, params.symbols, len(rounds) + 1
     # levels[j - 1]: positions of the tree's round-j blocks, halves side by side
     levels = [[rounds[-1].query.blocks.index(target)]]
     for j in range(len(rounds), 1, -1):
         blocks, below = rounds[j - 1].query.blocks, rounds[j - 2].query.blocks
         owner = owners[j - 2]
         levels.insert(0, [h for pos in levels[0] for h in merge_parts(blocks[pos], owner, below)])
+
+    def solve(rows, values, size):
+        """eliminate's split of G, whose row k is column k of the rows, and
+        G_S^-1·(values[:M] - values[M:]), reduced."""
+        try:
+            split = eliminate([[row[k] for row in rows] for k in range(m)], q)
+        except SingularMatrix:
+            raise SingularSystem(
+                f"round {round_no} cannot decode: the system of a {size}-message block is singular"
+            ) from None
+        coeffs = ([*e, *[-v for v in e]] for e in split[2])
+        return split, [reduce_packed(packed_sum(c, values, q), symbols, q, 126) for c in coeffs]
+
+    # Round 1 codes with column 1 alone, and rounds 2 .. round_no with
+    # columns 2 .. (round_no - 1)·M + 1, M each, in order.
+    first_column, ahead = cauchy.columns[0], cauchy.columns[1 : (round_no - 1) * m + 1]
     layout, packets = packet_layout(params, rounds[0].query), rounds[0].answer.packed
-    states = []
+    states, leaves = [], []
     for pos in levels[0]:
-        block, (column,) = layout[pos]
-        states.append((list(block), _leaf(cauchy, block, column, packets[pos])))
-    for rnd, positions in zip(rounds[1:], levels[1:]):
-        layout, packets = packet_layout(params, rnd.query), rnd.answer.packed
-        merged = []
-        for (left, a), (right, b), pos in zip(states[::2], states[1::2], positions):
-            _, columns = layout[pos]
-            first = pos * len(columns)  # every block has the round's columns
-            members, rhs = left + right, packets[first : first + len(columns)]
-            rows = _coefficients(cauchy, members, columns)
-            try:
-                solved = _constrain([a, b], rows, rhs, q, symbols)
-            except SingularMatrix:
-                raise _singular(round_no, len(members)) from None
-            merged.append((members, solved))
+        (b0, *others), _ = layout[pos]
+        inv0, head = cauchy.inverse(b0, 1), [column[b0 - 1] for column in ahead]
+        weights = [first_column[u - 1] * inv0 % q for u in others]
+        rows = [
+            [(c[u - 1] - h * a) % q for c, h in zip(ahead, head)] for u, a in zip(others, weights)
+        ]
+        states.append((rows, [h * inv0 % q * packets[pos] for h in head]))
+        leaves.append((b0, others, [inv0, *[-a for a in weights]], packets[pos]))
+    merges = []
+    for j, (rnd, positions) in enumerate(zip(rounds[1:], levels[1:]), start=2):
+        packets, merged, level = rnd.answer.packed, [], []
+        for (rows_l, sums_l), (rows_r, sums_r), pos in zip(states[::2], states[1::2], positions):
+            rows, halves = rows_l + rows_r, map(operator.add, sums_l[:m], sums_r[:m])
+            values = [*packets[pos * m : pos * m + m], *halves]
+            (pivots, free, _, h), t = solve(rows, values, params.block_size(j))
+            # the halves' responses, and the pivot coordinates' at w_F = 0
+            sums, pivot_rows = list(map(operator.add, sums_l[m:], sums_r[m:])), []
+            for s, tk in zip(pivots, t):
+                pivot_rows.append(rows[s][m:])
+                sums = [v + c * tk for v, c in zip(sums, pivot_rows[-1])]
+            kept = []
+            for f, column in zip(free, zip(*h)):  # row_F - H·row_S
+                out = rows[f][m:]
+                for r, row in zip(column, pivot_rows):
+                    out = [v - r * c for v, c in zip(out, row)]
+                kept.append([v % q for v in out])
+            merged.append((kept, sums))
+            level.append((pivots, free, h, t))
         states = merged
-    return states[0]
-
-
-def _leaf(
-    cauchy: CauchyMatrix, block: Block, column: int, packet: int
-) -> tuple[list[int], list[list[int]]]:
-    """(p, N) for a round-1 block: its one packet, coded with Cauchy column
-    `column` over its M+1 members.  The first member's entry 1/(x - y) has
-    the inverse x - y mod q (CauchyMatrix.inverse), nonzero because
-    check_points makes every x - y nonzero, so p sets the first member and
-    N's M columns free one other member each."""
-    q, entries = cauchy.q, cauchy.columns[column - 1]
-    inv = cauchy.inverse(block[0], column)
-    p = [packet * inv] + [0] * (len(block) - 1)
-    null = []
-    for j in range(1, len(block)):
-        free = [0] * len(block)
-        free[j], free[0] = 1, -entries[block[j] - 1] * inv % q
-        null.append(free)
-    return p, null
-
-
-def _constrain(parts, rows, rhs, q: int, symbols: int) -> tuple[list[int], list[list[int]]]:
-    """Cut the solutions p + diag(N_1, N_2, ...)·z of parts [(p_1, N_1), ...]
-    down to those that also solve rows·x = rhs; SingularMatrix when
-    G = rows·diag(N_1, ...) has rank < len(rows).
-
-    Each row is over the parts' members in order, each rhs a packed row.
-    The parts' null columns form one basis list of (offset in p, column):
-    a column is zero outside its part's slice of p, so each row is sliced
-    once per part and an entry of G is the dot product of that slice with
-    one of the part's columns.  eliminate splits
-    G at its pivots S: z_S = G_S^-1·(rhs - rows·p) with z_F = 0 moves p, in
-    each pivot column's slice, and each free column f of G gives the null
-    column N·(e_f - G_S^-1·G_f): its basis column less r times each pivot
-    column, in that column's slice.  G_S^-1 is folded into the
-    coefficients, so each z coordinate is one packed_sum over rhs and the
-    nonzero p rows and one reduce_packed.  p stays unreduced: see pack_row
-    for the slot bound.
-    """
-    p, basis, spans = [], [], []
-    for p_part, null in parts:
-        spans.append((slice(len(p), len(p) + len(p_part)), null))
-        basis += [(len(p), column) for column in null]
-        p += p_part
-    g = [
-        [sum(map(operator.mul, seg, n)) for span, null in spans for seg in [row[span]] for n in null]
-        for row in rows
-    ]
-    pivot_cols, free, inverse, rest = eliminate(g, q)
-
-    values = [*rhs, *compress(p, p)]  # the nonzero p rows
-    picked = [list(compress(row, p)) for row in rows]
-    z = []
-    for e in inverse:
-        weights = [-e[0] * a for a in picked[0]]  # -e·rows on the nonzero p rows
-        for c, row in zip(e[1:], picked[1:]):
-            weights = [w - c * a for w, a in zip(weights, row)]
-        # rhs and p rows (< 2^78) with reduced coefficients: < 2^125 (field.pack_row)
-        z.append(reduce_packed(packed_sum(e + weights, values, q), symbols, q, 126))
-    pivots = [basis[c] for c in pivot_cols]
-    for zk, (at, column) in zip(z, pivots):
-        end = at + len(column)
-        p[at:end] = [v + n * zk if n else v for v, n in zip(p[at:end], column)]
-    null_out = []
-    for f, reduced in zip(free, zip(*rest)):
-        out = [0] * len(p)
-        at, column = basis[f]
-        out[at : at + len(column)] = column
-        for r, (at, column) in zip(reduced, pivots):
-            if r:
-                end = at + len(column)
-                out[at:end] = [(v - r * n) % q for v, n in zip(out[at:end], column)]
-        null_out.append(out)
-    return p, null_out
+        merges.append(level)
+    [(rows, sums)] = states
+    zs = [solve(rows, [*rhs, *sums], len(target))[1]]
+    bits = 62 + m.bit_length()  # M + 1 products of reduced residues
+    for level in reversed(merges):
+        below = []
+        for (pivots, free, h, t), z in zip(level, zs):
+            w = [0] * (2 * m)
+            for f, zf in zip(free, z):
+                w[f] = zf
+            for s, tk, row in zip(pivots, t, h):
+                value = packed_sum([1, *[-v for v in row]], [tk, *z], q)
+                w[s] = reduce_packed(value, symbols, q, bits)
+            below += (w[:m], w[m:])
+        zs = below
+    solved = {}
+    for (b0, others, weights, packet), z in zip(leaves, zs):
+        solved.update(zip(others, z))
+        solved[b0] = reduce_packed(packed_sum(weights, [packet, *z], q), symbols, q, bits)
+    return solved
 
 
 class Server:

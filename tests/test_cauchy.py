@@ -248,16 +248,24 @@ def test_large_matrices_are_not_kept(monkeypatch):
 
 
 def test_cached_points_do_not_pass_later_checks():
-    """check_points runs on every call: once a good set is cached, a bad set
-    sharing its key fields, or the good set under another shape, is refused."""
+    """The memo keeps whole calls, and check_points runs on each call it
+    does not hold: on a fresh point set and on one already kept, overlapping
+    points, a point outside [0, q), the good set under a wrong l, and a
+    float q equal to the kept one are refused."""
     xs, ys = canonical_points(17, 12, 2, 2)
-    build_cauchy(12, 2, 2, 17, xs, ys)
-    with pytest.raises(InvalidParams, match="distinct"):
-        build_cauchy(12, 2, 2, 17, xs[:-1] + (ys[0],), ys)
-    with pytest.raises(InvalidParams, match="residues"):
-        build_cauchy(12, 2, 2, 17, xs[:-1] + (17,), ys)
-    with pytest.raises(InvalidParams, match="imply l=2"):
-        build_cauchy(12, 2, 3, 17, xs, ys)
+    for kept in (False, True):
+        cauchy_module._cauchy_on.cache_clear()
+        if kept:
+            build_cauchy(12, 2, 2, 17, xs, ys)
+        with pytest.raises(InvalidParams, match="distinct"):
+            build_cauchy(12, 2, 2, 17, xs[:-1] + (ys[0],), ys)
+        with pytest.raises(InvalidParams, match="residues"):
+            build_cauchy(12, 2, 2, 17, xs[:-1] + (17,), ys)
+        with pytest.raises(InvalidParams, match="imply l=2"):
+            build_cauchy(12, 2, 3, 17, xs, ys)
+        with pytest.raises(InvalidParams, match="must be an integer"):
+            build_cauchy(12, 2, 2, 17.0, xs, ys)
+        assert cauchy_module._cauchy_on.cache_info().currsize == kept
     with pytest.raises(FieldTooSmall):
         build_cauchy(12, 2, 2, 13, xs, ys)
 

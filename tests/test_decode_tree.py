@@ -93,9 +93,21 @@ SMALL_FIELD_SHAPES = GRID + [(16, 1), (24, 2), (32, 1), (32, 3)]
 
 
 @pytest.mark.parametrize("symbols", [1, 2])
-def test_tree_matches_dense_decode_at_small_fields(symbols):
+def test_tree_matches_dense_decode_at_small_fields(monkeypatch, symbols):
     """GRID and deeper shapes at small primes, on canonical points, where
-    some sessions end in a singular system."""
+    some sessions end in a singular system.  Some merge pivots outside its
+    left half's M coordinates, so back-substitution scatters w_S and w_F
+    over both halves, and the dense reference checks that scatter."""
+    eliminate = field.eliminate
+    left_half_only = []
+
+    def record(rows, q):
+        out = eliminate(rows, q)
+        if len(rows[0]) == 2 * len(rows):  # a merge: the halves' 2M coordinates
+            left_half_only.append(max(out[0]) < len(rows))
+        return out
+
+    monkeypatch.setattr(protocol, "eliminate", record)
     singular = sessions = 0
     for k, m in SMALL_FIELD_SHAPES:
         l = protocol.derive_l(k, m)
@@ -108,6 +120,7 @@ def test_tree_matches_dense_decode_at_small_fields(symbols):
                 sessions += 1
     assert sessions == len(SMALL_FIELD_SHAPES) * 3 * 12
     assert 0 < singular < sessions
+    assert True in left_half_only and False in left_half_only
 
 
 def test_tree_raises_on_a_planted_singular_split():

@@ -6,6 +6,7 @@ import random
 import select
 import socket
 import socketserver
+import struct
 import sys
 import threading
 import time
@@ -394,6 +395,102 @@ def test_client_refuses_a_huge_frame_before_reading_it(monkeypatch, stage, expec
         thread.join(timeout=5)
         listener.close()
     assert not thread.is_alive()
+
+
+def test_second_connection_checks_the_points_once(golden_server, monkeypatch):
+    """A RemoteSession checks the HELLO's coding points in Hello.session();
+    build_cauchy finds that call in its memo and does not check it again."""
+    address, _ = golden_server
+    side = SideInformation.from_database(counting_database(), [2, 3])
+    with RemoteSession(address, side, seed=1):
+        pass
+    check_points, calls = cauchy_module.check_points, []
+
+    def counting(*args):
+        calls.append(args)
+        return check_points(*args)
+
+    for owner in (cauchy_module, wire):
+        monkeypatch.setattr(owner, "check_points", counting)
+    with RemoteSession(address, side, seed=2) as session:
+        assert session.retrieve(1) == {1: (1,)}
+    assert len(calls) == 1
+
+
+def _socket_timeout(sock, option=socket.SO_RCVTIMEO):
+    """A socket's kernel timeout (SO_RCVTIMEO or SO_SNDTIMEO) in seconds; 0 is none."""
+    if sys.platform == "win32":
+        return sock.getsockopt(socket.SOL_SOCKET, option) / 1000
+    timeval = struct.Struct("@ll")
+    seconds, micros = timeval.unpack(sock.getsockopt(socket.SOL_SOCKET, option, timeval.size))
+    return seconds + micros / 1e6
+
+
+@pytest.mark.parametrize("stage", ["hello", "answer"])
+def test_client_times_out_on_a_silent_server(monkeypatch, stage):
+    """A server that reads the HELLO and never replies, or answers it and
+    then goes silent, makes the client raise TimeoutError once a read has
+    waited CLIENT_TIMEOUT, as the kernel times it."""
+    monkeypatch.setattr(net, "CLIENT_TIMEOUT", 0.2)
+    params = ProtocolParams.create(12, 2, q=17)
+    cauchy = session_cauchy(params)
+    hello = wire.Hello.for_params(params, cauchy.x_points, cauchy.y_points)
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def silent_server():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rwb") as f:
+            wire.read_frame(f)
+            if stage == "answer":
+                _send_frame(f, wire.FRAME_HELLO, wire.encode_hello(hello))
+            f.read()  # until the client hangs up
+
+    thread = threading.Thread(target=silent_server, daemon=True)
+    thread.start()
+    side = SideInformation.from_database(counting_database(), [2, 3])
+    started = time.monotonic()
+    try:
+        with pytest.raises(TimeoutError):
+            with RemoteSession(listener.getsockname(), side, seed=3) as session:
+                assert stage == "answer"
+                session.retrieve(1)
+    finally:
+        thread.join(timeout=5)
+        listener.close()
+    assert 0.15 < time.monotonic() - started < 2.0
+    assert not thread.is_alive()
+
+
+def test_connection_sockets_time_out_in_the_kernel(monkeypatch):
+    """Both ends' connection sockets block (no CPython timeout, which polls
+    before every recv and send) and carry their configured timeouts in the
+    kernel: CLIENT_TIMEOUT on the client, _SessionHandler.timeout on the
+    server once the HELLO is read."""
+    monkeypatch.setattr(net, "CLIENT_TIMEOUT", 4.0)
+    monkeypatch.setattr(net._SessionHandler, "timeout", 6.0)
+    database = counting_database()
+    side = SideInformation.from_database(database, [2, 3])
+    with serving(database, ProtocolParams.create(12, 2, q=17)) as server:
+        with RemoteSession(server.server_address, side, seed=1) as session:
+            _wait_for_sessions(server, 1)
+            (conn,) = server._sessions
+            for sock, seconds in ((session._frames.sock, 4.0), (conn, 6.0)):
+                assert sock.gettimeout() is None
+                for option in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO):
+                    assert _socket_timeout(sock, option) == pytest.approx(seconds, abs=0.01)
+            assert session.retrieve(1) == {1: (1,)}
+
+
+@pytest.mark.parametrize("seconds", [0, -1.0, float("nan")])
+def test_kernel_timeouts_refuse_non_positive_seconds(seconds):
+    """A kernel timeout of 0 means "never", so the helper refuses 0, a
+    negative value and NaN, and leaves the socket as it was."""
+    with socket.socket() as sock:
+        sock.settimeout(5.0)
+        with pytest.raises(ValueError, match="must be positive"):
+            net._kernel_timeouts(sock, seconds)
+        assert sock.gettimeout() == 5.0
+        assert _socket_timeout(sock) == 0
 
 
 def test_matching_expectations_are_accepted(golden_server):
