@@ -123,9 +123,6 @@ class FieldMatrix:
         self.cols = width
         self._data = tuple(rows)
 
-    def at(self, row: int, col: int) -> int:
-        return self._data[row][col]
-
     def row(self, row: int) -> tuple[int, ...]:
         return self._data[row]
 
@@ -166,7 +163,7 @@ class FieldMatrix:
 #   - Server.answer: a packet of a |B|-message block sums |B| products,
 #     < |B|·2^62 <= 2^bits with bits = 62 + (|B| - 1).bit_length(), which
 #     is 63 (no fold) for a round-1 block at M = 1 and at most 78;
-#   - Client._decode_merge_round: the demand, bits 126, at round 1;
+#   - Client.decode_answer: the demand, bits 126, at round 1;
 #   - protocol._decode_tree: a merge's t and the root's z, bits 126, and
 #     each w_S and each leaf's first member, bits 62 + M.bit_length();
 #   - solve_linear_system's rows: bits 126.

@@ -12,10 +12,10 @@ frame with its reason code before the close; a socket error, or a read or
 write that waits longer than SERVER_TIMEOUT, just closes.  A server's shape is
 its ProtocolParams, which read_config reads from a JSON file.
 
-A server runs SERVER_WORKERS threads, each of which accepts one connection
-and serves its session to the end before it accepts the next, so at most
-that many sessions run at once and further connections wait in the listen
-backlog.  A peer gets HELLO_TIMEOUT, not SERVER_TIMEOUT, to send its first
+A server runs SERVER_WORKERS threads, each of which accepts one connection,
+serves its session to the end in finish_request on that same thread, and
+closes it before it accepts the next, so at most that many sessions run at
+once and further connections wait in the listen backlog.  A peer gets HELLO_TIMEOUT, not SERVER_TIMEOUT, to send its first
 frame, so peers that connect and stay silent hold a worker only briefly.
 shutdown() cuts every session in progress, so it returns within about
 poll_interval.  A client builds its coding matrix with build_cauchy, which
@@ -132,7 +132,7 @@ class OpirTCPServer(socketserver.TCPServer):
         # Connections in session, so that _stop() can cut them.
         self._sessions: set[socket.socket] = set()
         self._sessions_lock = threading.Lock()
-        super().__init__(address, _SessionHandler)
+        super().__init__(address, None)
 
     def serve_forever(self, poll_interval: float = 0.5) -> None:
         """Serve on SERVER_WORKERS threads, this one included, until shutdown().
@@ -178,13 +178,6 @@ class OpirTCPServer(socketserver.TCPServer):
                 except OSError:
                     pass  # the peer has already gone
 
-    def shutdown_request(self, request: socket.socket) -> None:
-        # Forget the connection before it is closed, under the lock that
-        # _stop() holds, so _stop() never touches a closed socket.
-        with self._sessions_lock:
-            self._sessions.discard(request)
-        super().shutdown_request(request)
-
     def _work(self, poll_interval: float) -> None:
         """Accept and serve connections one at a time until shutdown() or
         until the listener is closed; no failure of one connection ends it."""
@@ -210,19 +203,59 @@ class OpirTCPServer(socketserver.TCPServer):
                 stopping = self._stopping.is_set()
                 if not stopping:
                     self._sessions.add(request)
-            if stopping:
-                self.shutdown_request(request)
-                return
             try:
-                self.process_request(request, client_address)
+                if not stopping:
+                    self.finish_request(request, client_address)
             except Exception:
-                # As socketserver does; _SessionHandler has already handled
+                # As socketserver does; finish_request has already handled
                 # every OpirError and OSError.
                 self.handle_error(request, client_address)
+            finally:
+                # Forget the connection before it is closed, under the lock
+                # that _stop() holds, so _stop() never touches a closed socket.
+                with self._sessions_lock:
+                    self._sessions.discard(request)
                 self.shutdown_request(request)
-            except BaseException:
-                self.shutdown_request(request)
-                raise
+
+    def finish_request(self, request: socket.socket, client_address) -> None:
+        """Serve one connection's session to its end."""
+        frames = _Connection(request)
+        try:
+            try:
+                self._session(request, frames)
+            except DecodeError:
+                return  # a bad, oversized or truncated frame: close unanswered
+            except OpirError as exc:
+                reply = wire.encode_error(wire.error_code_for(exc), str(exc))
+                frames.send(wire.FRAME_ERROR, reply)
+        except OSError:
+            return  # the peer vanished or stalled past SERVER_TIMEOUT
+
+    def _session(self, request: socket.socket, frames: _Connection) -> None:
+        """HELLO, then QUERY frames until BYE; any refusal raises."""
+        params, limit = self.params, self.frame_limit
+        # The first frame gets HELLO_TIMEOUT; each later read or write that
+        # waits SERVER_TIMEOUT raises TimeoutError, so a stalled peer frees
+        # its worker.
+        _kernel_timeouts(request, HELLO_TIMEOUT)
+        frame_type, payload = wire.read_frame(frames, limit)
+        _kernel_timeouts(request, SERVER_TIMEOUT)
+        if frame_type != wire.FRAME_HELLO:
+            raise ParamMismatch("expected a hello frame first")
+        wire.decode_hello(payload).require(params)
+        frames.send(wire.FRAME_HELLO, self.hello_reply)
+        session = ProtocolServer(self.database, params, self.cauchy)
+        while True:
+            frame_type, payload = wire.read_frame(frames, limit)
+            if frame_type == wire.FRAME_BYE:
+                return
+            if frame_type != wire.FRAME_QUERY:
+                raise OpirError("expected a query or bye frame")
+            try:
+                query = wire.decode_query(payload)
+            except DecodeError as exc:
+                raise MalformedQuery(str(exc)) from None
+            frames.send(wire.FRAME_ANSWER, wire.encode_answer(session.answer(query)))
 
 
 def _kernel_timeouts(sock: socket.socket, seconds: float) -> None:
@@ -267,50 +300,6 @@ class _Connection:
             self.sock.sendall(wire.encode_frame(frame_type, payload))
         except BlockingIOError:
             raise TimeoutError("timed out") from None
-
-
-class _SessionHandler(socketserver.BaseRequestHandler):
-    server: OpirTCPServer
-    # A read or write that waits longer raises TimeoutError, an OSError, so
-    # a stalled peer frees its worker.  The first frame gets HELLO_TIMEOUT.
-    timeout = SERVER_TIMEOUT
-
-    def handle(self) -> None:
-        self.frames = _Connection(self.request)
-        try:
-            try:
-                self._session()
-            except DecodeError:
-                return  # a bad, oversized or truncated frame: close unanswered
-            except OpirError as exc:
-                reply = wire.encode_error(wire.error_code_for(exc), str(exc))
-                self.frames.send(wire.FRAME_ERROR, reply)
-        except OSError:
-            return  # the peer vanished or stalled past the timeout
-
-    def _session(self) -> None:
-        """HELLO, then QUERY frames until BYE; any refusal raises."""
-        params, cauchy, limit = self.server.params, self.server.cauchy, self.server.frame_limit
-        frames = self.frames
-        _kernel_timeouts(self.request, HELLO_TIMEOUT)
-        frame_type, payload = wire.read_frame(frames, limit)
-        _kernel_timeouts(self.request, self.timeout)
-        if frame_type != wire.FRAME_HELLO:
-            raise ParamMismatch("expected a hello frame first")
-        wire.decode_hello(payload).require(params)
-        frames.send(wire.FRAME_HELLO, self.server.hello_reply)
-        session = ProtocolServer(self.server.database, params, cauchy)
-        while True:
-            frame_type, payload = wire.read_frame(frames, limit)
-            if frame_type == wire.FRAME_BYE:
-                return
-            if frame_type != wire.FRAME_QUERY:
-                raise OpirError("expected a query or bye frame")
-            try:
-                query = wire.decode_query(payload)
-            except DecodeError as exc:
-                raise MalformedQuery(str(exc)) from None
-            frames.send(wire.FRAME_ANSWER, wire.encode_answer(session.answer(query)))
 
 
 def create_server(

@@ -171,7 +171,7 @@ def test_build_makes_one_inversion_per_column(monkeypatch):
     for i, x in enumerate(cauchy.x_points, start=1):
         for j, y in enumerate(cauchy.y_points, start=1):
             assert cauchy.coeff(i, j) == pow(x - y, -1, q)
-            assert cauchy.matrix.at(i - 1, j - 1) == cauchy.coeff(i, j)
+            assert cauchy.matrix.row(i - 1)[j - 1] == cauchy.coeff(i, j)
     calls.clear()
     with pytest.raises(InvalidParams):
         build_cauchy(4, 1, 1, q=11, x_points=(1, 2, 3, 4), y_points=(4, 5))

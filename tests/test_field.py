@@ -431,7 +431,7 @@ def test_matrix_helpers():
     m = FieldMatrix(q, [[1, 2, 3], [4, 5, 6]])
     assert m.row(1) == (4, 5, 6)
     assert m.submatrix([1], [0, 2]).row(0) == (4, 6)
-    assert m.at(0, 1) == 2
+    assert m.row(0)[1] == 2
 
 
 def row_echelon_rank(q, rows):

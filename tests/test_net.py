@@ -464,10 +464,10 @@ def test_client_times_out_on_a_silent_server(monkeypatch, stage):
 def test_connection_sockets_time_out_in_the_kernel(monkeypatch):
     """Both ends' connection sockets block (no CPython timeout, which polls
     before every recv and send) and carry their configured timeouts in the
-    kernel: CLIENT_TIMEOUT on the client, _SessionHandler.timeout on the
-    server once the HELLO is read."""
+    kernel: CLIENT_TIMEOUT on the client, SERVER_TIMEOUT on the server
+    once the HELLO is read."""
     monkeypatch.setattr(net, "CLIENT_TIMEOUT", 4.0)
-    monkeypatch.setattr(net._SessionHandler, "timeout", 6.0)
+    monkeypatch.setattr(net, "SERVER_TIMEOUT", 6.0)
     database = counting_database()
     side = SideInformation.from_database(database, [2, 3])
     with serving(database, ProtocolParams.create(12, 2, q=17)) as server:
@@ -607,8 +607,8 @@ def test_oversized_frame_header_closes_the_connection(golden_server):
 def test_stalled_peer_is_closed_after_the_timeout(golden_server, monkeypatch):
     """A peer that sends half a frame header and stops loses its session once
     a read has waited the server's timeout, which is finite by default."""
-    assert net._SessionHandler.timeout == net.SERVER_TIMEOUT < float("inf")
-    monkeypatch.setattr(net._SessionHandler, "timeout", 0.2)
+    assert net.SERVER_TIMEOUT < float("inf")
+    monkeypatch.setattr(net, "SERVER_TIMEOUT", 0.2)
     address, _ = golden_server
     sock, f, _ = _raw_hello(address)
     try:
@@ -819,21 +819,28 @@ def test_concurrent_sessions_under_a_short_switch_interval(monkeypatch):
         )
 
 
+def _fail_first_session(monkeypatch):
+    """Make the server's first session raise RuntimeError, as a handler bug
+    would, and serve later ones; returns the failed connections."""
+    session = net.OpirTCPServer._session
+    failures = []
+
+    def fail_once(server, request, frames):
+        if not failures:
+            failures.append(request)
+            raise RuntimeError("handler bug")
+        return session(server, request, frames)
+
+    monkeypatch.setattr(net.OpirTCPServer, "_session", fail_once)
+    return failures
+
+
 def test_failed_session_does_not_shrink_the_pool(monkeypatch):
     """A handler that raises something other than OpirError or OSError costs
     its connection, not the worker: one worker serves the next session."""
     monkeypatch.setattr(net, "SERVER_WORKERS", 1)
     monkeypatch.setattr(net, "CLIENT_TIMEOUT", 2.0)  # a dead pool fails, not hangs
-    session = net._SessionHandler._session
-    failures = []
-
-    def fail_once(handler):
-        if not failures:
-            failures.append(handler)
-            raise RuntimeError("handler bug")
-        return session(handler)
-
-    monkeypatch.setattr(net._SessionHandler, "_session", fail_once)
+    failures = _fail_first_session(monkeypatch)
     database = counting_database()
     side = SideInformation.from_database(database, [2, 3])
     with serving(database, ProtocolParams.create(12, 2, q=17)) as server:
@@ -843,6 +850,62 @@ def test_failed_session_does_not_shrink_the_pool(monkeypatch):
         result = run_remote_session(server.server_address, side, [1], seed=1)
     assert len(failures) == 1
     assert result.recovered[0][1] == (1,)
+
+
+def _end_with_bye(sock, f):
+    _send_frame(f, wire.FRAME_BYE)
+
+
+def _end_with_error_frame(sock, f):
+    early = PartitionQuery.of(2, [tuple(range(1, 7)), tuple(range(7, 13))])
+    _send_frame(f, wire.FRAME_QUERY, wire.encode_query(early))
+    _expect_error(f, wire.ERR_PROTOCOL_ORDER)
+
+
+def _end_with_bad_magic(sock, f):
+    f.write(wire.HEADER.pack(b"NOPE", wire.VERSION, wire.FRAME_BYE, 0))
+    f.flush()
+
+
+def _end_mid_frame(sock, f):
+    f.write(wire.HEADER.pack(wire.MAGIC, wire.VERSION, wire.FRAME_QUERY, 8)[:5])
+    f.flush()
+    sock.shutdown(socket.SHUT_WR)
+
+
+@pytest.mark.parametrize(
+    "end",
+    [_end_with_bye, _end_with_error_frame, _end_with_bad_magic, _end_mid_frame, None],
+    ids=["bye", "error-frame", "bad-magic", "peer-closes-mid-frame", "handler-bug"],
+)
+def test_every_session_end_empties_the_registry(monkeypatch, end):
+    """However a session ends (BYE, a refusal sent as ERROR, a frame closed
+    unanswered, a peer that hangs up mid-frame, or a handler bug), its
+    connection has left the server's registry by the time the peer reads
+    EOF, and the one worker serves a full session afterwards."""
+    monkeypatch.setattr(net, "SERVER_WORKERS", 1)
+    monkeypatch.setattr(net, "CLIENT_TIMEOUT", 2.0)  # a dead pool fails, not hangs
+    if end is None:
+        _fail_first_session(monkeypatch)
+    params = ProtocolParams.create(12, 2, q=17)
+    database = counting_database()
+    side = SideInformation.from_database(database, [2, 3])
+    with serving(database, params) as server:
+        if end is None:
+            # The peer sends nothing, so the server closes with nothing unread.
+            sock = socket.create_connection(server.server_address, timeout=5.0)
+            f = sock.makefile("rwb")
+        else:
+            sock, f, _ = _raw_hello(server.server_address)
+            assert len(server._sessions) == 1
+            end(sock, f)
+        with sock, f:
+            assert f.read(1) == b""
+        assert server._sessions == set()
+        remote = run_remote_session(server.server_address, side, [1, 4, 7], seed=GOLDEN_SEED)
+    local = run_session(params, database, [2, 3], [1, 4, 7], seed=GOLDEN_SEED)
+    assert remote.recovered == local.recovered
+    assert remote.transcript == local.transcript
 
 
 def test_accept_error_does_not_shrink_the_pool(monkeypatch):
